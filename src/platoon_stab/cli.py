@@ -27,6 +27,7 @@ from .model import (
     model_label,
 )
 from .frequency import (
+    SingularityError,
     critical_frequencies,
     stability_constraint,
     stable_intervals,
@@ -42,7 +43,7 @@ from .simulate import (
     simulate_chain,
     write_chain_csv,
 )
-from .monitor import TraceParseError, generate_trace, parse_trace, run_monitor, write_trace
+from .monitor import generate_trace, parse_trace, run_monitor, write_trace
 
 
 def _load_spec(path) -> ControllerSpec:
@@ -248,15 +249,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -247,9 +247,13 @@ def controller_spec_from_dict(obj) -> ControllerSpec:
         v = raw[name]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"params.{name}: expected a number")
-        if not math.isfinite(float(v)):
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
             raise ValueError(f"params.{name}: must be finite")
-        values[name] = float(v)
+        values[name] = v
     return ControllerSpec(ct, cf, st, PlatoonParams(n=n, **values))
 
 

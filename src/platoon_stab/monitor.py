@@ -27,6 +27,15 @@ Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
 
 Malformed lines abort parsing with the offending line number; the monitor
 refuses such traces rather than skipping lines.
+
+Files are read and written a chunk of events at a time.  The writer
+formats each column of a chunk in one call and joins the lines; its bytes
+are those of one ``json.dumps`` per event.  The reader decodes a chunk's
+lines and checks the chunk column by column (keys, types, indices, enum
+names, ranges, finiteness).  A chunk that fails any of these checks is
+parsed again line by line by :func:`_validate_lines`, the one source of
+error messages, so the first bad line is named exactly as a line-by-line
+reader would name it.  Only the parsed columns of earlier chunks are kept.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -391,6 +402,14 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} not allowed")
 
 
+# Trace files are read and written this many events at a time.
+_CHUNK = 4096
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_KEYS = (*_PARAM_KEYS, "w")
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+_event_fields = itemgetter(*_EVENT_KEYS)
+
+
 def parse_trace(path) -> Trace:
     """Read a line-delimited JSON trace file (UTF-8, one event per line)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -398,12 +417,67 @@ def parse_trace(path) -> Trace:
 
 
 def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
-    """Parse trace lines; any malformed line raises :class:`TraceParseError`."""
+    """Parse trace lines; any malformed line raises :class:`TraceParseError`.
+
+    Lines are taken :data:`_CHUNK` at a time.  A chunk that passes the
+    column-wise checks of :func:`_parse_chunk` is kept as arrays; any other
+    chunk goes through :func:`_validate_lines`, which yields the same
+    columns for good lines and names the first bad one.
+    """
+    lines = iter(lines)
+    chunks = [_validate_lines([], 0)]  # typed empty columns
+    offset = 0
+    while block := list(islice(lines, _CHUNK)):
+        try:
+            columns = _parse_chunk(block, offset)
+        except Exception:  # the per-line pass raises what applies, in line order
+            columns = None
+        chunks.append(columns or _validate_lines(block, offset))
+        offset += len(block)
+    return Trace(source, *map(np.concatenate, zip(*chunks)))
+
+
+def _parse_chunk(block, offset):
+    """Columns of a chunk of well-formed lines, or None when a check fails.
+
+    Every check here is one that :func:`_validate_lines` makes line by
+    line, so a chunk accepted here yields the same columns there.
+    """
+    size = len(block)
+    events = list(map(_decode, block))
+    if set(map(type, events)) != {dict} or set(map(len, events)) != {len(_EVENT_KEYS)}:
+        return None
+    i, ct, cf, st, n, *numbers = zip(*map(_event_fields, events))
+    del events
+    if set(map(type, i)) != {int} or i != tuple(range(offset, offset + size)):
+        return None
+    if set(map(type, n)) != {int} or min(n) < 0 or max(n) > _INT64_MAX:
+        return None
+    if not set(map(type, chain.from_iterable(numbers))) <= {float, int}:
+        return None
+    floats = np.array(numbers, dtype=np.float64)  # raises on ints beyond float range
+    if not np.isfinite(floats).all():
+        return None
+    return (
+        np.fromiter(map(_CT_CODE.__getitem__, ct), np.int8, size),
+        np.fromiter(map(_CF_CODE.__getitem__, cf), np.int8, size),
+        np.fromiter(map(_ST_CODE.__getitem__, st), np.int8, size),
+        np.array(n, dtype=np.int64),
+        *floats,
+    )
+
+
+def _validate_lines(block, offset):
+    """Per-line parse of a chunk whose first line is event ``offset``.
+
+    The reference for what a trace line may hold: raises
+    :class:`TraceParseError` naming the first bad line.
+    """
     ct, cf, st = [], [], []
     n = []
-    cols = {name: [] for name in (*_PARAM_KEYS, "w")}
-    count = 0
-    for lineno, line in enumerate(lines, 1):
+    cols = {name: [] for name in _FLOAT_KEYS}
+    for count, line in enumerate(block, offset):
+        lineno = count + 1
         line = line.rstrip("\n")
         if not line.strip():
             raise TraceParseError(lineno, "empty line")
@@ -435,49 +509,55 @@ def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
             raise TraceParseError(lineno, "'n' must be an integer")
         if nv < 0:
             raise TraceParseError(lineno, "'n' must be >= 0")
+        if nv > _INT64_MAX:
+            raise TraceParseError(lineno, f"'n' must be <= {_INT64_MAX}")
         n.append(nv)
-        for key in (*_PARAM_KEYS, "w"):
+        for key in _FLOAT_KEYS:
             value = obj[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TraceParseError(lineno, f"'{key}' must be a number")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer literal beyond the float range
+                value = math.inf
             if not math.isfinite(value):
                 raise TraceParseError(lineno, f"'{key}' must be finite")
             cols[key].append(value)
-        count += 1
-    return Trace(
-        source,
+    return (
         np.asarray(ct, dtype=np.int8),
         np.asarray(cf, dtype=np.int8),
         np.asarray(st, dtype=np.int8),
         np.asarray(n, dtype=np.int64),
-        *(np.asarray(cols[name]) for name in (*_PARAM_KEYS, "w")),
+        *(np.asarray(cols[name]) for name in _FLOAT_KEYS),
     )
+
+
+_CT_JSON = tuple(json.dumps(e.value) for e in _CT_VALUES)
+_CF_JSON = tuple(json.dumps(e.value) for e in _CF_VALUES)
+_ST_JSON = tuple(json.dumps(e.value) for e in _ST_VALUES)
+_LINE = ("{{" + ",".join(f'"{key}":{{}}' for key in _EVENT_KEYS) + "}}\n").format
+
+
+def _json_numbers(column) -> list[str]:
+    """``json.dumps`` text of each value, ``NaN`` and ``Infinity`` included."""
+    return json.dumps(column.tolist(), separators=(",", ":"))[1:-1].split(",")
 
 
 def write_trace(trace: Trace, fh) -> None:
     """Write the line-delimited JSON form; identical traces give identical
     bytes."""
-    ct, cf, st = trace.ct, trace.cf, trace.st
-    for i in range(len(trace)):
-        obj = {
-            "i": i,
-            "ct": _CT_VALUES[ct[i]].value,
-            "cf": _CF_VALUES[cf[i]].value,
-            "st": _ST_VALUES[st[i]].value,
-            "n": int(trace.n[i]),
-            "m": float(trace.m[i]),
-            "k": float(trace.k[i]),
-            "c": float(trace.c[i]),
-            "h": float(trace.h[i]),
-            "ch": float(trace.ch[i]),
-            "vd": float(trace.vd[i]),
-            "h0": float(trace.h0[i]),
-            "ca": float(trace.ca[i]),
-            "cd": float(trace.cd[i]),
-            "w": float(trace.w[i]),
-        }
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    for start in range(0, len(trace), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        n = trace.n[part].tolist()
+        fh.write("".join(map(
+            _LINE,
+            range(start, start + len(n)),
+            map(_CT_JSON.__getitem__, trace.ct[part].tolist()),
+            map(_CF_JSON.__getitem__, trace.cf[part].tolist()),
+            map(_ST_JSON.__getitem__, trace.st[part].tolist()),
+            n,
+            *(_json_numbers(getattr(trace, key)[part]) for key in _FLOAT_KEYS),
+        )))
 
 
 def write_trace_file(trace: Trace, path) -> None:

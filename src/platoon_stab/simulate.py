@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not (math.isfinite(self.duration) and self.duration >= 100.0 * self.dt):
             raise ValueError("duration must be at least 100*dt")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("duration/dt overflows the step count")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
             raise ValueError("input descriptor must be finite")
         if self.omega < 0.0:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", "--spec", str(bad)]) == 2
+
+    def test_integer_beyond_float_range_is_validation_error(self, spec_file, tmp_path, capsys):
+        path = spec_file(make_spec())
+        text = Path(path).read_text()
+        big = text.replace('"m": 1000.0', '"m": ' + "9" * 401)
+        assert big != text
+        bad = tmp_path / "big.json"
+        bad.write_text(big)
+        assert main(["analyze", "--spec", str(bad)]) == 2
+        assert "params.m: must be finite" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -132,6 +143,11 @@ class TestSimulate:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_step_count_overflow_is_a_validation_error(self, spec_file, tmp_path, capsys):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
+                     "--duration", "10", "--dt", "1e-320", "--out", str(tmp_path / "t.csv")]) == 2
+        assert "overflows the step count" in capsys.readouterr().err
+
     def test_flag_validation(self, spec_file, tmp_path):
         spec = spec_file(make_spec())
         assert main(["simulate", "--spec", spec, "--n", "1", "--omega", "3",
@@ -176,6 +192,25 @@ class TestMonitorAndGenTrace:
         code = main(["monitor", "--trace", str(trace)])
         assert code == 2
         assert "line 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m", "9" * 401, "'m' must be finite"),
+        ("n", str(2 ** 63), "'n' must be <= 9223372036854775807"),
+    ])
+    def test_out_of_range_integer_exits_2_naming_the_line(self, spec_file, tmp_path, capsys,
+                                                          field, value, message):
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "1", "--len", "10",
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        lines = trace.read_text().splitlines()
+        obj = json.loads(lines[3])
+        lines[3] = lines[3].replace(f'"{field}":{obj[field]!r}', f'"{field}":{value}')
+        assert value in lines[3]
+        trace.write_text("\n".join(lines) + "\n")
+        code = main(["monitor", "--trace", str(trace)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line 4: {message}" in err
 
     def test_missing_trace_exits_1(self, tmp_path):
         assert main(["monitor", "--trace", str(tmp_path / "absent.jsonl")]) == 1

@@ -1,11 +1,16 @@
 import io
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoon_stab import (
+    Configuration,
     ControllerSpec,
+    ControllerType,
     Event,
     Trace,
     TraceParseError,
@@ -15,9 +20,11 @@ from platoon_stab import (
     parse_trace,
     parse_trace_lines,
     run_monitor,
+    Strategy,
     write_trace,
     write_trace_file,
 )
+from platoon_stab.monitor import _validate_lines
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec, random_params
 
 
@@ -315,3 +322,216 @@ class TestTraceIO:
             trace[10]
         with pytest.raises(TypeError):
             trace["0"]
+
+
+# -- Chunked trace I/O against per-event references -------------------------
+
+_FLOAT_KEYS = ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd", "w")
+_COLUMNS = ("ct", "cf", "st", "n", *_FLOAT_KEYS)
+
+
+def reference_write_trace(trace, fh):
+    """One ``json.dumps`` per event: the writer format the chunked one must match."""
+    ct, cf, st_ = tuple(ControllerType), tuple(Configuration), tuple(Strategy)
+    for i in range(len(trace)):
+        obj = {
+            "i": i,
+            "ct": ct[trace.ct[i]].value,
+            "cf": cf[trace.cf[i]].value,
+            "st": st_[trace.st[i]].value,
+            "n": int(trace.n[i]),
+            **{key: float(getattr(trace, key)[i]) for key in _FLOAT_KEYS},
+        }
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def written(trace, writer=write_trace):
+    buf = io.StringIO()
+    writer(trace, buf)
+    return buf.getvalue()
+
+
+def assert_same_lines(actual, expected):
+    """Compare two trace texts line by line, naming the first that differs."""
+    actual, expected = actual.splitlines(True), expected.splitlines(True)
+    for lineno, (a, b) in enumerate(zip(actual, expected), 1):
+        assert a == b, f"line {lineno}"
+    assert len(actual) == len(expected)
+
+
+def columns(trace_or_tuple):
+    """Dtype and bytes of every column, so -0.0 and 0.0 differ."""
+    if isinstance(trace_or_tuple, Trace):
+        trace_or_tuple = [getattr(trace_or_tuple, name) for name in _COLUMNS]
+    return [(a.dtype.str, a.tobytes()) for a in trace_or_tuple]
+
+
+def parsed_or_error(text):
+    try:
+        return columns(parse_trace_lines(io.StringIO(text)))
+    except TraceParseError as exc:
+        return str(exc)
+
+
+def validated_or_error(text):
+    """The per-line validator over the whole text as one block."""
+    try:
+        return columns(_validate_lines(io.StringIO(text).readlines(), 0))
+    except TraceParseError as exc:
+        return str(exc)
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                   1e-300, 3.0, -7.0, 2.0 ** 53, float("nan"), float("inf"), float("-inf"))
+
+
+@st.composite
+def column_traces(draw, finite=False, max_size=16):
+    size = draw(st.integers(0, max_size))
+    special = [v for v in _SPECIAL_FLOATS if not finite or np.isfinite(v)]
+    number = st.one_of(st.floats(allow_nan=not finite, allow_infinity=not finite),
+                       st.sampled_from(special), st.integers(-10**6, 10**6).map(float))
+    floats = draw(st.lists(number, min_size=10 * size, max_size=10 * size))
+    codes = draw(st.lists(st.integers(0, 5), min_size=3 * size, max_size=3 * size))
+    n = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=size, max_size=size))
+    ct, cf, st_ = np.array(codes, dtype=np.int8).reshape(3, size)
+    return Trace(
+        "hypothesis",
+        ct % len(ControllerType), cf % len(Configuration), st_ % len(Strategy),
+        np.array(n, dtype=np.int64),
+        *np.array(floats, dtype=np.float64).reshape(10, size),
+    )
+
+
+class TestChunkedTraceIO:
+    @settings(max_examples=50, deadline=None)
+    @given(column_traces())
+    def test_writer_matches_per_event_json_dumps(self, trace):
+        assert_same_lines(written(trace), written(trace, reference_write_trace))
+
+    def test_writer_non_finite_omega_from_events(self, const_spacing_spec):
+        omegas = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 1e-300, 4.0]
+        trace = Trace.from_events([Event(i, const_spacing_spec, w) for i, w in enumerate(omegas)])
+        text = written(trace)
+        assert_same_lines(text, written(trace, reference_write_trace))
+        assert '"w":NaN}' in text and '"w":Infinity}' in text and '"w":-Infinity}' in text
+
+    def test_writer_matches_across_chunks(self):
+        template = make_spec(AUT, BI, VS)
+        trace = generate_trace(17, 3 * 4096 + 5, template, [(4095, "P1"), (4096, "P2")])
+        assert_same_lines(written(trace), written(trace, reference_write_trace))
+
+    @settings(max_examples=40, deadline=None)
+    @given(column_traces(finite=True))
+    def test_parser_round_trips_and_matches_validator(self, trace):
+        text = written(trace)
+        result = parsed_or_error(text)
+        assert result == columns(trace)
+        assert result == validated_or_error(text)
+
+    def test_integer_literals_parse_as_their_float_values(self):
+        line = ('{"i":0,"ct":"autonomous","cf":"unidirectional","st":"constant_spacing",'
+                '"n":2,"m":1000,"k":18446744073709551617,"c":-3,"h":1,"ch":1,"vd":1,'
+                '"h0":1,"ca":1,"cd":1,"w":3}\n')
+        parsed = parse_trace_lines(io.StringIO(line))
+        assert parsed.m.tolist() == [1000.0]
+        assert parsed.k.tolist() == [float(2 ** 64 + 1)]
+        assert columns(parsed) == validated_or_error(line)
+
+
+def _set(key, text):
+    """Replace the value of one top-level field in an event line."""
+    return lambda line: re.sub(rf'"{key}":[^,}}]+', f'"{key}":{text}', line, count=1)
+
+
+_MUTATIONS = {
+    # The malformed lines of TestTraceIO.test_malformed_lines_are_refused.
+    "truncated": lambda line: line[:-10],
+    "empty": lambda line: "",
+    "array": lambda line: "[1,2]",
+    "missing-key": lambda line: '{"i":0.5}',
+    "i-string": _set("i", '"0"'),
+    "index-gap": _set("i", "99999"),
+    "ct-unknown": _set("ct", '"manual"'),
+    "n-float": _set("n", "2.0"),
+    "nan": _set("m", "NaN"),
+    "overflowing-float": _set("m", "1e999"),
+    "m-bool": _set("m", "true"),
+    "unknown-key": lambda line: line[:-1] + ',"extra":1}',
+    # Type and range edges of the column-wise checks.
+    "i-bool": _set("i", "false"),  # equal to the index of line 1
+    "i-float": _set("i", "0.0"),
+    "n-bool": _set("n", "false"),
+    "n-negative": _set("n", "-1"),
+    "n-above-int64": _set("n", str(2 ** 63)),
+    "n-int64-max": _set("n", str(2 ** 63 - 1)),
+    "401-digits": _set("w", "9" * 401),
+    "integer-valued": _set("m", "1000"),
+    "integer-above-int64": _set("k", str(2 ** 64 + 1)),
+    # Lines JSON accepts with surrounding whitespace.
+    "padded": lambda line: "  " + line + " \t",
+    "crlf": lambda line: line + "\r",
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_trace():
+    """A trace one event past the second chunk boundary (4098 lines), and
+    the per-line validator's columns for it."""
+    trace = generate_trace(31, 4098, make_spec(NON, UNI, CS), [(4096, "P2")])
+    lines = written(trace).splitlines()
+    return lines, _validate_lines(lines, 0)
+
+
+def mutated(boundary_trace, name, lineno):
+    """The text with one line mutated, and the per-line validator's verdict.
+
+    The validator checks each line on its own, given its position, so its
+    verdict on the whole text is its verdict on the mutated line spliced
+    into the columns of the intact trace.
+    """
+    lines, intact = boundary_trace
+    lines = list(lines)
+    lines[lineno - 1] = _MUTATIONS[name](lines[lineno - 1])
+    try:
+        row = _validate_lines([lines[lineno - 1]], lineno - 1)
+    except TraceParseError as exc:
+        expected = str(exc)
+    else:
+        expected = columns(np.concatenate([col[:lineno - 1], r, col[lineno:]])
+                           for col, r in zip(intact, row))
+    return "\n".join(lines) + "\n", expected
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_mutation_matches_per_line_validator(self, boundary_trace, name):
+        for lineno in (1, 4096, 4097, 4098):
+            text, expected = mutated(boundary_trace, name, lineno)
+            assert parsed_or_error(text) == expected
+            if isinstance(expected, str):
+                assert expected.startswith(f"line {lineno}: ")
+
+    def test_splice_agrees_with_whole_text_validation(self, boundary_trace):
+        for name, lineno in (("truncated", 4097), ("padded", 4096), ("401-digits", 1)):
+            text, expected = mutated(boundary_trace, name, lineno)
+            assert validated_or_error(text) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 4098))
+    def test_mutation_anywhere(self, boundary_trace, name, lineno):
+        text, expected = mutated(boundary_trace, name, lineno)
+        assert parsed_or_error(text) == expected
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace_file(generate_trace(3, 50_000, make_spec()), path)
+    tracemalloc.start()
+    try:
+        trace = parse_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
+    assert peak < 4 * column_bytes, (peak, column_bytes)
