@@ -10,15 +10,22 @@ Two entry points cross-check the frequency-domain analysis numerically:
   force on the lead vehicle; spacing errors derived from it must satisfy
   the same cascade equations.
 
-Both use the classical fixed-step 4th-order Runge-Kutta scheme.  Fixed
-stepping keeps runs reproducible; the dynamics are linear and mild, so
-adaptive control would buy nothing.  Positions are expressed in a frame
-with the desired inter-vehicle spacing subtracted out, so the equilibrium
-is the all-zero state and spacing errors are plain differences.
+Both are the linear system ``x' = A x + B u`` and share one integrator,
+the classical fixed-step 4th-order Runge-Kutta scheme.  Fixed stepping
+keeps runs reproducible; the dynamics are linear and mild, so adaptive
+control would buy nothing.  Positions are expressed in a frame with the
+desired inter-vehicle spacing subtracted out, so the equilibrium is the
+all-zero state and spacing errors are plain differences.
 
-The inner loops run on Python floats on purpose: per-step state vectors
-are tiny (a handful of vehicles) and element-wise numpy would add an order
-of magnitude of overhead.
+On a linear system one RK4 step is exactly
+``x(t+h) = R(hA) x(t) + N0 u(t) + Nh u(t+h/2) + N1 u(t+h)``, with ``R``
+the RK4 stability function.  The integrator builds the four matrices by
+applying the one RK4 step to the identity and to unit inputs, then walks
+the grid in blocks: the input is evaluated once on a block's half-step
+times, the forcing terms are formed for that block only, and each step is
+one vector-matrix product written straight into the output buffer.  The
+returned series are views of that buffer, so a run holds little more
+memory than its output.
 """
 
 from __future__ import annotations
@@ -33,6 +40,16 @@ from .model import ErrorModel, PlatoonParams, validate_platoon
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
 _AMPLITUDE_FLOOR = 1e-12
+
+# Grid steps integrated per block; inputs, forcing terms and the
+# divergence check are evaluated a block at a time, which bounds every
+# temporary to one block.
+_BLOCK = 256
+
+# Rows formatted per write by the CSV writers.  Larger chunks are no
+# faster, and their Python floats and row strings raise peak memory (about
+# 8 MB at 4096 rows of 17 columns).
+_CSV_CHUNK = 256
 
 
 class DivergenceError(ArithmeticError):
@@ -67,6 +84,11 @@ class SimConfig:
             raise ValueError("duration/dt overflows the step count")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
             raise ValueError("input descriptor must be finite")
+        # The phase at the last grid time, as the simulators step it.
+        if not math.isfinite(self.omega * (round(self.duration / self.dt) * self.dt)):
+            raise ValueError("omega * duration overflows the input phase")
+        if not math.isfinite(self.amplitude * self.omega):
+            raise ValueError("amplitude * omega overflows the input rate")
         if self.omega < 0.0:
             raise ValueError("omega must be >= 0")
         if not 0.0 <= self.discard < 1.0:
@@ -75,7 +97,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ChainSeries:
-    """Sampled spacing errors: column i is ``z_{i+1}`` (column 0 = input)."""
+    """Sampled spacing errors: column i is ``z_{i+1}`` (column 0 = input).
+
+    ``z`` and ``zdot`` are views of one ``(steps+1, 2n)`` buffer.
+    """
 
     t: np.ndarray      # (steps+1,)
     z: np.ndarray      # (steps+1, n)
@@ -88,7 +113,10 @@ class ChainSeries:
 
 @dataclass(frozen=True)
 class StateSeries:
-    """Sampled per-vehicle positions and velocities (spacing-normalised)."""
+    """Sampled per-vehicle positions and velocities (spacing-normalised).
+
+    ``x`` and ``v`` are views of one ``(steps+1, 2n)`` buffer.
+    """
 
     t: np.ndarray      # (steps+1,)
     x: np.ndarray      # (steps+1, n)
@@ -123,21 +151,25 @@ class AttenuationReport:
         }
 
 
-def sine_input(amplitude: float, omega: float) -> Callable[[float], tuple[float, float]]:
-    """Input channel ``A*sin(w*t)`` with its derivative; zero when A == 0."""
+def sine_input(amplitude: float, omega: float) -> Callable:
+    """Input channel ``A*sin(w*t)`` with its derivative; zero when A == 0.
+
+    The returned function takes a float or an array of times.
+    """
     if amplitude == 0.0:
-        return lambda t: (0.0, 0.0)
+        return lambda t: (0.0 * t, 0.0 * t)
     aw = amplitude * omega
-    return lambda t: (amplitude * math.sin(omega * t), aw * math.cos(omega * t))
+    return lambda t: (amplitude * np.sin(omega * t), aw * np.cos(omega * t))
 
 
-def tabulated_input(t, z, zdot) -> Callable[[float], tuple[float, float]]:
+def tabulated_input(t, z, zdot) -> Callable:
     """Cubic-Hermite interpolant of a sampled input channel.
 
     Matches values and derivatives at the sample points, so the local
     interpolation error is fourth order in the sample spacing (the same
     order as the integrator).  Queries outside the sampled range clamp to
-    the end intervals.
+    the end intervals.  The returned function takes a float or an array
+    of times.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -146,12 +178,8 @@ def tabulated_input(t, z, zdot) -> Callable[[float], tuple[float, float]]:
         raise ValueError("tabulated input needs at least two samples")
     last = len(t) - 2
 
-    def fn(s: float) -> tuple[float, float]:
-        j = int(np.searchsorted(t, s, side="right")) - 1
-        if j < 0:
-            j = 0
-        elif j > last:
-            j = last
+    def fn(s):
+        j = np.clip(np.searchsorted(t, s, side="right") - 1, 0, last)
         h = t[j + 1] - t[j]
         u = (s - t[j]) / h
         u2 = u * u
@@ -170,7 +198,7 @@ def tabulated_input(t, z, zdot) -> Callable[[float], tuple[float, float]]:
             + (-6.0 * u2 + 6.0 * u) * z1
             + (3.0 * u2 - 2.0 * u) * d1
         ) / h
-        return float(val), float(dval)
+        return val, dval
 
     return fn
 
@@ -184,73 +212,99 @@ def default_dt(omega: float, a0: float) -> float:
     return natural
 
 
+def _rk4_step(A, B, h, x, u0, uh, u1):
+    """One classical RK4 step of ``x' = A x + B u`` applied to each column
+    of ``x``, with the inputs ``u0``, ``uh``, ``u1`` at t, t + h/2, t + h."""
+    h2 = 0.5 * h
+    k1 = A @ x + B @ u0
+    k2 = A @ (x + h2 * k1) + B @ uh
+    k3 = A @ (x + h2 * k2) + B @ uh
+    k4 = A @ (x + h * k3) + B @ u1
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
+    """Integrate ``x' = A x + B u`` in place: row k of ``out`` becomes the
+    state at time k*h, starting from ``out[0]``.
+
+    ``inputs`` maps a 1-D array of times to the input rows, shape
+    ``(len(t), p)``; it sees every time of the half-step grid exactly once,
+    a block at a time.  Columns ``input_cols`` of ``out`` are not
+    integrated: they record the input itself at each grid time, and A and
+    B must neither read nor drive them.  Raises :class:`DivergenceError`
+    at the first grid time whose row is not finite.
+    """
+    size, p = B.shape
+    width = size + 3 * p
+    with np.errstate(all="ignore"):
+        step = _rk4_step(A, B, h, np.eye(size, width),
+                         *(np.eye(p, width, size + j * p) for j in range(3)))
+        # Row form: x(t+h) = x(t) @ M + u(t) @ N0 + u(t+h/2) @ Nh + u(t+h) @ N1.
+        M, N0, Nh, N1 = (np.ascontiguousarray(m) for m in
+                         np.split(step.T, [size, size + p, size + 2 * p]))
+        u = inputs(np.zeros(1))
+        if input_cols:
+            out[0, input_cols] = u[0]
+        for k0 in range(0, steps, _BLOCK):
+            k1 = min(k0 + _BLOCK, steps)
+            t = np.empty(2 * (k1 - k0) + 1)
+            t[0::2] = np.arange(k0, k1 + 1) * h
+            t[1::2] = t[:-1:2] + 0.5 * h
+            u = np.concatenate((u[-1:], inputs(t[1:])))
+            x = out[k0:k1 + 1]
+            np.matmul(u[:-1:2], N0, out=x[1:])
+            x[1:] += u[1::2] @ Nh
+            x[1:] += u[2::2] @ N1
+            for prev, row in zip(x, x[1:]):
+                row += prev @ M
+            if input_cols:
+                x[1:, input_cols] = u[2::2]
+            finite = np.isfinite(x[1:]).all(axis=1)
+            if not finite.all():
+                k = k0 + 1 + int(np.argmin(finite))
+                raise DivergenceError(f"non-finite state at t = {k * h:.6g} s")
+
+
 def simulate_chain(
     model: ErrorModel,
     n: int,
     cfg: SimConfig,
-    input_fn: Callable[[float], tuple[float, float]] | None = None,
+    input_fn: Callable | None = None,
 ) -> ChainSeries:
     """Integrate ``z_i'' = -a1*z_i' - a0*z_i + b1*z_{i-1}' + b0*z_{i-1}``
     for i = 2..n with z_1 as the input channel.
 
     All integrated channels start from rest (zero initial conditions).
-    ``input_fn`` overrides the configured sinusoid; it must return
-    ``(z_1, z_1')`` for any time in [0, duration].
+    ``input_fn`` overrides the configured sinusoid; it maps a 1-D array of
+    times in [0, duration] to the arrays ``(z_1, z_1')`` at those times.
     """
     if not isinstance(n, int) or n <= 1:
         raise ValueError("n must be an integer > 1")
     if input_fn is None:
         input_fn = sine_input(cfg.amplitude, cfg.omega)
-    stages = n - 1
-    dt = cfg.dt
-    steps = int(round(cfg.duration / dt))
-    a0, a1, b0, b1 = model.a0, model.a1, model.b0, model.b1
+    steps = int(round(cfg.duration / cfg.dt))
+    # State [z_1..z_n, z_1'..z_n']; z_1 and z_1' are the input, so the
+    # columns of A that read them move into B.
+    size = 2 * n
+    i = np.arange(1, n)
+    A = np.zeros((size, size))
+    A[i, n + i] = 1.0
+    A[n + i, i] = -model.a0
+    A[n + i, n + i] = -model.a1
+    A[n + i, i - 1] = model.b0
+    A[n + i, n + i - 1] = model.b1
+    slots = [0, n]
+    B = A[:, slots]
+    A[:, slots] = 0.0
 
-    def acc(zs, vs, uz, uzd):
-        out = [0.0] * stages
-        pz, pv = uz, uzd
-        for i in range(stages):
-            out[i] = b0 * pz + b1 * pv - a0 * zs[i] - a1 * vs[i]
-            pz = zs[i]
-            pv = vs[i]
-        return out
+    def inputs(t):
+        u = np.empty((len(t), 2))
+        u[:, 0], u[:, 1] = input_fn(t)
+        return u
 
-    t_grid = np.arange(steps + 1) * dt
-    z_out = np.zeros((steps + 1, n))
-    zd_out = np.zeros((steps + 1, n))
-    z_out[0, 0], zd_out[0, 0] = input_fn(0.0)
-
-    z = [0.0] * stages
-    v = [0.0] * stages
-    h = dt
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    rng = range(stages)
-    for s in range(steps):
-        t0 = s * dt
-        t1 = (s + 1) * dt
-        u0, u0d = input_fn(t0)
-        uh, uhd = input_fn(t0 + h2)
-        u1, u1d = input_fn(t1)
-        a_1 = acc(z, v, u0, u0d)
-        z2 = [z[i] + h2 * v[i] for i in rng]
-        v2 = [v[i] + h2 * a_1[i] for i in rng]
-        a_2 = acc(z2, v2, uh, uhd)
-        z3 = [z[i] + h2 * v2[i] for i in rng]
-        v3 = [v[i] + h2 * a_2[i] for i in rng]
-        a_3 = acc(z3, v3, uh, uhd)
-        z4 = [z[i] + h * v3[i] for i in rng]
-        v4 = [v[i] + h * a_3[i] for i in rng]
-        a_4 = acc(z4, v4, u1, u1d)
-        z = [z[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in rng]
-        v = [v[i] + h6 * (a_1[i] + 2.0 * a_2[i] + 2.0 * a_3[i] + a_4[i]) for i in rng]
-        if not math.isfinite(sum(z) + sum(v)):
-            raise DivergenceError(f"non-finite state at t = {t1:.6g} s")
-        z_out[s + 1, 0] = u1
-        zd_out[s + 1, 0] = u1d
-        z_out[s + 1, 1:] = z
-        zd_out[s + 1, 1:] = v
-    return ChainSeries(t=t_grid, z=z_out, zdot=zd_out)
+    buf = np.zeros((steps + 1, size))
+    _integrate_linear(A, B, cfg.dt, steps, inputs, buf, input_cols=slots)
+    return ChainSeries(t=np.arange(steps + 1) * cfg.dt, z=buf[:, :n], zdot=buf[:, n:])
 
 
 def simulate_state_space(
@@ -264,59 +318,36 @@ def simulate_state_space(
         x_1' = v_1,  v_1' = u/m
         x_i' = v_i,  v_i' = (k/m)(x_{i-1} - x_i) + (c/m)(v_{i-1} - v_i)
 
-    ``leader_force`` is u(t) in newtons.  The run starts at the
-    equilibrium: every vehicle at rest at its desired spacing.  The
-    state-space form exists only for this controller; the other models are
-    simulated through :func:`simulate_chain`.
+    ``leader_force`` is u(t) in newtons, called with one float at a time,
+    once per half-step time.  The run starts at the equilibrium: every
+    vehicle at rest at its desired spacing.  The state-space form exists
+    only for this controller; the other models are simulated through
+    :func:`simulate_chain`.
     """
     validate_platoon(params)
     n = params.n
     km = params.k / params.m
     cm = params.c / params.m
-    inv_m = 1.0 / params.m
-    dt = cfg.dt
-    steps = int(round(cfg.duration / dt))
+    steps = int(round(cfg.duration / cfg.dt))
+    # State [x_1..x_n, v_1..v_n].
+    size = 2 * n
+    i = np.arange(n)
+    j = np.arange(1, n)
+    A = np.zeros((size, size))
+    A[i, n + i] = 1.0
+    A[n + j, j - 1] = km
+    A[n + j, j] = -km
+    A[n + j, n + j - 1] = cm
+    A[n + j, n + j] = -cm
+    B = np.zeros((size, 1))
+    B[n, 0] = 1.0 / params.m
 
-    def deriv(xs, vs, u):
-        dv = [0.0] * n
-        dv[0] = u * inv_m
-        for i in range(1, n):
-            dv[i] = km * (xs[i - 1] - xs[i]) + cm * (vs[i - 1] - vs[i])
-        return dv
+    def inputs(t):
+        return np.fromiter(map(leader_force, t.tolist()), float, len(t)).reshape(-1, 1)
 
-    t_grid = np.arange(steps + 1) * dt
-    x_out = np.zeros((steps + 1, n))
-    v_out = np.zeros((steps + 1, n))
-
-    x = [0.0] * n
-    v = [0.0] * n
-    h = dt
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    rng = range(n)
-    for s in range(steps):
-        t0 = s * dt
-        t1 = (s + 1) * dt
-        u0 = leader_force(t0)
-        uh = leader_force(t0 + h2)
-        u1 = leader_force(t1)
-        a_1 = deriv(x, v, u0)
-        x2 = [x[i] + h2 * v[i] for i in rng]
-        v2 = [v[i] + h2 * a_1[i] for i in rng]
-        a_2 = deriv(x2, v2, uh)
-        x3 = [x[i] + h2 * v2[i] for i in rng]
-        v3 = [v[i] + h2 * a_2[i] for i in rng]
-        a_3 = deriv(x3, v3, uh)
-        x4 = [x[i] + h * v3[i] for i in rng]
-        v4 = [v[i] + h * a_3[i] for i in rng]
-        a_4 = deriv(x4, v4, u1)
-        x = [x[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in rng]
-        v = [v[i] + h6 * (a_1[i] + 2.0 * a_2[i] + 2.0 * a_3[i] + a_4[i]) for i in rng]
-        if not math.isfinite(sum(x) + sum(v)):
-            raise DivergenceError(f"non-finite state at t = {t1:.6g} s")
-        x_out[s + 1] = x
-        v_out[s + 1] = v
-    return StateSeries(t=t_grid, x=x_out, v=v_out)
+    buf = np.zeros((steps + 1, size))
+    _integrate_linear(A, B, cfg.dt, steps, inputs, buf)
+    return StateSeries(t=np.arange(steps + 1) * cfg.dt, x=buf[:, :n], v=buf[:, n:])
 
 
 def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport:
@@ -345,21 +376,29 @@ def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport
     )
 
 
+def _write_csv(fh, header: str, rows: int, table) -> None:
+    """Emit ``header``, then the ``rows`` rows of ``table(a, b)`` (rows a
+    to b-1 as a 2-D float array) a chunk at a time, floats in repr form."""
+    fh.write(header + "\n")
+    for a in range(0, rows, _CSV_CHUNK):
+        chunk = table(a, min(a + _CSV_CHUNK, rows)).tolist()
+        fh.write("".join([",".join(map(float.__repr__, row)) + "\n" for row in chunk]))
+
+
 def write_chain_csv(series: ChainSeries, fh) -> None:
     """Emit ``t,z_1,...,z_n`` rows, one per accepted step."""
-    fh.write("t," + ",".join(f"z_{i + 1}" for i in range(series.n)) + "\n")
-    for j in range(len(series.t)):
-        row = series.z[j]
-        fh.write(f"{float(series.t[j])!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+    header = "t," + ",".join(f"z_{i + 1}" for i in range(series.n))
+    _write_csv(fh, header, len(series.t),
+               lambda a, b: np.column_stack((series.t[a:b], series.z[a:b])))
 
 
 def write_state_csv(series: StateSeries, fh) -> None:
     """Emit ``t,x_1,v_1,...,x_n,v_n`` rows, one per accepted step."""
     n = series.x.shape[1]
-    fh.write("t," + ",".join(f"x_{i + 1},v_{i + 1}" for i in range(n)) + "\n")
-    for j in range(len(series.t)):
-        cells = []
-        for i in range(n):
-            cells.append(repr(float(series.x[j, i])))
-            cells.append(repr(float(series.v[j, i])))
-        fh.write(f"{float(series.t[j])!r}," + ",".join(cells) + "\n")
+    header = "t," + ",".join(f"x_{i + 1},v_{i + 1}" for i in range(n))
+
+    def table(a, b):
+        xv = np.stack((series.x[a:b], series.v[a:b]), axis=2).reshape(b - a, 2 * n)
+        return np.column_stack((series.t[a:b], xv))
+
+    _write_csv(fh, header, len(series.t), table)

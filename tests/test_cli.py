@@ -141,12 +141,19 @@ class TestSimulate:
                      "--omega", "3", "--amp", "1", "--duration", "5000",
                      "--dt", "5", "--out", str(tmp_path / "t.csv")])
         assert code == 3
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert len(err.splitlines()) == 1  # no numpy warnings
 
     def test_step_count_overflow_is_a_validation_error(self, spec_file, tmp_path, capsys):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
                      "--duration", "10", "--dt", "1e-320", "--out", str(tmp_path / "t.csv")]) == 2
         assert "overflows the step count" in capsys.readouterr().err
+
+    def test_overflowing_input_phase_is_a_validation_error(self, spec_file, tmp_path, capsys):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "1e300",
+                     "--dt", "1e300", "--duration", "1e302", "--out", str(tmp_path / "t.csv")]) == 2
+        assert "omega * duration overflows" in capsys.readouterr().err
 
     def test_flag_validation(self, spec_file, tmp_path):
         spec = spec_file(make_spec())

@@ -1,27 +1,34 @@
 import io
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoon_stab import (
+    ChainSeries,
     ControllerSpec,
     DegenerateInputError,
     DivergenceError,
     ErrorModel,
     SimConfig,
+    StateSeries,
     attenuation_report,
     default_dt,
     error_model,
     frequency_response,
     simulate_chain,
     simulate_state_space,
+    sine_input,
     tabulated_input,
     transfer_function,
     write_chain_csv,
     write_state_csv,
 )
-from conftest import AUT, CS, UNI, make_params
+from conftest import AUT, CS, SUPPORTED_COMBOS, UNI, make_params, make_spec, random_params
 
 
 @pytest.fixture
@@ -49,6 +56,13 @@ class TestSimConfig:
             SimConfig(dt=0.01, duration=10.0, omega=-1.0)
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, duration=10.0, amplitude=math.nan)
+
+    def test_rejects_an_overflowing_input_phase_or_rate(self):
+        with pytest.raises(ValueError, match=r"omega \* duration"):
+            SimConfig(dt=1e300, duration=1e302, amplitude=1.0, omega=1e300)
+        with pytest.raises(ValueError, match=r"amplitude \* omega"):
+            SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e10)
+        SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e7)
 
     def test_default_dt_heuristic(self):
         # 200 samples per period against resolving the natural frequency.
@@ -97,11 +111,32 @@ class TestChainSimulator:
         assert np.allclose(series.z[:, 0], expected_input, atol=1e-12)
 
     def test_divergence_aborts_with_error(self):
-        # Negative-damping model: the state grows without bound.
+        # Negative-damping model: the state grows without bound.  The
+        # overflow on the way must not leak numpy warnings.
         runaway = ErrorModel(a0=-5.0, a1=-3.0, b0=1.0, b1=1.0)
         cfg = SimConfig(dt=0.05, duration=500.0, amplitude=1.0, omega=1.0)
-        with pytest.raises(DivergenceError):
-            simulate_chain(runaway, 3, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as excinfo:
+                simulate_chain(runaway, 3, cfg)
+        match = re.fullmatch(r"non-finite state at t = (\S+) s", str(excinfo.value))
+        assert match is not None
+        t = float(match.group(1))
+        k = round(t / cfg.dt)
+        assert 0 < k <= round(cfg.duration / cfg.dt)
+        assert f"{k * cfg.dt:.6g}" == match.group(1)
+
+    def test_series_are_views_of_one_buffer_within_a_memory_bound(self, const_spacing_model):
+        cfg = SimConfig(dt=0.01, duration=96.0, amplitude=1.0, omega=3.0)
+        tracemalloc.start()
+        try:
+            series = simulate_chain(const_spacing_model, 16, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.z.shape == series.zdot.shape == (9601, 16)
+        assert series.z.base is not None and series.z.base is series.zdot.base
+        assert peak < 1.25 * (series.z.nbytes + series.zdot.nbytes)
 
     def test_fourth_order_convergence_of_ode_residual(self, const_spacing_model):
         # Residual of the cascade equation, evaluated with fourth-order
@@ -282,3 +317,253 @@ class TestTabulatedInput:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             tabulated_input([0.0], [1.0], [0.0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
+    def test_array_queries_match_scalar_queries_exactly(self, seed, samples):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.01, 1.0, samples))
+        fn = tabulated_input(t, rng.standard_normal(samples), rng.standard_normal(samples))
+        queries = np.concatenate((t, rng.uniform(t[0] - 1.0, t[-1] + 1.0, 50)))
+        val, dval = fn(queries)
+        scalar = np.array([fn(float(s)) for s in queries])
+        assert np.array_equal(val, scalar[:, 0])
+        assert np.array_equal(dval, scalar[:, 1])
+
+
+class TestSineInput:
+    def test_array_queries_match_scalar_queries(self):
+        fn = sine_input(-1.3, 2.7)
+        t = np.linspace(0.0, 500.0, 1001)
+        val, dval = fn(t)
+        scalar = np.array([fn(float(s)) for s in t])
+        np.testing.assert_array_max_ulp(val, scalar[:, 0], maxulp=2)
+        np.testing.assert_array_max_ulp(dval, scalar[:, 1], maxulp=2)
+        assert math.copysign(1.0, val[0]) == -1.0  # -1.3 * sin(0) is -0.0
+
+    def test_zero_amplitude_is_exactly_zero(self):
+        val, dval = sine_input(0.0, 3.0)(np.linspace(0.0, 10.0, 11))
+        assert np.array_equal(val, np.zeros(11)) and np.array_equal(dval, np.zeros(11))
+        assert sine_input(0.0, 3.0)(1.5) == (0.0, 0.0)
+
+
+# Reference implementations: the per-step scalar RK4 loops and the per-row
+# CSV writers that the matrix integrator and the chunked writers replaced.
+# The new code must agree with them to rounding and byte for byte.
+
+def reference_chain(model, n, cfg, input_fn):
+    stages = n - 1
+    dt = cfg.dt
+    steps = int(round(cfg.duration / dt))
+    a0, a1, b0, b1 = model.a0, model.a1, model.b0, model.b1
+
+    def acc(zs, vs, uz, uzd):
+        out = [0.0] * stages
+        pz, pv = uz, uzd
+        for i in range(stages):
+            out[i] = b0 * pz + b1 * pv - a0 * zs[i] - a1 * vs[i]
+            pz = zs[i]
+            pv = vs[i]
+        return out
+
+    z_out = np.zeros((steps + 1, n))
+    zd_out = np.zeros((steps + 1, n))
+    z_out[0, 0], zd_out[0, 0] = input_fn(0.0)
+    z = [0.0] * stages
+    v = [0.0] * stages
+    h, h2, h6 = dt, 0.5 * dt, dt / 6.0
+    rng = range(stages)
+    for s in range(steps):
+        t0 = s * dt
+        t1 = (s + 1) * dt
+        u0, u0d = input_fn(t0)
+        uh, uhd = input_fn(t0 + h2)
+        u1, u1d = input_fn(t1)
+        a_1 = acc(z, v, u0, u0d)
+        z2 = [z[i] + h2 * v[i] for i in rng]
+        v2 = [v[i] + h2 * a_1[i] for i in rng]
+        a_2 = acc(z2, v2, uh, uhd)
+        z3 = [z[i] + h2 * v2[i] for i in rng]
+        v3 = [v[i] + h2 * a_2[i] for i in rng]
+        a_3 = acc(z3, v3, uh, uhd)
+        z4 = [z[i] + h * v3[i] for i in rng]
+        v4 = [v[i] + h * a_3[i] for i in rng]
+        a_4 = acc(z4, v4, u1, u1d)
+        z = [z[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in rng]
+        v = [v[i] + h6 * (a_1[i] + 2.0 * a_2[i] + 2.0 * a_3[i] + a_4[i]) for i in rng]
+        z_out[s + 1, 0] = u1
+        zd_out[s + 1, 0] = u1d
+        z_out[s + 1, 1:] = z
+        zd_out[s + 1, 1:] = v
+    return z_out, zd_out
+
+
+def reference_state_space(params, cfg, leader_force):
+    n = params.n
+    km = params.k / params.m
+    cm = params.c / params.m
+    inv_m = 1.0 / params.m
+    dt = cfg.dt
+    steps = int(round(cfg.duration / dt))
+
+    def deriv(xs, vs, u):
+        dv = [0.0] * n
+        dv[0] = u * inv_m
+        for i in range(1, n):
+            dv[i] = km * (xs[i - 1] - xs[i]) + cm * (vs[i - 1] - vs[i])
+        return dv
+
+    x_out = np.zeros((steps + 1, n))
+    v_out = np.zeros((steps + 1, n))
+    x = [0.0] * n
+    v = [0.0] * n
+    h, h2, h6 = dt, 0.5 * dt, dt / 6.0
+    rng = range(n)
+    for s in range(steps):
+        t0 = s * dt
+        t1 = (s + 1) * dt
+        u0 = leader_force(t0)
+        uh = leader_force(t0 + h2)
+        u1 = leader_force(t1)
+        a_1 = deriv(x, v, u0)
+        x2 = [x[i] + h2 * v[i] for i in rng]
+        v2 = [v[i] + h2 * a_1[i] for i in rng]
+        a_2 = deriv(x2, v2, uh)
+        x3 = [x[i] + h2 * v2[i] for i in rng]
+        v3 = [v[i] + h2 * a_2[i] for i in rng]
+        a_3 = deriv(x3, v3, uh)
+        x4 = [x[i] + h * v3[i] for i in rng]
+        v4 = [v[i] + h * a_3[i] for i in rng]
+        a_4 = deriv(x4, v4, u1)
+        x = [x[i] + h6 * (v[i] + 2.0 * v2[i] + 2.0 * v3[i] + v4[i]) for i in rng]
+        v = [v[i] + h6 * (a_1[i] + 2.0 * a_2[i] + 2.0 * a_3[i] + a_4[i]) for i in rng]
+        x_out[s + 1] = x
+        v_out[s + 1] = v
+    return x_out, v_out
+
+
+def reference_chain_csv(series, fh):
+    fh.write("t," + ",".join(f"z_{i + 1}" for i in range(series.n)) + "\n")
+    for j in range(len(series.t)):
+        row = series.z[j]
+        fh.write(f"{float(series.t[j])!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def reference_state_csv(series, fh):
+    n = series.x.shape[1]
+    fh.write("t," + ",".join(f"x_{i + 1},v_{i + 1}" for i in range(n)) + "\n")
+    for j in range(len(series.t)):
+        cells = []
+        for i in range(n):
+            cells.append(repr(float(series.x[j, i])))
+            cells.append(repr(float(series.v[j, i])))
+        fh.write(f"{float(series.t[j])!r}," + ",".join(cells) + "\n")
+
+
+def written(writer, series):
+    buf = io.StringIO()
+    writer(series, buf)
+    return buf.getvalue()
+
+
+def assert_channels_agree(new, old, rel=1e-12):
+    # Per channel, relative to that channel's largest magnitude.
+    for col in range(old.shape[1]):
+        scale = np.abs(old[:, col]).max()
+        assert np.abs(new[:, col] - old[:, col]).max() <= rel * scale, col
+
+
+def fastest_rate(a0, a1):
+    return float(max(abs(np.roots([1.0, a1, a0]))))
+
+
+def run_config(rate, frac, steps):
+    # frac <= 0.5 keeps h times every eigenvalue well inside the RK4 stability region.
+    dt = frac / rate
+    return SimConfig(dt=dt, duration=steps * dt)
+
+
+class TestMatrixIntegratorMatchesScalarLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SUPPORTED_COMBOS), st.integers(0, 2 ** 32 - 1), st.integers(2, 16),
+           st.floats(0.01, 0.5), st.integers(100, 400), st.booleans())
+    def test_chain(self, combo, seed, n, frac, steps, tabulated):
+        rng = np.random.default_rng(seed)
+        model = error_model(make_spec(*combo, params=random_params(rng)))
+        cfg = run_config(fastest_rate(model.a0, model.a1), frac, steps)
+        omega = math.sqrt(model.a0) * float(rng.uniform(0.3, 3.0))
+        if tabulated:
+            samples = int(rng.integers(2, 60))
+            t = np.sort(rng.uniform(0.0, cfg.duration, samples))
+            t[0], t[-1] = 0.0, cfg.duration
+            input_fn = tabulated_input(t, rng.standard_normal(samples), rng.standard_normal(samples))
+        else:
+            input_fn = sine_input(float(rng.uniform(-2.0, 2.0)), omega)
+        series = simulate_chain(model, n, cfg, input_fn=input_fn)
+        z, zdot = reference_chain(model, n, cfg, input_fn)
+        assert_channels_agree(series.z, z)
+        assert_channels_agree(series.zdot, zdot)
+        again = simulate_chain(model, n, cfg, input_fn=input_fn)
+        assert np.array_equal(again.z, series.z) and np.array_equal(again.zdot, series.zdot)
+        assert np.array_equal(series.t, np.arange(len(series.t)) * cfg.dt)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 0.5), st.integers(100, 400))
+    def test_state_space(self, seed, frac, steps):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 2, 17)
+        cfg = run_config(fastest_rate(params.k / params.m, params.c / params.m), frac, steps)
+        omega = math.sqrt(params.k / params.m) * float(rng.uniform(0.3, 3.0))
+        force = params.m * omega * omega
+
+        def leader(t):
+            return force * math.sin(omega * t)
+
+        series = simulate_state_space(params, cfg, leader)
+        x, v = reference_state_space(params, cfg, leader)
+        assert_channels_agree(series.x, x)
+        assert_channels_agree(series.v, v)
+        again = simulate_state_space(params, cfg, leader)
+        assert np.array_equal(again.x, series.x) and np.array_equal(again.v, series.v)
+
+    def test_leader_force_is_called_once_per_half_step_time(self, base_params):
+        times = []
+        cfg = SimConfig(dt=0.01, duration=7.0)
+        simulate_state_space(base_params, cfg, lambda t: times.append(t) or 100.0)
+        steps = 700
+        assert len(times) == 2 * steps + 1
+        assert all(type(t) is float for t in times)
+        assert times[::2] == [k * 0.01 for k in range(steps + 1)]
+        assert times[1::2] == [k * 0.01 + 0.005 for k in range(steps)]
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+                     1.0 / 3.0, float("nan"), float("inf"), float("-inf")])
+
+
+class TestChunkedCsvWriters:
+    def test_chain_csv_matches_row_writer_across_chunks(self, const_spacing_model):
+        cfg = SimConfig(dt=0.01, duration=90.0, amplitude=-1.0, omega=3.0)
+        series = simulate_chain(const_spacing_model, 4, cfg)  # 9001 rows, 36 chunks
+        assert not series.z.flags.c_contiguous
+        text = written(write_chain_csv, series)
+        assert text == written(reference_chain_csv, series)
+        assert text.splitlines()[1] == "0.0,-0.0,0.0,0.0,0.0"
+
+    def test_state_csv_matches_row_writer_across_chunks(self):
+        cfg = SimConfig(dt=0.01, duration=45.0)
+        series = simulate_state_space(make_params(n=3), cfg, lambda t: 300.0 * math.sin(2.0 * t))
+        assert not series.x.flags.c_contiguous
+        assert written(write_state_csv, series) == written(reference_state_csv, series)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.sampled_from([1, 255, 256, 257, 1000]))
+    def test_special_values_match_row_writers(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        values = rng.choice(_SPECIAL, size=(rows, 4 * n + 1))
+        values[rng.random(values.shape) < 0.3] = rng.standard_normal() * 1e-10
+        buf = values[:, :2 * n + 1]  # interleaved views, as the simulators return
+        chain = ChainSeries(t=values[:, 0], z=buf[:, 1:n + 1], zdot=buf[:, n + 1:])
+        state = StateSeries(t=values[:, 0], x=values[:, 1:n + 1], v=values[:, 2 * n + 1:3 * n + 1])
+        assert written(write_chain_csv, chain) == written(reference_chain_csv, chain)
+        assert written(write_state_csv, state) == written(reference_state_csv, state)
