@@ -36,6 +36,7 @@ from .frequency import (
     write_sweep_csv,
 )
 from .simulate import (
+    DegenerateInputError,
     DivergenceError,
     SimConfig,
     attenuation_report,
@@ -160,8 +161,10 @@ def cmd_simulate(args) -> int:
         omega=args.omega,
         discard=args.discard,
     )
+    if args.amp == 0.0:
+        raise DegenerateInputError("--amp 0 gives no input to attenuate")
     series = simulate_chain(model, args.n, cfg)
-    report = attenuation_report(series, cfg)  # zero amplitude fails here
+    report = attenuation_report(series, cfg)
     with _open_out(args.out) as fh:
         write_chain_csv(series, fh)
     if args.report is None:

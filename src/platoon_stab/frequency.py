@@ -97,19 +97,27 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
     comparison honest there.  Raises :class:`SingularityError` when the
     denominator modulus falls below 1e-300 (never the case for models
     built from a valid platoon, whose a1 > 0 keeps the denominator away
-    from zero for omega > 0).
+    from zero for omega > 0).  The arithmetic is that of :func:`sweep`, so
+    a sweep row and this function agree bit for bit.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
-    num_re, num_im = tf.b0, tf.b1 * omega
-    den_re, den_im = tf.a0 - omega * omega, tf.a1 * omega
-    den_mod = math.hypot(den_re, den_im)
-    if den_mod < _SINGULARITY_FLOOR:
-        raise SingularityError(f"transfer function singular at omega = {omega!r}")
-    value = complex(num_re, num_im) / complex(den_re, den_im)
-    return FrequencyResponse(
-        omega=omega, value=value, magnitude=math.hypot(num_re, num_im) / den_mod
-    )
+    value, magnitude = _response(tf, np.float64(omega))
+    return FrequencyResponse(omega=omega, value=complex(value), magnitude=float(magnitude))
+
+
+def _response(model, w):
+    """``H(i*w)`` and ``|H(i*w)|`` at float64 ``w``, an array or a numpy
+    scalar (not a Python float, whose complex division rounds otherwise)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        num_re, num_im = np.full_like(w, model.b0), model.b1 * w
+        den_re, den_im = model.a0 - w * w, model.a1 * w
+        den_mod = np.hypot(den_re, den_im)
+        singular = np.extract(den_mod < _SINGULARITY_FLOOR, w)
+        if singular.size:
+            raise SingularityError(f"transfer function singular at omega = {float(singular[0])!r}")
+        value = (num_re + 1j * num_im) / (den_re + 1j * den_im)
+        return value, np.hypot(num_re, num_im) / den_mod
 
 
 def is_stable_at(model: ErrorModel, omega: float) -> bool:
@@ -123,10 +131,19 @@ def is_stable_at(model: ErrorModel, omega: float) -> bool:
 
 
 def stability_constraint(model: ErrorModel) -> StabilityConstraint:
-    """Quartic-form stability condition equivalent to ``|H(i*omega)| < 1``."""
+    """Quartic-form stability condition equivalent to ``|H(i*omega)| < 1``
+    (elementwise for array coefficients)."""
     alpha = model.a1 * model.a1 - model.b1 * model.b1 - 2.0 * model.a0
     beta = model.a0 * model.a0 - model.b0 * model.b0
     return StabilityConstraint(alpha=alpha, beta=beta)
+
+
+def _time_scaled(model: ErrorModel, e) -> ErrorModel:
+    """The model with time in units of ``2**e`` (integer ``e``, or array):
+    ``|H'(i*w)| = |H(i*w*2**e)|`` and ``Q'(u) = Q(u*4**e) / 16**e``.
+    Exact while the scaled coefficients stay normal numbers."""
+    return ErrorModel(np.ldexp(model.a0, -2 * e), np.ldexp(model.a1, -e),
+                      np.ldexp(model.b0, -2 * e), np.ldexp(model.b1, -e))
 
 
 def critical_frequencies(constraint: StabilityConstraint) -> list[float]:
@@ -207,21 +224,22 @@ def sweep(
         w = np.linspace(omega_min, omega_max, points)
     else:
         raise ValueError("spacing must be 'log' or 'linear'")
-    num_re, num_im = np.full_like(w, model.b0), model.b1 * w
-    den_re, den_im = model.a0 - w * w, model.a1 * w
-    den_mod = np.hypot(den_re, den_im)
-    if np.any(den_mod < _SINGULARITY_FLOOR):
-        raise SingularityError("sweep grid hits a transfer-function singularity")
-    value = (num_re + 1j * num_im) / (den_re + 1j * den_im)
-    magnitude = np.hypot(num_re, num_im) / den_mod
+    value, magnitude = _response(model, w)
     return SweepResult(omega=w, value=value, magnitude=magnitude, stable=magnitude < 1.0)
+
+
+# Sweep rows formatted per write.
+_CSV_CHUNK = 4096
+_CSV_ROW = "{!r},{!r},{!r},{!r},{}".format
+_CSV_STABLE = ("false\n", "true\n")
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
     """Emit ``omega,re,im,magnitude,stable`` rows, one per grid point."""
     fh.write("omega,re,im,magnitude,stable\n")
-    for w, v, mag, ok in zip(result.omega, result.value, result.magnitude, result.stable):
-        fh.write(
-            f"{float(w)!r},{float(v.real)!r},{float(v.imag)!r},{float(mag)!r},"
-            f"{'true' if ok else 'false'}\n"
-        )
+    for start in range(0, len(result.omega), _CSV_CHUNK):
+        part = slice(start, start + _CSV_CHUNK)
+        value = result.value[part]
+        floats = (result.omega[part], value.real, value.imag, result.magnitude[part])
+        stable = map(_CSV_STABLE.__getitem__, result.stable[part].tolist())
+        fh.write("".join(map(_CSV_ROW, *(column.tolist() for column in floats), stable)))

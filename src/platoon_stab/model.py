@@ -69,18 +69,9 @@ class PlatoonParams:
 
 _FLOAT_FIELDS = ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd")
 
-# Validity conjuncts, checked in this order; the first failure is reported.
-_CONJUNCTS = (
-    ("m", "0 < m"),
-    ("k", "0 < k"),
-    ("c", "0 < c"),
-    ("h", "0 < h"),
-    ("ch", "0 < ch"),
-    ("vd", "0 < vd"),
-    ("h0", "0 < h0"),
-    ("ca", "0 < ca"),
-    ("cd", "0 < cd"),
-)
+# Validity conjuncts ``bound < field``, checked in this order; the first
+# failure is reported.
+_CONJUNCTS = (*((name, 0.0) for name in _FLOAT_FIELDS), ("n", 1))
 
 
 class InvalidPlatoonError(ValueError):
@@ -97,11 +88,9 @@ class UnsupportedControllerError(ValueError):
 
 def failed_conjunct(p: PlatoonParams) -> str | None:
     """First violated validity conjunct (``"0 < m"`` style), or None."""
-    for name, conjunct in _CONJUNCTS:
-        if not getattr(p, name) > 0.0:
-            return conjunct
-    if not p.n > 1:
-        return "1 < n"
+    for name, bound in _CONJUNCTS:
+        if not getattr(p, name) > bound:
+            return f"{bound:g} < {name}"
     return None
 
 
@@ -144,56 +133,50 @@ class ErrorModel:
     b1: float
 
 
+_AUT, _NON = ControllerType.AUTONOMOUS, ControllerType.NON_AUTONOMOUS
+_UNI, _BI = Configuration.UNIDIRECTIONAL, Configuration.BIDIRECTIONAL
+_CS, _VS, _VTH = Strategy.CONSTANT_SPACING, Strategy.VARIABLE_SPACING, Strategy.VAR_TIME_HEADWAY
+
+# The coefficient map: ``(a0, a1, b0, b1)`` of each model as a function of
+# an object with the parameter attributes, a PlatoonParams or a monitor
+# Trace (whose columns carry the same names).  Keys as in :func:`_model_key`.
+_MODELS = {
+    (_AUT, _UNI, _CS): lambda p: (p.k / p.m, p.c / p.m, p.k / p.m, p.c / p.m),
+    (_AUT, _UNI, _VS): lambda p: (p.k / p.m, (p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
+    (_AUT, _UNI, _VTH): lambda p: (p.k / p.m, (p.c + p.k * p.h0 + p.k * p.ch * p.vd) / p.m,
+                                   p.k / p.m, (p.c + p.k * p.ch * p.vd) / p.m),
+    (_AUT, _BI, _CS): lambda p: ((2.0 * p.k) / p.m, (2.0 * p.c) / p.m, p.k / p.m, p.c / p.m),
+    (_AUT, _BI, _VS): lambda p: ((2.0 * p.k) / p.m, (2.0 * p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
+    _NON: lambda p: (p.k / p.m, (p.c + p.ca) / p.m, p.k / p.m, p.c / p.m),
+}
+
+
+def _model_key(ct: ControllerType, cf: Configuration, st: Strategy):
+    """Key in :data:`_MODELS` of a combination's model: non-autonomous
+    controllers use leader-velocity feedback whatever their configuration
+    and strategy; autonomous bidirectional var_time_headway has none."""
+    return ct if ct is _NON else (ct, cf, st)
+
+
 def _raw_error_model(spec: ControllerSpec) -> ErrorModel:
     # Coefficient formulas without validity checking; division by a zero
     # mass propagates as ZeroDivisionError to the caller.
-    p = spec.params
-    m, k, c = p.m, p.k, p.c
-    if spec.controller_type is ControllerType.NON_AUTONOMOUS:
-        # Single non-autonomous model (leader-velocity feedback); the
-        # configuration/strategy fields do not change it.
-        return ErrorModel(a0=k / m, a1=(c + p.ca) / m, b0=k / m, b1=c / m)
-    if spec.configuration is Configuration.UNIDIRECTIONAL:
-        if spec.strategy is Strategy.CONSTANT_SPACING:
-            return ErrorModel(a0=k / m, a1=c / m, b0=k / m, b1=c / m)
-        if spec.strategy is Strategy.VARIABLE_SPACING:
-            return ErrorModel(a0=k / m, a1=(c + k * p.h) / m, b0=k / m, b1=c / m)
-        return ErrorModel(
-            a0=k / m,
-            a1=(c + k * p.h0 + k * p.ch * p.vd) / m,
-            b0=k / m,
-            b1=(c + k * p.ch * p.vd) / m,
+    coefficients = _MODELS.get(_model_key(spec.controller_type, spec.configuration, spec.strategy))
+    if coefficients is None:
+        raise UnsupportedControllerError(
+            "no model for an autonomous bidirectional controller with "
+            "variable time headway"
         )
-    if spec.strategy is Strategy.CONSTANT_SPACING:
-        return ErrorModel(a0=(2.0 * k) / m, a1=(2.0 * c) / m, b0=k / m, b1=c / m)
-    if spec.strategy is Strategy.VARIABLE_SPACING:
-        return ErrorModel(a0=(2.0 * k) / m, a1=(2.0 * c + k * p.h) / m, b0=k / m, b1=c / m)
-    raise UnsupportedControllerError(
-        "no model for an autonomous bidirectional controller with "
-        "variable time headway"
-    )
+    return ErrorModel(*coefficients(spec.params))
 
 
 def error_model(spec: ControllerSpec) -> ErrorModel:
-    """Spacing-error coefficients for the selected controller.
+    """Spacing-error coefficients for the selected controller, from the
+    coefficient map :data:`_MODELS`.
 
-    Coefficient map (autonomous controllers):
-
-    ==============  ================  =======================  ====  ==================
-    configuration   strategy          a1                       a0    b1
-    ==============  ================  =======================  ====  ==================
-    unidirectional  constant_spacing  c/m                      k/m   c/m
-    unidirectional  variable_spacing  (c + k*h)/m              k/m   c/m
-    unidirectional  var_time_headway  (c + k*h0 + k*ch*vd)/m   k/m   (c + k*ch*vd)/m
-    bidirectional   constant_spacing  2c/m                     2k/m  c/m
-    bidirectional   variable_spacing  (2c + k*h)/m             2k/m  c/m
-    ==============  ================  =======================  ====  ==================
-
-    b0 is k/m throughout.  Non-autonomous controllers always use the
-    leader-velocity feedback model ``a1 = (c + ca)/m`` (a0 = b0 = k/m,
-    b1 = c/m) regardless of configuration and strategy.
-
-    Raises :class:`InvalidPlatoonError` for invalid platoons and
+    Non-autonomous controllers always use the leader-velocity feedback
+    model regardless of configuration and strategy.  Raises
+    :class:`InvalidPlatoonError` for invalid platoons and
     :class:`UnsupportedControllerError` for the one combination with no
     model (autonomous, bidirectional, var_time_headway).
     """
@@ -217,10 +200,7 @@ def controller_spec_to_dict(spec: ControllerSpec) -> dict:
         "controller_type": spec.controller_type.value,
         "configuration": spec.configuration.value,
         "strategy": spec.strategy.value,
-        "params": {
-            "n": p.n, "m": p.m, "k": p.k, "c": p.c, "h": p.h,
-            "ch": p.ch, "vd": p.vd, "h0": p.h0, "ca": p.ca, "cd": p.cd,
-        },
+        "params": {"n": p.n, **{name: getattr(p, name) for name in _FLOAT_FIELDS}},
     }
 
 

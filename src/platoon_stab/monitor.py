@@ -16,8 +16,13 @@ each predicate across the whole trace.
 Traces are stored column-wise (one numpy array per field) so the scan is
 a handful of vectorised passes; :class:`Event` objects are materialised
 only on demand.  The per-event predicates :func:`check_p1` and
-:func:`check_p2` use the same formulas, operation for operation, so the
-vectorised scan and a naive per-event fold always agree.
+:func:`check_p2` agree with the vectorised scan by construction: the
+conjuncts, the coefficient map, ``Q`` and P2 are each written once, as
+arithmetic that runs on floats and arrays alike.  P2 (:func:`_p2`) is
+overflow-safe: where ``Q(w^2)`` evaluated as written is nan (``w^4`` or a
+coefficient square overflowed to inf - inf), it is evaluated again with
+time rescaled by the power of two ``2**e`` that brings w into [0.5, 1).
+That scaling is exact and leaves H, hence the sign of Q, unchanged.
 
 Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
 
@@ -44,24 +49,30 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, product
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import (
+    _CONJUNCTS,
+    _FLOAT_FIELDS as _PARAM_KEYS,
+    _MODELS,
     Configuration,
     ControllerSpec,
     ControllerType,
+    ErrorModel,
     PlatoonParams,
     Strategy,
     UnsupportedControllerError,
+    _model_key,
     _raw_error_model,
     error_model,
     failed_conjunct,
     is_valid_platoon,
 )
-from .frequency import stability_constraint
+from .frequency import _time_scaled, stability_constraint
 
 _CT_VALUES = tuple(ControllerType)
 _CF_VALUES = tuple(Configuration)
@@ -70,8 +81,12 @@ _CT_CODE = {e.value: i for i, e in enumerate(_CT_VALUES)}
 _CF_CODE = {e.value: i for i, e in enumerate(_CF_VALUES)}
 _ST_CODE = {e.value: i for i, e in enumerate(_ST_VALUES)}
 
-_EVENT_KEYS = ("i", "ct", "cf", "st", "n", "m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd", "w")
-_PARAM_KEYS = ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd")
+_EVENT_KEYS = ("i", "ct", "cf", "st", "n", *_PARAM_KEYS, "w")
+
+# Position in model._MODELS of the model of each controller combination,
+# indexed by its code ``(ct * 2 + cf) * 3 + st``; -1 where none exists.
+_MODEL_OF = np.array([list(_MODELS).index(key) if (key := _model_key(*combo)) in _MODELS else -1
+                      for combo in product(_CT_VALUES, _CF_VALUES, _ST_VALUES)], dtype=np.int8)
 
 
 class TraceParseError(ValueError):
@@ -170,12 +185,8 @@ class Trace:
             i += size
         if not 0 <= i < size:
             raise IndexError("trace index out of range")
-        params = PlatoonParams(
-            n=int(self.n[i]),
-            m=float(self.m[i]), k=float(self.k[i]), c=float(self.c[i]),
-            h=float(self.h[i]), ch=float(self.ch[i]), vd=float(self.vd[i]),
-            h0=float(self.h0[i]), ca=float(self.ca[i]), cd=float(self.cd[i]),
-        )
+        params = PlatoonParams(n=int(self.n[i]),
+                               **{name: float(getattr(self, name)[i]) for name in _PARAM_KEYS})
         spec = ControllerSpec(
             _CT_VALUES[self.ct[i]], _CF_VALUES[self.cf[i]], _ST_VALUES[self.st[i]], params
         )
@@ -205,9 +216,7 @@ class Trace:
             for name in _PARAM_KEYS:
                 cols[name][pos] = getattr(e.spec.params, name)
             cols["w"][pos] = e.omega
-        return cls(source, ct, cf, st, n,
-                   cols["m"], cols["k"], cols["c"], cols["h"], cols["ch"],
-                   cols["vd"], cols["h0"], cols["ca"], cols["cd"], cols["w"])
+        return cls(source, ct, cf, st, n, *cols.values())
 
 
 def check_p1(event: Event) -> bool:
@@ -226,59 +235,49 @@ def check_p2(event: Event) -> bool:
         model = _raw_error_model(event.spec)
     except (ZeroDivisionError, UnsupportedControllerError):
         return False
-    if not event.omega > 0.0:
-        return False
-    con = stability_constraint(model)
-    u = event.omega * event.omega
-    return u * u + con.alpha * u + con.beta > 0.0
+    return bool(_p2(model, event.omega)[0])
 
 
-def _vector_coefficients(trace: Trace):
-    """Per-event model coefficients, formula-for-formula the same as the
-    scalar path; undefined cases come out as inf/nan."""
-    ct, cf, st = trace.ct, trace.cf, trace.st
-    m, k, c = trace.m, trace.k, trace.c
-    aut = ct == 0
-    uni = cf == 0
-    cs = st == 0
-    vs = st == 1
-    vth = st == 2
-    uni_const = aut & uni & cs
-    uni_var = aut & uni & vs
-    uni_headway = aut & uni & vth
-    bi_const = aut & ~uni & cs
-    bi_var = aut & ~uni & vs
-    non_auto = ~aut
-    supported = non_auto | uni_const | uni_var | uni_headway | bi_const | bi_var
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_m = k / m
-        c_m = c / m
-        a0 = np.select([bi_const | bi_var, supported], [(2.0 * k) / m, k_m], default=np.nan)
-        a1 = np.select(
-            [uni_const, uni_var, uni_headway, bi_const, bi_var, non_auto],
-            [c_m, (c + k * trace.h) / m, (c + k * trace.h0 + k * trace.ch * trace.vd) / m,
-             (2.0 * c) / m, (2.0 * c + k * trace.h) / m, (c + trace.ca) / m],
-            default=np.nan,
-        )
-        b0 = np.where(supported, k_m, np.nan)
-        b1 = np.select([uni_headway, supported], [(c + k * trace.ch * trace.vd) / m, c_m], default=np.nan)
-    return a0, a1, b0, b1
+def _p2(model: ErrorModel, w):
+    """P2 of a model and frequency, floats or arrays alike, as an array;
+    Q is evaluated again with time rescaled where it is nan.  Small w are
+    never scaled up, which could overflow ``a0/w^2``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.atleast_1d(stability_constraint(model).q(w * w))
+        redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
+        if redo.size:
+            w_redo = np.atleast_1d(w)[redo]
+            e = np.maximum(np.frexp(w_redo)[1], 0)
+            part = ErrorModel(*(np.atleast_1d(coefficient)[redo]
+                                for coefficient in (model.a0, model.a1, model.b0, model.b1)))
+            w_redo = np.ldexp(w_redo, -e)
+            q[redo] = stability_constraint(_time_scaled(part, e)).q(w_redo * w_redo)
+        return (w > 0.0) & (q > 0.0)
+
+
+def _vector_coefficients(trace: Trace) -> np.ndarray:
+    """Rows ``a0, a1, b0, b1`` per event from the model table: nan where the
+    combination has no model, inf or nan where a formula is undefined."""
+    which = _MODEL_OF[(trace.ct * len(_CF_VALUES) + trace.cf) * len(_ST_VALUES) + trace.st]
+    coefficients = np.full((4, len(trace)), np.nan)
+    with np.errstate(all="ignore"):
+        for index, formulas in enumerate(_MODELS.values()):
+            rows = np.flatnonzero(which == index)
+            if not rows.size:
+                continue
+            if rows[-1] - rows[0] + 1 == rows.size:  # one run of events: views, no copies
+                rows = slice(rows[0], rows[-1] + 1)
+            part = SimpleNamespace(**{name: getattr(trace, name)[rows] for name in _PARAM_KEYS})
+            for out, value in zip(coefficients, formulas(part)):
+                out[rows] = value
+    return coefficients
 
 
 def _vector_masks(trace: Trace):
-    p1 = (
-        (trace.m > 0.0) & (trace.k > 0.0) & (trace.c > 0.0) & (trace.h > 0.0)
-        & (trace.ch > 0.0) & (trace.vd > 0.0) & (trace.h0 > 0.0)
-        & (trace.ca > 0.0) & (trace.cd > 0.0) & (trace.n > 1)
-    )
-    a0, a1, b0, b1 = _vector_coefficients(trace)
-    with np.errstate(invalid="ignore", over="ignore"):
-        alpha = a1 * a1 - b1 * b1 - 2.0 * a0
-        beta = a0 * a0 - b0 * b0
-        u = trace.w * trace.w
-        q = u * u + alpha * u + beta
-        p2 = (trace.w > 0.0) & (q > 0.0)
-    return p1, p2
+    p1 = np.ones(len(trace), dtype=bool)
+    for name, bound in _CONJUNCTS:
+        p1 &= getattr(trace, name) > bound
+    return p1, _p2(ErrorModel(*_vector_coefficients(trace)), trace.w)
 
 
 def run_monitor(trace: Trace) -> Verdict:
@@ -347,9 +346,9 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
 
     rng = np.random.default_rng(seed)
     p = template.params
-    base = np.array([p.m, p.k, p.c, p.h, p.ch, p.vd, p.h0, p.ca, p.cd])
     factors = rng.uniform(0.85, 1.15, size=(length, 9))
-    cols = {name: factors[:, j] * base[j] for j, name in enumerate(_PARAM_KEYS)}
+    cols = [factors[:, j] * getattr(p, name) for j, name in enumerate(_PARAM_KEYS)]
+    del factors  # the columns are copies; frees 9 floats per event before the roots
     n = rng.integers(max(2, p.n - 2), p.n + 3, size=length)
 
     trace = Trace(
@@ -358,20 +357,22 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         np.full(length, _CF_CODE[template.configuration.value], dtype=np.int8),
         np.full(length, _ST_CODE[template.strategy.value], dtype=np.int8),
         n.astype(np.int64),
-        cols["m"], cols["k"], cols["c"], cols["h"], cols["ch"],
-        cols["vd"], cols["h0"], cols["ca"], cols["cd"],
+        *cols,
         np.zeros(length),
     )
     if length == 0:
         return trace
 
-    a0, a1, b0, b1 = _vector_coefficients(trace)
-    alpha = a1 * a1 - b1 * b1 - 2.0 * a0
-    beta = a0 * a0 - b0 * b0
-    disc = alpha * alpha - 4.0 * beta
+    coefficients = _vector_coefficients(trace)
+    a0 = coefficients[0]
+    # The roots of Q on the time scale 2**e that brings a0 near 1, where
+    # alpha and beta cannot overflow; scaled back exactly by 4**e.
+    e = np.frexp(a0)[1] // 2
+    con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
+    disc = con.alpha * con.alpha - 4.0 * con.beta
     sq = np.sqrt(np.maximum(disc, 0.0))
-    u_hi = 0.5 * (-alpha + sq)
-    u_lo = np.maximum(0.5 * (-alpha - sq), 0.0)
+    u_hi = np.ldexp(0.5 * (-con.alpha + sq), 2 * e)
+    u_lo = np.ldexp(np.maximum(0.5 * (-con.alpha - sq), 0.0), 2 * e)
     has_band = (disc >= 0.0) & (u_hi > 0.0)
     # Stable draw: above the largest root when one exists, otherwise any
     # frequency near the natural one works.
@@ -384,11 +385,8 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
 
     for i, kind in plan:
         if kind == "P1":
-            conjunct = int(rng.integers(0, 10))
-            if conjunct == 9:
-                trace.n[i] = 1
-            else:
-                getattr(trace, _PARAM_KEYS[conjunct])[i] = 0.0
+            name, bound = _CONJUNCTS[int(rng.integers(0, len(_CONJUNCTS)))]
+            getattr(trace, name)[i] = bound
         else:
             if has_band[i]:
                 u_bad = u_lo[i] + (u_hi[i] - u_lo[i]) * rng.uniform(0.25, 0.75)

@@ -131,10 +131,11 @@ class TestSimulate:
         assert report["all_attenuating"] is False
         assert all(r > 1.0 for r in report["ratios"])
 
-    def test_zero_amplitude_is_degenerate(self, spec_file, tmp_path):
+    def test_zero_amplitude_is_degenerate(self, spec_file, tmp_path, capsys):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3",
                      "--omega", "3", "--amp", "0", "--duration", "150",
                      "--out", str(tmp_path / "t.csv")]) == 2
+        assert "--amp" in capsys.readouterr().err
 
     def test_oversized_step_diverges_with_exit_3(self, spec_file, tmp_path, capsys):
         code = main(["simulate", "--spec", spec_file(make_spec()), "--n", "2",
@@ -188,6 +189,17 @@ class TestMonitorAndGenTrace:
         assert verdict["outcome"] == "fail"
         assert verdict["first_violation"]["index"] == 500
         assert verdict["first_violation"]["predicate"] == "P2"
+
+    def test_frequency_whose_fourth_power_overflows_passes(self, spec_file, tmp_path, capsys):
+        # |H(i*1e200)| is about 1e-200; Q(w^2) overflows to inf - inf when
+        # evaluated as written.
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "1", "--len", "1",
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        line = json.loads(trace.read_text())
+        trace.write_text(json.dumps(line | {"w": 1e200}) + "\n")
+        assert main(["monitor", "--trace", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "pass"
 
     def test_truncated_line_exits_2_naming_it(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -1,13 +1,16 @@
 import cmath
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoon_stab import (
     ControllerSpec,
     SingularityError,
     StabilityConstraint,
+    SweepResult,
     TransferFunction,
     critical_frequencies,
     error_model,
@@ -19,6 +22,7 @@ from platoon_stab import (
     transfer_function,
     write_sweep_csv,
 )
+from platoon_stab.frequency import _CSV_CHUNK
 from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, make_spec, random_params
 
 
@@ -160,13 +164,19 @@ class TestStabilityDecision:
                 assert is_stable_at(model, high)
 
     def test_boundary_magnitude_within_1e9(self):
+        # At every critical frequency of every model, not only the classic
+        # bound of the constant-spacing one.
         rng = np.random.default_rng(37)
-        for _ in range(20):
+        roots = 0
+        for _ in range(300):
             p = random_params(rng)
-            model = error_model(ControllerSpec(AUT, UNI, CS, p))
-            omega = math.sqrt(2.0 * p.k / p.m)
-            fr = frequency_response(transfer_function(model), omega)
-            assert abs(fr.magnitude - 1.0) <= 1e-9
+            for combo in SUPPORTED_COMBOS:
+                model = error_model(ControllerSpec(*combo, p))
+                for omega in critical_frequencies(stability_constraint(model)):
+                    fr = frequency_response(transfer_function(model), omega)
+                    assert abs(fr.magnitude - 1.0) <= 1e-9, (combo, p, omega)
+                    roots += 1
+        assert roots > 600
 
     def test_quartic_agrees_with_magnitude_on_log_grid(self):
         # Zero disagreements over a 1000-point grid for every model,
@@ -244,8 +254,8 @@ class TestSweep:
         tf = transfer_function(const_spacing_model)
         for i in (0, 13, 49):
             fr = frequency_response(tf, float(result.omega[i]))
-            assert result.value[i] == pytest.approx(fr.value, rel=1e-12)
-            assert result.magnitude[i] == pytest.approx(fr.magnitude, rel=1e-12)
+            assert result.value[i] == fr.value
+            assert result.magnitude[i] == fr.magnitude
 
     def test_csv_format(self, const_spacing_model, tmp_path):
         result = sweep(const_spacing_model, 0.1, 10.0, 5)
@@ -268,3 +278,43 @@ class TestSweep:
             sweep(const_spacing_model, 0.1, 10.0, 1)
         with pytest.raises(ValueError):
             sweep(const_spacing_model, 0.1, 10.0, 10, spacing="cubic")
+
+
+def reference_write_sweep_csv(result, fh):
+    """One f-string per row: the format the chunked writer must match."""
+    fh.write("omega,re,im,magnitude,stable\n")
+    for w, v, mag, ok in zip(result.omega, result.value, result.magnitude, result.stable):
+        fh.write(
+            f"{float(w)!r},{float(v.real)!r},{float(v.imag)!r},{float(mag)!r},"
+            f"{'true' if ok else 'false'}\n"
+        )
+
+
+def csv_text(result, writer=write_sweep_csv):
+    buf = io.StringIO()
+    writer(result, buf)
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300,
+                   0.1, 2.0 ** 53, float("nan"), float("inf"), float("-inf"))
+
+
+class TestSweepCsv:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda size: st.lists(
+        st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+        min_size=4 * size, max_size=4 * size)))
+    def test_matches_per_row_writer(self, floats):
+        omega, re, im, magnitude = np.array(floats, dtype=np.float64).reshape(4, -1)
+        value = np.empty(len(omega), dtype=complex)
+        value.real, value.imag = re, im  # keeps -0.0 and nan exactly as drawn
+        result = SweepResult(omega=omega, value=value, magnitude=magnitude, stable=magnitude < 1.0)
+        assert csv_text(result) == csv_text(result, reference_write_sweep_csv)
+
+    @pytest.mark.parametrize("points", [2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3])
+    def test_matches_per_row_writer_across_chunks(self, points):
+        result = sweep(error_model(make_spec(AUT, BI, CS)), 0.01, 100.0, points)
+        text = csv_text(result)
+        assert text == csv_text(result, reference_write_sweep_csv)
+        assert len(text.splitlines()) == points + 1

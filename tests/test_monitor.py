@@ -12,6 +12,10 @@ from platoon_stab import (
     ControllerSpec,
     ControllerType,
     Event,
+    critical_frequencies,
+    error_model,
+    is_stable_at,
+    stability_constraint,
     Trace,
     TraceParseError,
     check_p1,
@@ -24,7 +28,7 @@ from platoon_stab import (
     write_trace,
     write_trace_file,
 )
-from platoon_stab.monitor import _validate_lines
+from platoon_stab.monitor import _validate_lines, _vector_masks
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec, random_params
 
 
@@ -78,6 +82,83 @@ class TestPredicates:
         # cd does not enter the coefficients, so P2 can still hold.
         assert check_p2(event(omega=3.0, cd=0.0))
         assert not check_p1(event(cd=0.0))
+
+
+def reference_masks(trace):
+    """P1 and P2 masks with the conjuncts, the coefficient map and Q each
+    written out by hand, as the scan computed them before the model table."""
+    p1 = (
+        (trace.m > 0.0) & (trace.k > 0.0) & (trace.c > 0.0) & (trace.h > 0.0)
+        & (trace.ch > 0.0) & (trace.vd > 0.0) & (trace.h0 > 0.0)
+        & (trace.ca > 0.0) & (trace.cd > 0.0) & (trace.n > 1)
+    )
+    m, k, c = trace.m, trace.k, trace.c
+    aut, uni = trace.ct == 0, trace.cf == 0
+    cs, vs, vth = trace.st == 0, trace.st == 1, trace.st == 2
+    uni_const, uni_var, uni_headway = aut & uni & cs, aut & uni & vs, aut & uni & vth
+    bi_const, bi_var, non_auto = aut & ~uni & cs, aut & ~uni & vs, ~aut
+    supported = non_auto | uni_const | uni_var | uni_headway | bi_const | bi_var
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0 = np.select([bi_const | bi_var, supported], [(2.0 * k) / m, k / m], default=np.nan)
+        a1 = np.select(
+            [uni_const, uni_var, uni_headway, bi_const, bi_var, non_auto],
+            [c / m, (c + k * trace.h) / m, (c + k * trace.h0 + k * trace.ch * trace.vd) / m,
+             (2.0 * c) / m, (2.0 * c + k * trace.h) / m, (c + trace.ca) / m],
+            default=np.nan,
+        )
+        b0 = np.where(supported, k / m, np.nan)
+        b1 = np.select([uni_headway, supported], [(c + k * trace.ch * trace.vd) / m, c / m], default=np.nan)
+        alpha = a1 * a1 - b1 * b1 - 2.0 * a0
+        beta = a0 * a0 - b0 * b0
+        u = trace.w * trace.w
+        p2 = (trace.w > 0.0) & (u * u + alpha * u + beta > 0.0)
+    return p1, p2
+
+
+@st.composite
+def in_range_traces(draw):
+    """Traces over all twelve controller combinations whose arithmetic
+    cannot overflow, with zero and negative parameters and frequencies."""
+    size = draw(st.integers(1, 40))
+    edge = st.sampled_from((0.0, -0.0, -1.0))
+    param = st.one_of(st.floats(1e-3, 1e4), edge)
+    floats = draw(st.lists(param, min_size=9 * size, max_size=9 * size))
+    w = draw(st.lists(st.one_of(st.floats(1e-3, 1e4), edge), min_size=size, max_size=size))
+    combos = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
+                           min_size=size, max_size=size))
+    n = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+    ct, cf, st_ = np.array(combos, dtype=np.int8).T
+    return Trace("hypothesis", ct, cf, st_, np.array(n, dtype=np.int64),
+                 *np.array(floats).reshape(9, size), np.array(w))
+
+
+class TestScanMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(in_range_traces())
+    def test_masks_match_hand_written_formulas(self, trace):
+        p1, p2 = _vector_masks(trace)
+        expected_p1, expected_p2 = reference_masks(trace)
+        assert np.array_equal(p1, expected_p1)
+        assert np.array_equal(p2, expected_p2)
+        assert [check_p1(e) for e in trace] == p1.tolist()
+        assert [check_p2(e) for e in trace] == p2.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SUPPORTED_COMBOS), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.floats(-3.0, 300.0), min_size=1, max_size=50))
+    def test_p2_agrees_with_magnitude_test_up_to_1e300(self, combo, seed, exponents):
+        # Q(w^2) overflows from w near 1e77 on; P2 must still be |H| < 1.
+        spec = ControllerSpec(*combo, random_params(np.random.default_rng(seed)))
+        model = error_model(spec)
+        crits = critical_frequencies(stability_constraint(model))
+        omegas = [10.0 ** x for x in exponents]
+        omegas = [w for w in omegas if not any(abs(w - c) <= 1e-9 * c for c in crits)]
+        events = [Event(i, spec, w) for i, w in enumerate(omegas)]
+        _, p2 = _vector_masks(Trace.from_events(events))
+        for event, scanned in zip(events, p2.tolist()):
+            expected = is_stable_at(model, event.omega)
+            assert check_p2(event) == expected, event.omega
+            assert scanned == expected, event.omega
 
 
 class TestRunMonitor:
@@ -230,8 +311,10 @@ class TestGenerator:
         assert m.std() > 0.0
 
     def test_all_templates_produce_clean_traces(self):
-        for i, combo in enumerate(SUPPORTED_COMBOS):
-            trace = generate_trace(100 + i, 300, make_spec(*combo))
+        # The last template's gains square beyond the float range.
+        templates = [make_spec(*combo) for combo in SUPPORTED_COMBOS] + [make_spec(k=1e308, c=1e308)]
+        for i, template in enumerate(templates):
+            trace = generate_trace(100 + i, 300, template)
             assert run_monitor(trace).passed
 
 
