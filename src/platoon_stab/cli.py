@@ -74,14 +74,14 @@ def _interval_json(intervals):
     return [[lo, None if math.isinf(hi) else hi] for lo, hi in intervals]
 
 
-def _condition_text(spec: ControllerSpec, intervals) -> str:
+def _condition_text(spec: ControllerSpec, constraint, intervals) -> str:
     classic_form = (
         spec.controller_type is ControllerType.AUTONOMOUS
         and spec.configuration is Configuration.UNIDIRECTIONAL
         and spec.strategy is Strategy.CONSTANT_SPACING
     )
     if classic_form:
-        threshold = 2.0 * spec.params.k / spec.params.m
+        threshold = -constraint.alpha
         return (
             f"stable iff omega^2 > 2k/m = {threshold:g} "
             f"(omega > {math.sqrt(threshold):g} rad/s)"
@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
         "constraint": {"alpha": constraint.alpha, "beta": constraint.beta},
         "critical_frequencies": crits,
         "stable_intervals": _interval_json(intervals),
-        "stability_condition": _condition_text(spec, intervals),
+        "stability_condition": _condition_text(spec, constraint, intervals),
     }
     if spec.controller_type is ControllerType.NON_AUTONOMOUS:
         report["note"] = (
@@ -128,8 +128,6 @@ def cmd_sweep(args) -> int:
     model = error_model(spec)
     result = sweep(model, args.omega_min, args.omega_max, args.points, args.spacing)
     constraint = stability_constraint(model)
-    with _open_out(args.out) as fh:
-        write_sweep_csv(result, fh)
     summary = {
         "points": args.points,
         "omega_min": args.omega_min,
@@ -139,6 +137,8 @@ def cmd_sweep(args) -> int:
         "critical_frequencies": critical_frequencies(constraint),
         "stable_intervals": _interval_json(stable_intervals(constraint)),
     }
+    with _open_out(args.out) as fh:
+        write_sweep_csv(result, fh)
     _print_json(summary, sys.stderr)
     return 0
 

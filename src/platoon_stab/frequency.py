@@ -14,9 +14,13 @@ that norm condition into a sign condition on a quartic in w:
     alpha = a1^2 - b1^2 - 2*a0,   beta = a0^2 - b0^2
 
 so the stability thresholds (critical frequencies, where |H| = 1) are the
-square roots of the positive roots of Q.  For the unidirectional
-constant-spacing controller a1 = b1 and a0 = b0, hence alpha = -2*k/m and
-beta = 0, and the condition collapses to the classic bound w^2 > 2*k/m.
+square roots of the positive roots of Q.  Q is monic, so the stable set is
+read off its roots: below the smaller and above the larger.  The roots are
+found with u in a power-of-two unit, so the discriminant cannot overflow or
+underflow; an overflowed alpha or beta is refused (``analyze`` and ``sweep``
+exit 2).  For the unidirectional constant-spacing controller a1 = b1 and
+a0 = b0, hence alpha = -2*k/m and beta = 0, and the condition collapses to
+the classic bound w^2 > 2*k/m.
 
 The decision procedures below use raw strict comparisons (no epsilon), so
 verdicts are reproducible bit for bit; tests compare against tolerances
@@ -152,38 +156,36 @@ def critical_frequencies(constraint: StabilityConstraint) -> list[float]:
     Empty when Q has no positive root, i.e. the model attenuates at every
     omega > 0.
     """
-    return [math.sqrt(u) for u in _monic_quadratic_roots(constraint.alpha, constraint.beta) if u > 0.0]
+    return sorted({end for span in stable_intervals(constraint) for end in span} - {0.0, math.inf})
 
 
 def stable_intervals(constraint: StabilityConstraint) -> list[tuple[float, float]]:
-    """Open intervals of omega > 0 where ``Q(omega^2) > 0``.
-
-    The upper bound of the last interval is ``math.inf``; interval
-    endpoints themselves are critical frequencies and not stable.
+    """Open intervals of omega > 0 where ``Q(omega^2) > 0``; the last ends at
+    ``math.inf``.  Endpoints are critical frequencies and not stable.
+    Raises ValueError when alpha or beta is not finite.
     """
-    bounds = [0.0, *critical_frequencies(constraint), math.inf]
-    intervals = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        probe = 2.0 * lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        if constraint.q(probe * probe) > 0.0:
-            intervals.append((lo, hi))
-    return intervals
+    alpha, beta = constraint.alpha, constraint.beta
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"stability constraint overflows: alpha = {alpha!r}, beta = {beta!r}")
+    lo, hi = _q_roots(alpha, beta)
+    if not hi > 0.0:  # no real root, or none positive
+        return [(0.0, math.inf)]
+    below = [(0.0, math.sqrt(lo))] if lo > 0.0 else []
+    return below + [(math.sqrt(hi), math.inf)]
 
 
-def _monic_quadratic_roots(b: float, c: float) -> list[float]:
-    """Real roots of ``u^2 + b*u + c``, sorted ascending.
-
-    Uses the cancellation-free form: the root of larger magnitude comes
-    from the quadratic formula, the other from the product of roots.
-    """
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [-0.5 * b]
-    big = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    other = c / big if big != 0.0 else 0.0
-    return sorted((big, other))
+def _q_roots(alpha, beta):
+    """Real roots ``lo <= hi`` of ``Q(u) = u^2 + alpha*u + beta`` (nan where
+    complex), on floats or arrays.  u is measured in the power of two just
+    above the larger of ``|alpha|`` and ``sqrt(|beta|)``, exact in range; the
+    root of larger magnitude comes from the formula, the other from the
+    product of the roots."""
+    with np.errstate(invalid="ignore"):
+        e = np.frexp(np.maximum(np.abs(alpha), np.sqrt(np.abs(beta))))[1]
+        a = np.ldexp(alpha, -e)
+        big = np.ldexp(-0.5 * (a + np.copysign(np.sqrt(a * a - 4.0 * np.ldexp(beta, -2 * e)), a)), e)
+        other = beta / np.where(big == 0.0, 1.0, big)  # big is 0 only when alpha = beta = 0
+        return np.minimum(big, other), np.maximum(big, other)
 
 
 @dataclass(frozen=True)

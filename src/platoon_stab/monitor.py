@@ -72,7 +72,7 @@ from .model import (
     failed_conjunct,
     is_valid_platoon,
 )
-from .frequency import _time_scaled, stability_constraint
+from .frequency import _q_roots, _time_scaled, stability_constraint
 
 _CT_VALUES = tuple(ControllerType)
 _CF_VALUES = tuple(Configuration)
@@ -369,16 +369,13 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     # alpha and beta cannot overflow; scaled back exactly by 4**e.
     e = np.frexp(a0)[1] // 2
     con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
-    disc = con.alpha * con.alpha - 4.0 * con.beta
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    u_hi = np.ldexp(0.5 * (-con.alpha + sq), 2 * e)
-    u_lo = np.ldexp(np.maximum(0.5 * (-con.alpha - sq), 0.0), 2 * e)
-    has_band = (disc >= 0.0) & (u_hi > 0.0)
+    lo, hi = _q_roots(con.alpha, con.beta)
+    has_band = hi > 0.0
     # Stable draw: above the largest root when one exists, otherwise any
     # frequency near the natural one works.
     u = np.where(
         has_band,
-        u_hi * rng.uniform(1.2, 4.0, size=length),
+        np.ldexp(hi, 2 * e) * rng.uniform(1.2, 4.0, size=length),
         a0 * rng.uniform(0.25, 4.0, size=length),
     )
     trace.w[:] = np.sqrt(u)
@@ -389,7 +386,8 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
             getattr(trace, name)[i] = bound
         else:
             if has_band[i]:
-                u_bad = u_lo[i] + (u_hi[i] - u_lo[i]) * rng.uniform(0.25, 0.75)
+                u_lo, u_hi = np.ldexp((max(lo[i], 0.0), hi[i]), 2 * e[i])
+                u_bad = u_lo + (u_hi - u_lo) * rng.uniform(0.25, 0.75)
                 trace.w[i] = math.sqrt(u_bad)
             else:
                 trace.w[i] = 0.0

@@ -7,6 +7,19 @@ from platoon_stab import controller_spec_to_dict
 from platoon_stab.cli import main
 from conftest import AUT, BI, NON, UNI, VS, VTH, make_spec
 
+# Valid specs whose alpha and beta overflow: with k = c = 1e308 the squares
+# of a0 = b0 and a1 = b1 pass the float range (alpha = beta = nan); with
+# k*h = 1e309, a1 is inf.
+OVERFLOWING_SPECS = [make_spec(k=1e308, c=1e308), make_spec(AUT, UNI, VS, k=1e308, h=10.0)]
+
+
+def strict_json(text):
+    """Parse CLI output as JSON, refusing the non-JSON constants NaN and
+    Infinity that ``json.loads`` would accept."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -21,7 +34,7 @@ class TestAnalyze:
     def test_reports_threshold_for_constant_spacing(self, spec_file, capsys):
         code = main(["analyze", "--spec", spec_file(make_spec())])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["coefficients"] == {"a0": 2.0, "a1": 0.4, "b0": 2.0, "b1": 0.4}
         assert report["critical_frequencies"] == [2.0]
         assert "2k/m = 4" in report["stability_condition"]
@@ -31,7 +44,7 @@ class TestAnalyze:
     def test_non_autonomous_selection_is_noted(self, spec_file, capsys):
         code = main(["analyze", "--spec", spec_file(make_spec(NON, BI, VTH))])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert "leader-velocity" in report["note"]
         assert report["selected_model"] == "non-autonomous leader-velocity feedback"
 
@@ -52,6 +65,13 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", "--spec", str(bad)]) == 2
+
+    @pytest.mark.parametrize("spec", OVERFLOWING_SPECS, ids=["nan", "inf"])
+    def test_overflowed_constraint_exits_2(self, spec_file, capsys, spec):
+        assert main(["analyze", "--spec", spec_file(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha = " in captured.err and "beta = " in captured.err
 
     def test_integer_beyond_float_range_is_validation_error(self, spec_file, tmp_path, capsys):
         path = spec_file(make_spec())
@@ -78,7 +98,7 @@ class TestSweep:
         for cells in rows:
             omega = float(cells[0])
             assert (cells[4] == "true") == (omega > 2.0)
-        summary = json.loads(capsys.readouterr().err)
+        summary = strict_json(capsys.readouterr().err)
         assert summary["critical_frequencies"] == [2.0]
         assert 0.0 < summary["stable_fraction"] < 1.0
 
@@ -97,7 +117,18 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out.startswith("omega,re,im,magnitude,stable\n")
         assert len(captured.out.splitlines()) == 6
-        json.loads(captured.err)
+        strict_json(captured.err)
+
+    @pytest.mark.parametrize("spec", OVERFLOWING_SPECS, ids=["nan", "inf"])
+    def test_overflowed_constraint_exits_2_writing_no_csv(self, spec_file, tmp_path, capsys, spec):
+        out = tmp_path / "sweep.csv"
+        sweep = ["sweep", "--spec", spec_file(spec), "--omega-min", "1", "--omega-max", "2"]
+        assert main(sweep + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(sweep) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha = " in captured.err
 
     def test_bad_range_exits_2(self, spec_file, capsys):
         assert main(["sweep", "--spec", spec_file(make_spec()),
@@ -116,7 +147,7 @@ class TestSimulate:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "t,z_1,z_2,z_3,z_4"
-        report = json.loads(report_path.read_text())
+        report = strict_json(report_path.read_text())
         assert report["all_attenuating"] is True
         for ratio in report["ratios"]:
             assert ratio == pytest.approx(0.3284, rel=0.02)
@@ -127,7 +158,7 @@ class TestSimulate:
                      "--omega", "1", "--amp", "1", "--duration", "150",
                      "--out", str(out)])
         assert code == 0
-        report = json.loads(capsys.readouterr().err)
+        report = strict_json(capsys.readouterr().err)
         assert report["all_attenuating"] is False
         assert all(r > 1.0 for r in report["ratios"])
 
@@ -173,7 +204,7 @@ class TestMonitorAndGenTrace:
                      "--spec", spec_file(make_spec()), "--out", str(trace)]) == 0
         code = main(["monitor", "--trace", str(trace)])
         assert code == 0
-        verdict = json.loads(capsys.readouterr().out)
+        verdict = strict_json(capsys.readouterr().out)
         assert verdict["outcome"] == "pass"
         assert verdict["events"] == 1000
         assert verdict["first_violation"] is None
@@ -185,7 +216,7 @@ class TestMonitorAndGenTrace:
                      "--violate", "500:P2", "--out", str(trace)]) == 0
         code = main(["monitor", "--trace", str(trace)])
         assert code == 4
-        verdict = json.loads(capsys.readouterr().out)
+        verdict = strict_json(capsys.readouterr().out)
         assert verdict["outcome"] == "fail"
         assert verdict["first_violation"]["index"] == 500
         assert verdict["first_violation"]["predicate"] == "P2"
@@ -196,10 +227,10 @@ class TestMonitorAndGenTrace:
         trace = tmp_path / "trace.jsonl"
         main(["gen-trace", "--seed", "1", "--len", "1",
               "--spec", spec_file(make_spec()), "--out", str(trace)])
-        line = json.loads(trace.read_text())
+        line = strict_json(trace.read_text())
         trace.write_text(json.dumps(line | {"w": 1e200}) + "\n")
         assert main(["monitor", "--trace", str(trace)]) == 0
-        assert json.loads(capsys.readouterr().out)["outcome"] == "pass"
+        assert strict_json(capsys.readouterr().out)["outcome"] == "pass"
 
     def test_truncated_line_exits_2_naming_it(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -222,7 +253,7 @@ class TestMonitorAndGenTrace:
         main(["gen-trace", "--seed", "1", "--len", "10",
               "--spec", spec_file(make_spec()), "--out", str(trace)])
         lines = trace.read_text().splitlines()
-        obj = json.loads(lines[3])
+        obj = strict_json(lines[3])
         lines[3] = lines[3].replace(f'"{field}":{obj[field]!r}', f'"{field}":{value}')
         assert value in lines[3]
         trace.write_text("\n".join(lines) + "\n")
@@ -257,4 +288,4 @@ class TestMonitorAndGenTrace:
                      "--spec", spec_file(make_spec())]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
-        json.loads(out.splitlines()[0])
+        strict_json(out.splitlines()[0])

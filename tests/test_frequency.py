@@ -1,10 +1,12 @@
 import cmath
 import io
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from platoon_stab import (
     ControllerSpec,
@@ -22,7 +24,7 @@ from platoon_stab import (
     transfer_function,
     write_sweep_csv,
 )
-from platoon_stab.frequency import _CSV_CHUNK
+from platoon_stab.frequency import _CSV_CHUNK, _q_roots
 from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, make_spec, random_params
 
 
@@ -232,6 +234,99 @@ class TestCriticalFrequencies:
         assert bi[0][0] == 0.0 and math.isinf(bi[1][1])
         everywhere = stable_intervals(StabilityConstraint(alpha=1.0, beta=0.0))
         assert everywhere == [(0.0, math.inf)]
+
+
+# 0 or +-10**U(-300, 300).
+_COEFFICIENT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)),
+)
+
+
+def reference_roots(alpha, beta):
+    """Real roots of ``u^2 + alpha*u + beta``, ascending, from the textbook
+    formula in 1000-digit decimal arithmetic; also the discriminant."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        a, b = Decimal(alpha), Decimal(beta)
+        disc = a * a - 4 * b
+        if disc < 0:
+            return [], disc
+        return [(-a - disc.sqrt()) / 2, (-a + disc.sqrt()) / 2], disc
+
+
+def reference_intervals(roots):
+    """``(0, inf) - [lo, hi]`` as pairs of u-ends (None for inf); a root
+    that rounds to 0.0 as a float counts as not positive."""
+    if not roots or not float(roots[1]) > 0.0:
+        return [(0, None)]
+    lo, hi = roots
+    return ([(0, lo)] if float(lo) > 0.0 else []) + [(hi, None)]
+
+
+def assert_end(w, u):
+    """``w`` is the omega-end for the u-end ``u``: 0, inf, or sqrt(u) within
+    4 ulp where u is a normal float."""
+    if u is None or u == 0:
+        assert w == (math.inf if u is None else 0.0)
+        return
+    assert 0.0 < w < math.inf
+    if float(u) >= sys.float_info.min:
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            w_ref = u.sqrt()
+            assert abs(Decimal(w) - w_ref) <= 4 * Decimal(math.ulp(float(w_ref))), (w, w_ref)
+
+
+class TestRootFinder:
+    @settings(max_examples=300, deadline=None)
+    @given(_COEFFICIENT, _COEFFICIENT)
+    def test_roots_and_intervals_match_decimal_reference(self, alpha, beta):
+        roots, disc = reference_roots(alpha, beta)
+        # Near a double root one rounding of alpha^2 in any double-precision
+        # discriminant moves the roots by up to |alpha| / sqrt(|disc|) / 4
+        # ulp; the 4-ulp bound holds once sqrt(|disc|) >= |alpha| / 16.
+        assume(disc == 0 or 256 * abs(disc) >= Decimal(alpha) ** 2)
+        con = StabilityConstraint(alpha, beta)
+        expected = reference_intervals(roots)
+        intervals = stable_intervals(con)
+        assert len(intervals) == len(expected), (intervals, expected)
+        for interval, ends in zip(intervals, expected):
+            for w, u in zip(interval, ends):
+                assert_end(w, u)
+        crits = critical_frequencies(con)
+        expected_crits = sorted({u for ends in expected for u in ends if u})
+        assert len(crits) == len(expected_crits), (crits, expected_crits)
+        for w, u in zip(crits, expected_crits):
+            assert_end(w, u)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*2 * [st.one_of(_COEFFICIENT, st.floats(allow_nan=False,
+                                                                      allow_infinity=False))]),
+                    min_size=1, max_size=20))
+    def test_array_equals_scalar_calls_bit_for_bit(self, pairs):
+        lo, hi = _q_roots(*np.array(pairs).T)
+        for i, (alpha, beta) in enumerate(pairs):
+            assert np.array((lo[i], hi[i])).tobytes() == np.array(_q_roots(alpha, beta)).tobytes()
+
+    @pytest.mark.parametrize("alpha,beta,crits,intervals", [
+        (-1e200, 1.0, [1e-100, 1e100], [(0.0, 1e-100), (1e100, math.inf)]),  # disc overflows
+        (-2e-300, 0.0, [2e-300 ** 0.5], [(2e-300 ** 0.5, math.inf)]),  # disc underflows
+        (-4e200, 0.0, [2e100], [(2e100, math.inf)]),  # Q overflows at a probe point
+        (-2.0, 1.0, [1.0], [(0.0, 1.0), (1.0, math.inf)]),  # double root
+    ])
+    def test_edge_constraints(self, alpha, beta, crits, intervals):
+        con = StabilityConstraint(alpha, beta)
+        assert critical_frequencies(con) == pytest.approx(crits, rel=1e-15, abs=0.0)
+        assert stable_intervals(con) == [pytest.approx(i, rel=1e-15, abs=0.0) for i in intervals]
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, math.nan), (math.inf, math.nan),
+                                            (-math.inf, 0.0), (1.0, math.inf)])
+    def test_non_finite_constraint_is_refused(self, alpha, beta):
+        for function in (stable_intervals, critical_frequencies):
+            with pytest.raises(ValueError, match="alpha = .*, beta = "):
+                function(StabilityConstraint(alpha, beta))
 
 
 class TestSweep:

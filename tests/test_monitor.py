@@ -311,8 +311,9 @@ class TestGenerator:
         assert m.std() > 0.0
 
     def test_all_templates_produce_clean_traces(self):
-        # The last template's gains square beyond the float range.
-        templates = [make_spec(*combo) for combo in SUPPORTED_COMBOS] + [make_spec(k=1e308, c=1e308)]
+        # The last two templates' gains square beyond the float range.
+        templates = [make_spec(*combo) for combo in SUPPORTED_COMBOS] + [
+            make_spec(k=1e308, c=1e308), make_spec(AUT, BI, CS, k=1e308, c=1e308)]
         for i, template in enumerate(templates):
             trace = generate_trace(100 + i, 300, template)
             assert run_monitor(trace).passed
