@@ -11,7 +11,10 @@ at that instant.  The stability contract is "globally P1 and P2":
 
 :func:`run_monitor` checks every event, reports the earliest violation
 (P1 before P2 when both fail on one event) and counts all failures of
-each predicate across the whole trace.
+each predicate across the whole trace.  It scans a block of events at a
+time (``_BLOCK``), and so does :func:`generate_trace` when it draws and
+derives its columns: their temporaries have a fixed size, whatever the
+length of the trace.
 
 Traces are stored column-wise (one numpy array per field) so the scan is
 a handful of vectorised passes; :class:`Event` objects are materialised
@@ -196,6 +199,11 @@ class Trace:
         for i in range(len(self)):
             yield self[i]
 
+    def _rows(self, a: int, b: int) -> "Trace":
+        """Events ``a`` to ``b - 1`` as a trace of column views, no copies;
+        event ``a`` is at position 0 of the view."""
+        return Trace(self.source, *(getattr(self, name)[a:b] for name in self.__slots__[1:]))
+
     @classmethod
     def from_events(cls, events, source: str = "memory") -> "Trace":
         """Build a trace from Event objects; indices must be 0..len-1."""
@@ -280,6 +288,13 @@ def _vector_masks(trace: Trace):
     return p1, _p2(ErrorModel(*_vector_coefficients(trace)), trace.w)
 
 
+# The scan and the generator work on this many events at a time, so their
+# temporaries take a fixed amount of memory whatever the trace length.
+_BLOCK = 32768
+# Range of the generator's multiplicative parameter jitter.
+_JITTER = (0.85, 1.15)
+
+
 def run_monitor(trace: Trace) -> Verdict:
     """Evaluate "globally P1 and P2" over the whole trace.
 
@@ -290,17 +305,19 @@ def run_monitor(trace: Trace) -> Verdict:
     """
     start = time.perf_counter()
     size = len(trace)
-    if size == 0:
-        return Verdict(True, None, 0, 0, 0, time.perf_counter() - start)
-    p1, p2 = _vector_masks(trace)
-    p1_failures = int(np.count_nonzero(~p1))
-    p2_failures = int(np.count_nonzero(~p2))
-    first = None
-    if p1_failures or p2_failures:
-        bad = ~(p1 & p2)
-        idx = int(np.argmax(bad))
+    p1_failures = p2_failures = 0
+    earliest = first = None
+    for a in range(0, size, _BLOCK):
+        p1, p2 = _vector_masks(trace._rows(a, a + _BLOCK))
+        p1_failures += p1.size - int(np.count_nonzero(p1))
+        p2_failures += p2.size - int(np.count_nonzero(p2))
+        if earliest is None and p1_failures + p2_failures:
+            at = int(np.argmin(p1 & p2))
+            earliest = (a + at, bool(p1[at]))
+    if earliest is not None:
+        idx, p1_holds = earliest
         event = trace[idx]
-        if not p1[idx]:
+        if not p1_holds:
             reason = f"{failed_conjunct(event.spec.params)} violated"
             first = Violation(idx, "P1", reason)
         else:
@@ -344,49 +361,57 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         if kind not in ("P1", "P2"):
             raise ValueError(f"violation kind must be P1 or P2, got {kind!r}")
 
-    rng = np.random.default_rng(seed)
     p = template.params
-    factors = rng.uniform(0.85, 1.15, size=(length, 9))
-    cols = [factors[:, j] * getattr(p, name) for j, name in enumerate(_PARAM_KEYS)]
-    del factors  # the columns are copies; frees 9 floats per event before the roots
-    n = rng.integers(max(2, p.n - 2), p.n + 3, size=length)
+    for name in _PARAM_KEYS:
+        if not math.isfinite(_JITTER[1] * getattr(p, name)):
+            raise ValueError(f"template {name} = {getattr(p, name)!r} overflows when jittered "
+                             f"by up to {_JITTER[1]}x")
 
+    rng = np.random.default_rng(seed)
+    blocks = range(0, length, _BLOCK)
+    cols = [np.empty(length) for _ in _PARAM_KEYS]
+    for a in blocks:
+        factors = rng.uniform(*_JITTER, size=(min(_BLOCK, length - a), len(_PARAM_KEYS)))
+        for col, factor, name in zip(cols, factors.T, _PARAM_KEYS):
+            np.multiply(factor, getattr(p, name), out=col[a:a + _BLOCK])
     trace = Trace(
         f"seed:{seed}",
         np.full(length, _CT_CODE[template.controller_type.value], dtype=np.int8),
         np.full(length, _CF_CODE[template.configuration.value], dtype=np.int8),
         np.full(length, _ST_CODE[template.strategy.value], dtype=np.int8),
-        n.astype(np.int64),
+        rng.integers(max(2, p.n - 2), p.n + 3, size=length),
         *cols,
-        np.zeros(length),
+        np.empty(length),
     )
-    if length == 0:
-        return trace
-
-    coefficients = _vector_coefficients(trace)
-    a0 = coefficients[0]
-    # The roots of Q on the time scale 2**e that brings a0 near 1, where
-    # alpha and beta cannot overflow; scaled back exactly by 4**e.
-    e = np.frexp(a0)[1] // 2
-    con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
-    lo, hi = _q_roots(con.alpha, con.beta)
-    has_band = hi > 0.0
-    # Stable draw: above the largest root when one exists, otherwise any
-    # frequency near the natural one works.
-    u = np.where(
-        has_band,
-        np.ldexp(hi, 2 * e) * rng.uniform(1.2, 4.0, size=length),
-        a0 * rng.uniform(0.25, 4.0, size=length),
-    )
-    trace.w[:] = np.sqrt(u)
-
+    # Stable draw: above the largest root of Q when one exists, otherwise
+    # any frequency near the natural one works.  The draws above the root
+    # come first, for every event, then those near the natural frequency.
+    for a in blocks:
+        trace.w[a:a + _BLOCK] = rng.uniform(1.2, 4.0, size=min(_BLOCK, length - a))
+    targets = np.array([i for i, kind in plan if kind == "P2"], dtype=np.int64)
+    bands = {}
+    for a in blocks:
+        block = trace._rows(a, a + _BLOCK)
+        coefficients = _vector_coefficients(block)
+        a0 = coefficients[0]
+        # The roots of Q on the time scale 2**e that brings a0 near 1, where
+        # alpha and beta cannot overflow; scaled back exactly by 4**e.
+        e = np.frexp(a0)[1] // 2
+        con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
+        lo, hi = _q_roots(con.alpha, con.beta)
+        near = a0 * rng.uniform(0.25, 4.0, size=len(block))
+        np.sqrt(np.where(hi > 0.0, np.ldexp(hi, 2 * e) * block.w, near), out=block.w)
+        # Bands of the P2 targets, from their parameters before any injection.
+        at = targets[(a <= targets) & (targets < a + _BLOCK)] - a
+        bands.update(zip((a + at).tolist(), zip(e[at], lo[at], hi[at])))
     for i, kind in plan:
         if kind == "P1":
             name, bound = _CONJUNCTS[int(rng.integers(0, len(_CONJUNCTS)))]
             getattr(trace, name)[i] = bound
         else:
-            if has_band[i]:
-                u_lo, u_hi = np.ldexp((max(lo[i], 0.0), hi[i]), 2 * e[i])
+            e_i, lo_i, hi_i = bands[i]
+            if hi_i > 0.0:
+                u_lo, u_hi = np.ldexp((max(lo_i, 0.0), hi_i), 2 * e_i)
                 u_bad = u_lo + (u_hi - u_lo) * rng.uniform(0.25, 0.75)
                 trace.w[i] = math.sqrt(u_bad)
             else:

@@ -283,6 +283,14 @@ class TestMonitorAndGenTrace:
         assert main(["gen-trace", "--seed", "1", "--len", "10", "--spec", spec,
                      "--violate", "nope"]) == 2
 
+    def test_gen_trace_refuses_a_template_that_jitters_past_the_float_range(
+            self, spec_file, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--seed", "1", "--len", "100",
+                     "--spec", spec_file(make_spec(m=1.0, k=1.7e308)), "--out", str(out)]) == 2
+        assert "template k = 1.7e+308 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_trace_stdout(self, spec_file, capsys):
         assert main(["gen-trace", "--seed", "3", "--len", "5",
                      "--spec", spec_file(make_spec())]) == 0

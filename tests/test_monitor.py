@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -28,7 +29,7 @@ from platoon_stab import (
     write_trace,
     write_trace_file,
 )
-from platoon_stab.monitor import _validate_lines, _vector_masks
+from platoon_stab.monitor import _BLOCK, _validate_lines, _vector_masks
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec, random_params
 
 
@@ -309,6 +310,15 @@ class TestGenerator:
         m = np.array([e.spec.params.m for e in trace])
         assert 850.0 <= m.min() and m.max() <= 1150.0
         assert m.std() > 0.0
+
+    @pytest.mark.parametrize("name", ["m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd"])
+    def test_refuses_a_template_that_jitters_past_the_float_range(self, name):
+        with pytest.raises(ValueError, match=f"template {name} = 1.6e\\+308 overflows"):
+            generate_trace(1, 10, make_spec(**{name: 1.6e308}))
+
+    def test_accepts_a_template_just_inside_the_float_range(self):
+        trace = generate_trace(1, 10, make_spec(cd=1.5e308))  # 1.15 * cd < 1.8e308
+        assert np.isfinite(trace.cd).all() and run_monitor(trace).passed
 
     def test_all_templates_produce_clean_traces(self):
         # The last two templates' gains square beyond the float range.
@@ -619,3 +629,84 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
         tracemalloc.stop()
     column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
     assert peak < 4 * column_bytes, (peak, column_bytes)
+
+
+def one_pass(trace):
+    """Verdict fields of one pass of the scan over the whole trace."""
+    p1, p2 = _vector_masks(trace)
+    bad = ~(p1 & p2)
+    first = None
+    if bad.any():
+        index = int(np.argmax(bad))
+        first = (index, "P1" if not p1[index] else "P2")
+    return int(np.count_nonzero(~p1)), int(np.count_nonzero(~p2)), first
+
+
+def scanned(trace):
+    verdict = run_monitor(trace)
+    fv = verdict.first_violation
+    return verdict.p1_failures, verdict.p2_failures, fv and (fv.index, fv.predicate)
+
+
+class TestBlocks:
+    """The scan and the generator work a block of events at a time."""
+
+    LENGTH = 2 * _BLOCK + 5
+    EDGES = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 4)
+
+    @pytest.mark.parametrize("kind", ["P1", "P2"])
+    @pytest.mark.parametrize("where", [*((i,) for i in EDGES), EDGES[1:], EDGES[2:]])
+    def test_scan_equals_one_pass_at_block_edges(self, kind, where):
+        plan = [(i, kind) for i in where]
+        trace = generate_trace(sum(where), self.LENGTH, make_spec(), plan)
+        expected = one_pass(trace)
+        assert expected[2] == (where[0], kind)
+        assert scanned(trace) == expected
+
+    @pytest.mark.parametrize("at", EDGES[1:4])
+    def test_p1_and_p2_on_one_event_at_a_block_edge(self, at):
+        for combo in SUPPORTED_COMBOS:
+            trace = generate_trace(at, self.LENGTH, make_spec(*combo), [(at, "P2"), (at, "P1")])
+            expected = one_pass(trace)
+            assert expected[2] == (at, "P1")
+            assert scanned(trace) == expected
+
+    def test_scan_peak_memory_does_not_grow_with_the_trace(self):
+        trace = generate_trace(8, 1_000_000, make_spec(), [(999_999, "P2")])
+        peaks = []
+        for size in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                run_monitor(trace._rows(0, size))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 ** 20, peaks
+
+    def test_generator_peak_memory_is_close_to_its_columns(self):
+        tracemalloc.start()
+        try:
+            trace = generate_trace(9, 1_000_000, make_spec(AUT, BI, VS), [(500_000, "P2")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
+        assert peak <= 1.25 * column_bytes, (peak, column_bytes)
+
+    # sha256 of the written trace, computed with the whole-trace generator,
+    # at lengths around the edge of a 32768-event block.
+    @pytest.mark.parametrize("combo,seed,length,plan,digest", [
+        ((AUT, UNI, CS), 1, 32770, [(32767, "P2"), (32768, "P1"), (32769, "P2")],
+         "9903e0a9b7b113f44e72b10be9dca3dab29b1e3c81fa889b3ccacc3f2fe33d50"),
+        ((AUT, BI, VS), 2, 32769, [(32768, "P1"), (32768, "P2")],
+         "680f10c7f393ba4b74f4ca3d3ea380913075e24b87025b7a37cd31a8c3fdd44e"),
+        ((NON, UNI, CS), 3, 32768, [(0, "P2"), (32767, "P1"), (32767, "P2")],
+         "7fd8448b7e64dd4776b274b619fc490702185542d7dd49e5b1df369ac6f2389b"),
+        ((AUT, UNI, VTH), 4, 32770, [(32769, "P2"), (32769, "P1"), (32767, "P2")],
+         "1804404327ca645a63054763189c046bab30bf00602955d53a49b133c1ea9a18"),
+        ((AUT, BI, CS), 5, 32769, [(32767, "P2"), (32768, "P2")],
+         "9dc0cd786ddb048e201d5f3ad54ab91e1af0069c423bc8f8bbf639ea1b053f8f"),
+    ])
+    def test_generated_bytes_are_pinned(self, combo, seed, length, plan, digest):
+        text = written(generate_trace(seed, length, make_spec(*combo), plan))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
