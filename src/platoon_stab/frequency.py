@@ -53,9 +53,6 @@ class TransferFunction:
     a0: float
     a1: float
 
-    def value_at(self, s: complex) -> complex:
-        return (self.b1 * s + self.b0) / (s * s + self.a1 * s + self.a0)
-
     def __str__(self):
         return (
             f"H(s) = ({self.b1:g}*s + {self.b0:g}) / "

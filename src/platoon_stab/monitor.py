@@ -33,17 +33,24 @@ Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
      "n":10,"m":1000.0,"k":2000.0,"c":400.0,"h":1.0,"ch":1.0,"vd":25.0,
      "h0":1.0,"ca":50.0,"cd":50.0,"w":3.0}
 
-Malformed lines abort parsing with the offending line number; the monitor
-refuses such traces rather than skipping lines.
+The table ``_SCHEMA`` is the one definition of this line format; the
+trace's columns, reader, validator and writer are derived from it.  ``i``
+is the index, the line's 0-based position; ``ct`` (autonomous|
+non_autonomous), ``cf`` (unidirectional|bidirectional) and ``st``
+(constant_spacing|variable_spacing|var_time_headway) are enums; ``n`` is
+an integer in [0, 2^63-1]; ``m``, ``k``, ``c``, ``h``, ``ch``, ``vd``,
+``h0``, ``ca``, ``cd`` and ``w`` are finite floats.  Malformed lines abort
+parsing with the offending line number (``line N: invalid UTF-8`` for a
+line that is not UTF-8); the monitor refuses such traces rather than
+skipping lines.
 
 Files are read and written a chunk of events at a time.  The writer
-formats each column of a chunk in one call and joins the lines; its bytes
-are those of one ``json.dumps`` per event.  The reader decodes a chunk's
-lines and checks the chunk column by column (keys, types, indices, enum
-names, ranges, finiteness).  A chunk that fails any of these checks is
-parsed again line by line by :func:`_validate_lines`, the one source of
-error messages, so the first bad line is named exactly as a line-by-line
-reader would name it.  Only the parsed columns of earlier chunks are kept.
+formats each column of a chunk in one call; its bytes are those of one
+``json.dumps`` per event.  The reader checks a chunk's decoded lines
+column by column.  A chunk that fails a check is parsed again line by line
+by :func:`_validate_lines`, the one source of error messages, so the first
+bad line is named exactly as a line-by-line reader would name it.  Only
+the parsed columns of earlier chunks are kept.
 """
 
 from __future__ import annotations
@@ -51,8 +58,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
-from itertools import chain, islice, product
+from dataclasses import asdict, dataclass
+from enum import EnumMeta
+from itertools import islice, product
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -77,19 +85,34 @@ from .model import (
 )
 from .frequency import _q_roots, _time_scaled, stability_constraint
 
-_CT_VALUES = tuple(ControllerType)
-_CF_VALUES = tuple(Configuration)
-_ST_VALUES = tuple(Strategy)
-_CT_CODE = {e.value: i for i, e in enumerate(_CT_VALUES)}
-_CF_CODE = {e.value: i for i, e in enumerate(_CF_VALUES)}
-_ST_CODE = {e.value: i for i, e in enumerate(_ST_VALUES)}
-
-_EVENT_KEYS = ("i", "ct", "cf", "st", "n", *_PARAM_KEYS, "w")
+# The trace schema: an event line's keys in order, each with its kind.  The
+# index "i" has no column; an enum's column holds int8 codes, positions in the
+# enum.  The enums are the ControllerSpec fields in order; n and the keys after
+# it but the last, the frequency, are the PlatoonParams fields in order.
+_SCHEMA = {"i": None, "ct": ControllerType, "cf": Configuration, "st": Strategy,
+           "n": np.int64, **dict.fromkeys((*_PARAM_KEYS, "w"), np.float64)}
+_COLUMNS = tuple(_SCHEMA)[1:]
+_ENUMS = {key: tuple(kind) for key, kind in _SCHEMA.items() if isinstance(kind, EnumMeta)}
+_CODES = {key: {e.value: code for code, e in enumerate(members)} for key, members in _ENUMS.items()}
+_DTYPES = tuple(np.int8 if key in _ENUMS else _SCHEMA[key] for key in _COLUMNS)
 
 # Position in model._MODELS of the model of each controller combination,
-# indexed by its code ``(ct * 2 + cf) * 3 + st``; -1 where none exists.
+# indexed by the combination's position in the product of the enums; -1
+# where none exists.
 _MODEL_OF = np.array([list(_MODELS).index(key) if (key := _model_key(*combo)) in _MODELS else -1
-                      for combo in product(_CT_VALUES, _CF_VALUES, _ST_VALUES)], dtype=np.int8)
+                      for combo in product(*_ENUMS.values())], dtype=np.int8)
+
+
+def _codes(spec: ControllerSpec) -> list[int]:
+    """The codes of a spec's enum columns."""
+    return [_CODES[key][e.value] for key, e in
+            zip(_ENUMS, (spec.controller_type, spec.configuration, spec.strategy))]
+
+
+def _typed(rows) -> list[np.ndarray]:
+    """Columns of the schema's dtypes from rows of column values."""
+    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+    return [np.array(values, dtype) for values, dtype in zip(columns, _DTYPES)]
 
 
 class TraceParseError(ValueError):
@@ -132,21 +155,9 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        fv = None
-        if self.first_violation is not None:
-            fv = {
-                "index": self.first_violation.index,
-                "predicate": self.first_violation.predicate,
-                "reason": self.first_violation.reason,
-            }
-        return {
-            "outcome": self.outcome,
-            "first_violation": fv,
-            "events": self.events,
-            "p1_failures": self.p1_failures,
-            "p2_failures": self.p2_failures,
-            "seconds": self.seconds,
-        }
+        fields = asdict(self)
+        del fields["passed"]
+        return {"outcome": self.outcome, **fields}
 
 
 class Trace:
@@ -157,25 +168,13 @@ class Trace:
     0..len-1.
     """
 
-    __slots__ = ("source", "ct", "cf", "st", "n", "m", "k", "c", "h",
-                 "ch", "vd", "h0", "ca", "cd", "w")
+    __slots__ = ("source", *_COLUMNS)
 
-    def __init__(self, source, ct, cf, st, n, m, k, c, h, ch, vd, h0, ca, cd, w):
-        self.source = source
-        self.ct = ct
-        self.cf = cf
-        self.st = st
-        self.n = n
-        self.m = m
-        self.k = k
-        self.c = c
-        self.h = h
-        self.ch = ch
-        self.vd = vd
-        self.h0 = h0
-        self.ca = ca
-        self.cd = cd
-        self.w = w
+    def __init__(self, source, *columns):
+        if len(columns) != len(_COLUMNS):
+            raise TypeError(f"Trace takes a source and {len(_COLUMNS)} columns, got {len(columns)}")
+        for name, value in zip(self.__slots__, (source, *columns)):
+            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self.w)
@@ -183,17 +182,13 @@ class Trace:
     def __getitem__(self, i: int) -> Event:
         if not isinstance(i, int):
             raise TypeError("trace indices must be integers")
-        size = len(self.w)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
+        if not -len(self) <= i < len(self):
             raise IndexError("trace index out of range")
-        params = PlatoonParams(n=int(self.n[i]),
-                               **{name: float(getattr(self, name)[i]) for name in _PARAM_KEYS})
-        spec = ControllerSpec(
-            _CT_VALUES[self.ct[i]], _CF_VALUES[self.cf[i]], _ST_VALUES[self.st[i]], params
-        )
-        return Event(index=i, spec=spec, omega=float(self.w[i]))
+        i %= len(self)
+        row = [getattr(self, key)[i].item() for key in _COLUMNS]
+        members = [values[code] for values, code in zip(_ENUMS.values(), row)]
+        *params, omega = row[len(members):]
+        return Event(index=i, spec=ControllerSpec(*members, PlatoonParams(*params)), omega=omega)
 
     def __iter__(self):
         for i in range(len(self)):
@@ -202,29 +197,18 @@ class Trace:
     def _rows(self, a: int, b: int) -> "Trace":
         """Events ``a`` to ``b - 1`` as a trace of column views, no copies;
         event ``a`` is at position 0 of the view."""
-        return Trace(self.source, *(getattr(self, name)[a:b] for name in self.__slots__[1:]))
+        return Trace(self.source, *(getattr(self, key)[a:b] for key in _COLUMNS))
 
     @classmethod
     def from_events(cls, events, source: str = "memory") -> "Trace":
         """Build a trace from Event objects; indices must be 0..len-1."""
-        events = list(events)
-        size = len(events)
-        cols = {name: np.empty(size) for name in (*_PARAM_KEYS, "w")}
-        ct = np.empty(size, dtype=np.int8)
-        cf = np.empty(size, dtype=np.int8)
-        st = np.empty(size, dtype=np.int8)
-        n = np.empty(size, dtype=np.int64)
+        rows = []
         for pos, e in enumerate(events):
             if e.index != pos:
                 raise ValueError(f"event index {e.index} at position {pos}; indices must be contiguous")
-            ct[pos] = _CT_CODE[e.spec.controller_type.value]
-            cf[pos] = _CF_CODE[e.spec.configuration.value]
-            st[pos] = _ST_CODE[e.spec.strategy.value]
-            n[pos] = e.spec.params.n
-            for name in _PARAM_KEYS:
-                cols[name][pos] = getattr(e.spec.params, name)
-            cols["w"][pos] = e.omega
-        return cls(source, ct, cf, st, n, *cols.values())
+            params = [getattr(e.spec.params, key) for key in _PARAM_KEYS]
+            rows.append((*_codes(e.spec), e.spec.params.n, *params, e.omega))
+        return cls(source, *_typed(rows))
 
 
 def check_p1(event: Event) -> bool:
@@ -266,7 +250,10 @@ def _p2(model: ErrorModel, w):
 def _vector_coefficients(trace: Trace) -> np.ndarray:
     """Rows ``a0, a1, b0, b1`` per event from the model table: nan where the
     combination has no model, inf or nan where a formula is undefined."""
-    which = _MODEL_OF[(trace.ct * len(_CF_VALUES) + trace.cf) * len(_ST_VALUES) + trace.st]
+    combination = 0  # its position in the product of the enums
+    for key, members in _ENUMS.items():
+        combination = combination * len(members) + getattr(trace, key)
+    which = _MODEL_OF[combination]
     coefficients = np.full((4, len(trace)), np.nan)
     with np.errstate(all="ignore"):
         for index, formulas in enumerate(_MODELS.values()):
@@ -318,17 +305,12 @@ def run_monitor(trace: Trace) -> Verdict:
         idx, p1_holds = earliest
         event = trace[idx]
         if not p1_holds:
-            reason = f"{failed_conjunct(event.spec.params)} violated"
-            first = Violation(idx, "P1", reason)
+            first = Violation(idx, "P1", f"{failed_conjunct(event.spec.params)} violated")
+        elif not event.omega > 0.0:
+            first = Violation(idx, "P2", "0 < omega violated")
         else:
-            if not event.omega > 0.0:
-                reason = "0 < omega violated"
-            else:
-                reason = (
-                    f"omega = {event.omega!r} lies in a non-attenuating band "
-                    "(Q(omega^2) <= 0)"
-                )
-            first = Violation(idx, "P2", reason)
+            first = Violation(idx, "P2", f"omega = {event.omega!r} lies in a non-attenuating band "
+                                         "(Q(omega^2) <= 0)")
     return Verdict(
         passed=first is None,
         first_violation=first,
@@ -374,15 +356,9 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         factors = rng.uniform(*_JITTER, size=(min(_BLOCK, length - a), len(_PARAM_KEYS)))
         for col, factor, name in zip(cols, factors.T, _PARAM_KEYS):
             np.multiply(factor, getattr(p, name), out=col[a:a + _BLOCK])
-    trace = Trace(
-        f"seed:{seed}",
-        np.full(length, _CT_CODE[template.controller_type.value], dtype=np.int8),
-        np.full(length, _CF_CODE[template.configuration.value], dtype=np.int8),
-        np.full(length, _ST_CODE[template.strategy.value], dtype=np.int8),
-        rng.integers(max(2, p.n - 2), p.n + 3, size=length),
-        *cols,
-        np.empty(length),
-    )
+    codes = (np.full(length, code, dtype=np.int8) for code in _codes(template))
+    trace = Trace(f"seed:{seed}", *codes, rng.integers(max(2, p.n - 2), p.n + 3, size=length),
+                  *cols, np.empty(length))
     # Stable draw: above the largest root of Q when one exists, otherwise
     # any frequency near the natural one works.  The draws above the root
     # come first, for every event, then those near the natural frequency.
@@ -426,14 +402,13 @@ def _reject_constant(name):
 # Trace files are read and written this many events at a time.
 _CHUNK = 4096
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_FLOAT_KEYS = (*_PARAM_KEYS, "w")
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
-_event_fields = itemgetter(*_EVENT_KEYS)
 
 
 def parse_trace(path) -> Trace:
     """Read a line-delimited JSON trace file (UTF-8, one event per line)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 become lone surrogates, which _validate_lines refuses.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_trace_lines(fh, source=str(path))
 
 
@@ -446,7 +421,7 @@ def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
     columns for good lines and names the first bad one.
     """
     lines = iter(lines)
-    chunks = [_validate_lines([], 0)]  # typed empty columns
+    chunks = [_typed([])]
     offset = 0
     while block := list(islice(lines, _CHUNK)):
         try:
@@ -466,26 +441,24 @@ def _parse_chunk(block, offset):
     """
     size = len(block)
     events = list(map(_decode, block))
-    if set(map(type, events)) != {dict} or set(map(len, events)) != {len(_EVENT_KEYS)}:
+    if set(map(type, events)) != {dict} or set(map(len, events)) != {len(_SCHEMA)}:
         return None
-    i, ct, cf, st, n, *numbers = zip(*map(_event_fields, events))
+    i, *values = zip(*map(itemgetter(*_SCHEMA), events))
     del events
     if set(map(type, i)) != {int} or i != tuple(range(offset, offset + size)):
         return None
-    if set(map(type, n)) != {int} or min(n) < 0 or max(n) > _INT64_MAX:
-        return None
-    if not set(map(type, chain.from_iterable(numbers))) <= {float, int}:
-        return None
-    floats = np.array(numbers, dtype=np.float64)  # raises on ints beyond float range
-    if not np.isfinite(floats).all():
-        return None
-    return (
-        np.fromiter(map(_CT_CODE.__getitem__, ct), np.int8, size),
-        np.fromiter(map(_CF_CODE.__getitem__, cf), np.int8, size),
-        np.fromiter(map(_ST_CODE.__getitem__, st), np.int8, size),
-        np.array(n, dtype=np.int64),
-        *floats,
-    )
+    columns = []
+    for key, column in zip(_COLUMNS, values):
+        if key in _CODES:
+            columns.append(np.fromiter(map(_CODES[key].__getitem__, column), np.int8, size))
+            continue
+        integer = _SCHEMA[key] is np.int64
+        if not set(map(type, column)) <= ({int} if integer else {float, int}):
+            return None
+        columns.append(np.array(column, dtype=_SCHEMA[key]))  # raises on ints beyond its range
+        if not (columns[-1] >= 0 if integer else np.isfinite(columns[-1])).all():
+            return None
+    return columns
 
 
 def _validate_lines(block, offset):
@@ -494,11 +467,13 @@ def _validate_lines(block, offset):
     The reference for what a trace line may hold: raises
     :class:`TraceParseError` naming the first bad line.
     """
-    ct, cf, st = [], [], []
-    n = []
-    cols = {name: [] for name in _FLOAT_KEYS}
+    rows = []
     for count, line in enumerate(block, offset):
         lineno = count + 1
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # undecodable bytes, read as lone surrogates
+            raise TraceParseError(lineno, "invalid UTF-8") from None
         line = line.rstrip("\n")
         if not line.strip():
             raise TraceParseError(lineno, "empty line")
@@ -508,59 +483,53 @@ def _validate_lines(block, offset):
             raise TraceParseError(lineno, f"invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise TraceParseError(lineno, "event must be a JSON object")
-        if len(obj) != len(_EVENT_KEYS) or any(key not in obj for key in _EVENT_KEYS):
-            unknown = [key for key in obj if key not in _EVENT_KEYS]
-            if unknown:
-                raise TraceParseError(lineno, f"unknown key {unknown[0]!r}")
-            missing = [key for key in _EVENT_KEYS if key not in obj]
-            raise TraceParseError(lineno, f"missing key {missing[0]!r}")
+        if obj.keys() != _SCHEMA.keys():
+            unknown = [key for key in obj if key not in _SCHEMA]
+            missing = [key for key in _SCHEMA if key not in obj]
+            raise TraceParseError(lineno, f"unknown key {unknown[0]!r}" if unknown
+                                  else f"missing key {missing[0]!r}")
         idx = obj["i"]
         if type(idx) is not int:
             raise TraceParseError(lineno, "'i' must be an integer")
         if idx != count:
             raise TraceParseError(lineno, f"event index {idx} does not match position {count}")
-        for code_map, key, dest in ((_CT_CODE, "ct", ct), (_CF_CODE, "cf", cf), (_ST_CODE, "st", st)):
+        row = []
+        for key in _COLUMNS:
             value = obj[key]
-            if not isinstance(value, str) or value not in code_map:
-                allowed = "|".join(code_map)
-                raise TraceParseError(lineno, f"'{key}' must be one of {allowed}")
-            dest.append(code_map[value])
-        nv = obj["n"]
-        if type(nv) is not int:
-            raise TraceParseError(lineno, "'n' must be an integer")
-        if nv < 0:
-            raise TraceParseError(lineno, "'n' must be >= 0")
-        if nv > _INT64_MAX:
-            raise TraceParseError(lineno, f"'n' must be <= {_INT64_MAX}")
-        n.append(nv)
-        for key in _FLOAT_KEYS:
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TraceParseError(lineno, f"'{key}' must be a number")
-            try:
-                value = float(value)
-            except OverflowError:  # an integer literal beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                raise TraceParseError(lineno, f"'{key}' must be finite")
-            cols[key].append(value)
-    return (
-        np.asarray(ct, dtype=np.int8),
-        np.asarray(cf, dtype=np.int8),
-        np.asarray(st, dtype=np.int8),
-        np.asarray(n, dtype=np.int64),
-        *(np.asarray(cols[name]) for name in _FLOAT_KEYS),
-    )
+            if key in _CODES:
+                if not isinstance(value, str) or value not in _CODES[key]:
+                    raise TraceParseError(lineno, f"'{key}' must be one of {'|'.join(_CODES[key])}")
+                value = _CODES[key][value]
+            elif _SCHEMA[key] is np.int64:
+                if type(value) is not int:
+                    raise TraceParseError(lineno, f"'{key}' must be an integer")
+                if value < 0:
+                    raise TraceParseError(lineno, f"'{key}' must be >= 0")
+                if value > _INT64_MAX:
+                    raise TraceParseError(lineno, f"'{key}' must be <= {_INT64_MAX}")
+            else:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TraceParseError(lineno, f"'{key}' must be a number")
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer literal beyond the float range
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise TraceParseError(lineno, f"'{key}' must be finite")
+            row.append(value)
+        rows.append(row)
+    return _typed(rows)
 
 
-_CT_JSON = tuple(json.dumps(e.value) for e in _CT_VALUES)
-_CF_JSON = tuple(json.dumps(e.value) for e in _CF_VALUES)
-_ST_JSON = tuple(json.dumps(e.value) for e in _ST_VALUES)
-_LINE = ("{{" + ",".join(f'"{key}":{{}}' for key in _EVENT_KEYS) + "}}\n").format
+_ENUM_JSON = {key: tuple(map(json.dumps, codes)) for key, codes in _CODES.items()}
+_LINE = ("{{" + ",".join(f'"{key}":{{}}' for key in _SCHEMA) + "}}\n").format
 
 
-def _json_numbers(column) -> list[str]:
-    """``json.dumps`` text of each value, ``NaN`` and ``Infinity`` included."""
+def _json_values(key, column) -> list[str]:
+    """``json.dumps`` text of each value of a column: an enum's by its
+    value, a number's with ``NaN`` and ``Infinity`` included."""
+    if key in _ENUM_JSON:
+        return list(map(_ENUM_JSON[key].__getitem__, column.tolist()))
     return json.dumps(column.tolist(), separators=(",", ":"))[1:-1].split(",")
 
 
@@ -568,17 +537,8 @@ def write_trace(trace: Trace, fh) -> None:
     """Write the line-delimited JSON form; identical traces give identical
     bytes."""
     for start in range(0, len(trace), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        n = trace.n[part].tolist()
-        fh.write("".join(map(
-            _LINE,
-            range(start, start + len(n)),
-            map(_CT_JSON.__getitem__, trace.ct[part].tolist()),
-            map(_CF_JSON.__getitem__, trace.cf[part].tolist()),
-            map(_ST_JSON.__getitem__, trace.st[part].tolist()),
-            n,
-            *(_json_numbers(getattr(trace, key)[part]) for key in _FLOAT_KEYS),
-        )))
+        texts = (_json_values(key, getattr(trace, key)[start:start + _CHUNK]) for key in _COLUMNS)
+        fh.write("".join(map(_LINE, range(start, len(trace)), *texts)))
 
 
 def write_trace_file(trace: Trace, path) -> None:

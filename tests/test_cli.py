@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import platoon_stab
 from platoon_stab import controller_spec_to_dict
 from platoon_stab.cli import main
 from conftest import AUT, BI, NON, UNI, VS, VTH, make_spec
@@ -262,6 +266,17 @@ class TestMonitorAndGenTrace:
         err = capsys.readouterr().err
         assert f"line 4: {message}" in err
 
+    @pytest.mark.parametrize("lineno", [3, 4501])  # in the first and in the second chunk
+    def test_invalid_utf8_exits_2_naming_the_line(self, spec_file, tmp_path, capsys, lineno):
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "1", "--len", "5000",
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        lines = trace.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(b'"autonomous"', b'"autonom\xffus"')
+        trace.write_bytes(b"".join(lines))
+        assert main(["monitor", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == f"error: line {lineno}: invalid UTF-8\n"
+
     def test_missing_trace_exits_1(self, tmp_path):
         assert main(["monitor", "--trace", str(tmp_path / "absent.jsonl")]) == 1
 
@@ -297,3 +312,33 @@ class TestMonitorAndGenTrace:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
         strict_json(out.splitlines()[0])
+
+
+# Runs every command on tiny inputs, then lists the scipy modules loaded.
+_EVERY_COMMAND = """
+import json, sys
+from platoon_stab.cli import main
+spec, out = sys.argv[1:]
+codes = [
+    main(["analyze", "--spec", spec]),
+    main(["sweep", "--spec", spec, "--omega-min", "0.1", "--omega-max", "10",
+          "--points", "20", "--out", out + "/sweep.csv"]),
+    main(["simulate", "--spec", spec, "--n", "3", "--omega", "3", "--duration", "20",
+          "--out", out + "/chain.csv", "--report", out + "/report.json"]),
+    main(["gen-trace", "--seed", "1", "--len", "20", "--spec", spec, "--out", out + "/trace.jsonl"]),
+    main(["monitor", "--trace", out + "/trace.jsonl"]),
+]
+scipy = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+with open(out + "/result.json", "w") as fh:
+    json.dump({"codes": codes, "scipy": scipy}, fh)
+"""
+
+
+def test_commands_run_on_numpy_alone(spec_file, tmp_path):
+    """numpy is the only runtime dependency: no command loads scipy, even
+    where it is installed."""
+    src = str(Path(platoon_stab.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", _EVERY_COMMAND, spec_file(make_spec()), str(tmp_path)],
+                   check=True, capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

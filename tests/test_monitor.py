@@ -533,6 +533,25 @@ class TestChunkedTraceIO:
         assert columns(parsed) == validated_or_error(line)
 
 
+class TestTraceLayout:
+    """The column order and dtypes that callers read positionally."""
+
+    def test_slots_are_pinned(self):
+        assert Trace.__slots__ == ("source", "ct", "cf", "st", "n", "m", "k", "c", "h",
+                                   "ch", "vd", "h0", "ca", "cd", "w")
+
+    @pytest.mark.parametrize("count", [13, 15])
+    def test_wrong_column_count_is_a_type_error(self, count):
+        with pytest.raises(TypeError):
+            Trace("memory", *(np.empty(0) for _ in range(count)))
+
+    def test_empty_traces_have_the_column_dtypes(self):
+        dtypes = [np.dtype(np.int8)] * 3 + [np.dtype(np.int64)] + [np.dtype(np.float64)] * 10
+        trace = generate_trace(1, 3, make_spec())
+        for empty in (Trace.from_events([]), parse_trace_lines([]), trace._rows(0, 0)):
+            assert [getattr(empty, name).dtype for name in _COLUMNS] == dtypes
+
+
 def _set(key, text):
     """Replace the value of one top-level field in an event line."""
     return lambda line: re.sub(rf'"{key}":[^,}}]+', f'"{key}":{text}', line, count=1)
@@ -565,6 +584,8 @@ _MUTATIONS = {
     # Lines JSON accepts with surrounding whitespace.
     "padded": lambda line: "  " + line + " \t",
     "crlf": lambda line: line + "\r",
+    # An undecodable byte, as parse_trace reads it: a lone surrogate.
+    "lone-surrogate": _set("ct", '"\udcff"'),
 }
 
 
