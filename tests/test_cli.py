@@ -339,6 +339,7 @@ def test_commands_run_on_numpy_alone(spec_file, tmp_path):
     where it is installed."""
     src = str(Path(platoon_stab.__file__).parents[1])
     subprocess.run([sys.executable, "-c", _EVERY_COMMAND, spec_file(make_spec()), str(tmp_path)],
-                   check=True, capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+                   check=True, capture_output=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
     result = json.loads((tmp_path / "result.json").read_text())
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
