@@ -12,9 +12,9 @@ at that instant.  The stability contract is "globally P1 and P2":
 :func:`run_monitor` checks every event, reports the earliest violation
 (P1 before P2 when both fail on one event) and counts all failures of
 each predicate across the whole trace.  It scans a block of events at a
-time (``_BLOCK``), and so does :func:`generate_trace` when it draws and
-derives its columns: their temporaries have a fixed size, whatever the
-length of the trace.
+time (``_BLOCK``), and :func:`generate_trace` draws and derives its
+columns a smaller block at a time (``_DRAW_BLOCK``): their temporaries
+have a fixed size, whatever the length of the trace.
 
 Traces are stored column-wise (one numpy array per field) so the scan is
 a handful of vectorised passes; :class:`Event` objects are materialised
@@ -46,11 +46,14 @@ skipping lines.
 
 Files are read and written a chunk of events at a time.  The writer
 formats each column of a chunk in one call; its bytes are those of one
-``json.dumps`` per event.  The reader checks a chunk's decoded lines
-column by column.  A chunk that fails a check is parsed again line by line
-by :func:`_validate_lines`, the one source of error messages, so the first
-bad line is named exactly as a line-by-line reader would name it.  Only
-the parsed columns of earlier chunks are kept.
+``json.dumps`` per event.  The reader decodes a chunk's lines in one call
+and checks them column by column.  A chunk that fails a check is parsed
+again line by line by :func:`_validate_lines`, the one source of error
+messages, so the first bad line is named exactly as a line-by-line reader
+would name it.  :func:`parse_trace` counts a file's lines first and parses
+each chunk straight into columns of that length, so beyond the columns it
+holds one chunk; a stream that cannot be read twice, such as a pipe, is
+parsed chunk by chunk and the chunks are joined at the end.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from enum import EnumMeta
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -276,8 +279,10 @@ def _vector_masks(trace: Trace):
 
 
 # The scan and the generator work on this many events at a time, so their
-# temporaries take a fixed amount of memory whatever the trace length.
+# temporaries take a fixed amount of memory whatever the trace length.  The
+# scan's block is larger: at 8192 events it is a quarter slower.
 _BLOCK = 32768
+_DRAW_BLOCK = 8192
 # Range of the generator's multiplicative parameter jitter.
 _JITTER = (0.85, 1.15)
 
@@ -350,12 +355,12 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
                              f"by up to {_JITTER[1]}x")
 
     rng = np.random.default_rng(seed)
-    blocks = range(0, length, _BLOCK)
+    blocks = range(0, length, _DRAW_BLOCK)
     cols = [np.empty(length) for _ in _PARAM_KEYS]
     for a in blocks:
-        factors = rng.uniform(*_JITTER, size=(min(_BLOCK, length - a), len(_PARAM_KEYS)))
+        factors = rng.uniform(*_JITTER, size=(min(_DRAW_BLOCK, length - a), len(_PARAM_KEYS)))
         for col, factor, name in zip(cols, factors.T, _PARAM_KEYS):
-            np.multiply(factor, getattr(p, name), out=col[a:a + _BLOCK])
+            np.multiply(factor, getattr(p, name), out=col[a:a + _DRAW_BLOCK])
     codes = (np.full(length, code, dtype=np.int8) for code in _codes(template))
     trace = Trace(f"seed:{seed}", *codes, rng.integers(max(2, p.n - 2), p.n + 3, size=length),
                   *cols, np.empty(length))
@@ -363,11 +368,11 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     # any frequency near the natural one works.  The draws above the root
     # come first, for every event, then those near the natural frequency.
     for a in blocks:
-        trace.w[a:a + _BLOCK] = rng.uniform(1.2, 4.0, size=min(_BLOCK, length - a))
+        trace.w[a:a + _DRAW_BLOCK] = rng.uniform(1.2, 4.0, size=min(_DRAW_BLOCK, length - a))
     targets = np.array([i for i, kind in plan if kind == "P2"], dtype=np.int64)
     bands = {}
     for a in blocks:
-        block = trace._rows(a, a + _BLOCK)
+        block = trace._rows(a, a + _DRAW_BLOCK)
         coefficients = _vector_coefficients(block)
         a0 = coefficients[0]
         # The roots of Q on the time scale 2**e that brings a0 near 1, where
@@ -378,7 +383,7 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         near = a0 * rng.uniform(0.25, 4.0, size=len(block))
         np.sqrt(np.where(hi > 0.0, np.ldexp(hi, 2 * e) * block.w, near), out=block.w)
         # Bands of the P2 targets, from their parameters before any injection.
-        at = targets[(a <= targets) & (targets < a + _BLOCK)] - a
+        at = targets[(a <= targets) & (targets < a + _DRAW_BLOCK)] - a
         bands.update(zip((a + at).tolist(), zip(e[at], lo[at], hi[at])))
     for i, kind in plan:
         if kind == "P1":
@@ -400,37 +405,61 @@ def _reject_constant(name):
 
 
 # Trace files are read and written this many events at a time.
-_CHUNK = 4096
+_CHUNK = 1024
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 def parse_trace(path) -> Trace:
-    """Read a line-delimited JSON trace file (UTF-8, one event per line)."""
+    """Read a line-delimited JSON trace file (UTF-8, one event per line).
+
+    The file is read twice: once to count its lines, then to parse each
+    chunk into columns of that length.  A file that cannot be read twice
+    (a pipe) goes through :func:`parse_trace_lines`.
+    """
     # Bytes that are not UTF-8 become lone surrogates, which _validate_lines refuses.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_trace_lines(fh, source=str(path))
+        if not fh.seekable():
+            return parse_trace_lines(fh, source=str(path))
+        size = sum(1 for _ in fh)  # lines as the parse below splits them
+        fh.seek(0)
+        columns = [np.empty(size, dtype) for dtype in _DTYPES]
+        end = 0
+        for start, chunk in _chunks(fh):
+            end = start + len(chunk[0])
+            if end > size:
+                break
+            for column, part in zip(columns, chunk):
+                column[start:end] = part
+    if end != size:
+        raise ValueError(f"{path}: the file changed while it was read")
+    return Trace(str(path), *columns)
 
 
 def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
-    """Parse trace lines; any malformed line raises :class:`TraceParseError`.
+    """Parse trace lines; any malformed line raises :class:`TraceParseError`."""
+    chunks = [_typed([]), *(chunk for _, chunk in _chunks(lines))]
+    return Trace(source, *map(np.concatenate, zip(*chunks)))
 
-    Lines are taken :data:`_CHUNK` at a time.  A chunk that passes the
-    column-wise checks of :func:`_parse_chunk` is kept as arrays; any other
-    chunk goes through :func:`_validate_lines`, which yields the same
-    columns for good lines and names the first bad one.
+
+def _chunks(lines):
+    """The columns of each :data:`_CHUNK` lines, with the index of the
+    chunk's first event.
+
+    A chunk that passes the column-wise checks of :func:`_parse_chunk` is
+    taken as it is; any other chunk goes through :func:`_validate_lines`,
+    which yields the same columns for good lines and names the first bad
+    one.
     """
     lines = iter(lines)
-    chunks = [_typed([])]
     offset = 0
     while block := list(islice(lines, _CHUNK)):
         try:
             columns = _parse_chunk(block, offset)
         except Exception:  # the per-line pass raises what applies, in line order
             columns = None
-        chunks.append(columns or _validate_lines(block, offset))
+        yield offset, columns or _validate_lines(block, offset)
         offset += len(block)
-    return Trace(source, *map(np.concatenate, zip(*chunks)))
 
 
 def _parse_chunk(block, offset):
@@ -440,11 +469,18 @@ def _parse_chunk(block, offset):
     line, so a chunk accepted here yields the same columns there.
     """
     size = len(block)
-    events = list(map(_decode, block))
+    # One decode for the chunk, each line wrapped in brackets of its own.  A
+    # valid event holds no bracket, so rows of one event each are lines of
+    # one event each.  Joined by commas alone, an event split over two lines
+    # next to two events on one line would pass as well-formed.
+    rows = _decode(f"[[{'],['.join(block)}]]")
+    if len(rows) != size or set(map(len, rows)) != {1}:
+        return None
+    events = list(chain.from_iterable(rows))
     if set(map(type, events)) != {dict} or set(map(len, events)) != {len(_SCHEMA)}:
         return None
     i, *values = zip(*map(itemgetter(*_SCHEMA), events))
-    del events
+    del rows, events
     if set(map(type, i)) != {int} or i != tuple(range(offset, offset + size)):
         return None
     columns = []

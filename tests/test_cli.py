@@ -8,7 +8,9 @@ import pytest
 
 import platoon_stab
 from platoon_stab import controller_spec_to_dict
+from platoon_stab import cli
 from platoon_stab.cli import main
+from platoon_stab.monitor import _CHUNK
 from conftest import AUT, BI, NON, UNI, VS, VTH, make_spec
 
 # Valid specs whose alpha and beta overflow: with k = c = 1e308 the squares
@@ -277,6 +279,36 @@ class TestMonitorAndGenTrace:
         assert main(["monitor", "--trace", str(trace)]) == 2
         assert capsys.readouterr().err == f"error: line {lineno}: invalid UTF-8\n"
 
+    @pytest.mark.parametrize("lineno", [3, _CHUNK + 3])
+    def test_carriage_return_inside_a_line_exits_2_naming_it(self, spec_file, tmp_path, capsys,
+                                                               lineno):
+        # Read with universal newlines, the \r ends line N there.
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "1", "--len", str(2 * _CHUNK + 5),
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        lines = trace.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(b',"k":', b'\r,"k":')
+        trace.write_bytes(b"".join(lines))
+        assert main(["monitor", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: invalid JSON (")
+
+    def test_trace_on_a_pipe_gives_the_verdict_of_the_file(self, spec_file, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "4", "--len", str(2 * _CHUNK + 5), "--violate", "1500:P2",
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        assert main(["monitor", "--trace", str(trace)]) == 4
+        expected = strict_json(capsys.readouterr().out)
+        src = str(Path(platoon_stab.__file__).parents[1])
+        piped = subprocess.run(
+            [sys.executable, "-c", "from platoon_stab.cli import run; run()",
+             "monitor", "--trace", "/dev/stdin"],
+            input=trace.read_bytes(), capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert piped.returncode == 4, piped.stderr
+        verdict = strict_json(piped.stdout)
+        del verdict["seconds"], expected["seconds"]
+        assert verdict == expected
+
     def test_missing_trace_exits_1(self, tmp_path):
         assert main(["monitor", "--trace", str(tmp_path / "absent.jsonl")]) == 1
 
@@ -312,6 +344,35 @@ class TestMonitorAndGenTrace:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
         strict_json(out.splitlines()[0])
+
+
+def test_trace_commands_call_the_traced_functions(spec_file, tmp_path, monkeypatch):
+    """gen-trace and monitor go through the four functions that the
+    benchmark's traced run wraps, and between them these see every event."""
+    calls = {}
+
+    def counting(name, events):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            calls.setdefault(name, []).append((args, events(args, result)))
+            return result
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("generate_trace", lambda args, result: len(result))
+    counting("write_trace", lambda args, result: len(args[0]))
+    counting("parse_trace", lambda args, result: len(result))
+    counting("run_monitor", lambda args, result: len(args[0]))
+    length = 3 * _CHUNK + 5
+    path = str(tmp_path / "trace.jsonl")
+    assert main(["gen-trace", "--seed", "2", "--len", str(length),
+                 "--spec", spec_file(make_spec()), "--out", path]) == 0
+    assert main(["monitor", "--trace", path]) == 0
+    assert {name: sum(events for _, events in seen) for name, seen in calls.items()} == {
+        "generate_trace": length, "write_trace": length, "parse_trace": length,
+        "run_monitor": length}
+    assert [args for args, _ in calls["parse_trace"]] == [(path,)]
 
 
 # Runs every command on tiny inputs, then lists the scipy modules loaded.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from platoon_stab import monitor
 from platoon_stab import (
     Configuration,
     ControllerSpec,
@@ -29,7 +30,7 @@ from platoon_stab import (
     write_trace,
     write_trace_file,
 )
-from platoon_stab.monitor import _BLOCK, _validate_lines, _vector_masks
+from platoon_stab.monitor import _BLOCK, _CHUNK, _validate_lines, _vector_masks
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec, random_params
 
 
@@ -523,6 +524,21 @@ class TestChunkedTraceIO:
         assert result == columns(trace)
         assert result == validated_or_error(text)
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_cr_and_crlf_files_parse_as_the_lf_file(self, tmp_path, newline):
+        trace = generate_trace(5, 2 * _CHUNK + 7, make_spec(), [(_CHUNK, "P2")])
+        text = written(trace)
+        lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        parsed = parse_trace(other)
+        assert columns(parsed) == columns(parse_trace(lf)) == columns(trace)
+        verdicts = [run_monitor(t).to_dict() for t in (parsed, trace)]
+        for verdict in verdicts:
+            del verdict["seconds"]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["first_violation"]["index"] == _CHUNK
+
     def test_integer_literals_parse_as_their_float_values(self):
         line = ('{"i":0,"ct":"autonomous","cf":"unidirectional","st":"constant_spacing",'
                 '"n":2,"m":1000,"k":18446744073709551617,"c":-3,"h":1,"ch":1,"vd":1,'
@@ -586,6 +602,11 @@ _MUTATIONS = {
     "crlf": lambda line: line + "\r",
     # An undecodable byte, as parse_trace reads it: a lone surrogate.
     "lone-surrogate": _set("ct", '"\udcff"'),
+    # Lines that change the shape of a chunk decoded as one JSON text.
+    "two-events": lambda line: line + "," + line,
+    "open-bracket": lambda line: "[" + line,
+    "close-bracket": lambda line: line + "]",
+    "whitespace-only": lambda line: " \t ",
 }
 
 
@@ -632,6 +653,27 @@ class TestChunkBoundaries:
             text, expected = mutated(boundary_trace, name, lineno)
             assert validated_or_error(text) == expected
 
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_mutation_at_the_first_chunk_edge(self, boundary_trace, name):
+        for lineno in (_CHUNK, _CHUNK + 1):
+            text, expected = mutated(boundary_trace, name, lineno)
+            assert parsed_or_error(text) == expected
+            if isinstance(expected, str):
+                assert expected.startswith(f"line {lineno}: ")
+
+    @pytest.mark.parametrize("first", [1, _CHUNK - 1, _CHUNK + 1])
+    def test_event_split_over_two_lines_is_refused(self, boundary_trace, first):
+        # Line ``first`` and the next hold the two halves of one event, split
+        # between two keys, and the line after holds the next two events:
+        # as many events as lines, with contiguous indices.
+        lines = list(boundary_trace[0])
+        head, sep, tail = lines[first - 1].partition(',"m":')
+        lines[first - 1:first + 2] = [head, sep[1:] + tail, lines[first] + "," + lines[first + 1]]
+        text = "\n".join(lines) + "\n"
+        expected = validated_or_error(text)
+        assert expected.startswith(f"line {first}: invalid JSON")
+        assert parsed_or_error(text) == expected
+
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 4098))
     def test_mutation_anywhere(self, boundary_trace, name, lineno):
@@ -650,6 +692,48 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
         tracemalloc.stop()
     column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
     assert peak < 4 * column_bytes, (peak, column_bytes)
+
+
+def parse_overhead(path):
+    """parse_trace's tracemalloc peak beyond the bytes of the columns it returns."""
+    tracemalloc.start()
+    try:
+        trace = parse_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(trace, name).nbytes for name in _COLUMNS)
+
+
+def test_parse_memory_beyond_the_columns_is_small_and_flat(tmp_path):
+    trace = generate_trace(3, 200_000, make_spec())
+    overheads = []
+    for size in (50_000, 200_000):
+        path = tmp_path / f"{size}.jsonl"
+        write_trace_file(trace._rows(0, size), path)
+        overheads.append(parse_overhead(path))
+    assert overheads[0] <= 4 * 2 ** 20, overheads
+    assert overheads[1] <= overheads[0] + 2 ** 20, overheads
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, change):
+    lines = written(generate_trace(1, 2 * _CHUNK + 3, make_spec())).splitlines(True)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines[:2 * _CHUNK]))
+    chunks = monitor._chunks
+
+    def changing(fh):  # called after the lines are counted
+        if change == "grows":
+            with open(path, "a") as out:
+                out.writelines(lines[2 * _CHUNK:])
+        else:
+            path.write_text("".join(lines[:3]))
+        return chunks(fh)
+
+    monkeypatch.setattr(monitor, "_chunks", changing)
+    with pytest.raises(ValueError, match="changed while it was read"):
+        parse_trace(path)
 
 
 def one_pass(trace):
@@ -713,6 +797,16 @@ class TestBlocks:
             tracemalloc.stop()
         column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
         assert peak <= 1.25 * column_bytes, (peak, column_bytes)
+
+    def test_generator_memory_beyond_its_columns_is_small(self):
+        tracemalloc.start()
+        try:
+            trace = generate_trace(9, 100_000, make_spec(AUT, BI, VS), [(50_000, "P2")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
+        assert peak <= column_bytes + 3 * 2 ** 20, (peak, column_bytes)
 
     # sha256 of the written trace, computed with the whole-trace generator,
     # at lengths around the edge of a 32768-event block.
