@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     if not args.omega > 0.0:
         raise ValueError("--omega must be positive")
     if args.dt == "auto":
-        dt = default_dt(args.omega, model.a0)
+        dt = default_dt(args.omega, model.a0, model.a1)
     else:
         dt = float(args.dt)
     cfg = SimConfig(

@@ -109,12 +109,15 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
 
 def _response(model, w):
     """``H(i*w)`` and ``|H(i*w)|`` at float64 ``w``, an array or a numpy
-    scalar (not a Python float, whose complex division rounds otherwise)."""
+    scalar (not a Python float, whose complex division rounds otherwise), on
+    the time scale of :func:`_w_scaled`; the singularity floor applies to the
+    denominator's modulus scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
-        num_re, num_im = np.full_like(w, model.b0), model.b1 * w
-        den_re, den_im = model.a0 - w * w, model.a1 * w
+        scaled, v, e = _w_scaled(model, w)
+        num_re, num_im = scaled.b0, scaled.b1 * v
+        den_re, den_im = scaled.a0 - v * v, scaled.a1 * v
         den_mod = np.hypot(den_re, den_im)
-        singular = np.extract(den_mod < _SINGULARITY_FLOOR, w)
+        singular = np.extract(np.ldexp(den_mod, 2 * e) < _SINGULARITY_FLOOR, w)
         if singular.size:
             raise SingularityError(f"transfer function singular at omega = {float(singular[0])!r}")
         value = (num_re + 1j * num_im) / (den_re + 1j * den_im)
@@ -145,6 +148,14 @@ def _time_scaled(model: ErrorModel, e) -> ErrorModel:
     Exact while the scaled coefficients stay normal numbers."""
     return ErrorModel(np.ldexp(model.a0, -2 * e), np.ldexp(model.a1, -e),
                       np.ldexp(model.b0, -2 * e), np.ldexp(model.b1, -e))
+
+
+def _w_scaled(model: ErrorModel, w):
+    """The model, ``w`` and ``e`` with time in units of ``2**e``, where
+    ``e = max(frexp(w)[1], 0)`` brings a w of 1 or more into [0.5, 1) and
+    leaves a smaller w as it is.  ``|H|`` and the sign of Q are unchanged."""
+    e = np.maximum(np.frexp(w)[1], 0)
+    return _time_scaled(model, e), np.ldexp(w, -e), e
 
 
 def critical_frequencies(constraint: StabilityConstraint) -> list[float]:

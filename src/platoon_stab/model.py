@@ -55,19 +55,66 @@ class PlatoonParams:
     cd: float   # additional fluctuation w.r.t. "virtual" mass [N*s/m]
 
     def __post_init__(self):
+        # Any int n: a trace's in-memory columns may hold a negative n for P1 to report.
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ValueError("n must be an integer")
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_value(float, getattr(self, name), f"{name} "))
 
 
 _FLOAT_FIELDS = ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd")
+
+# The field kinds of a spec file, as _check_value takes them: the enums, and
+# the params object's fields in PlatoonParams order.  The trace schema
+# (monitor._SCHEMA) takes its kinds from these tables, so a spec file and a
+# trace line admit the same values.
+_SPEC_ENUMS = {"controller_type": ControllerType, "configuration": Configuration,
+               "strategy": Strategy}
+_PARAM_KINDS = {"n": int, **dict.fromkeys(_FLOAT_FIELDS, float)}
+_INT64_MAX = 2**63 - 1
+
+
+def _check_value(kind, value, prefix: str):
+    """A decoded JSON value as a field of ``kind``, the one rule for spec
+    files, :class:`PlatoonParams` and trace lines: an enum (the member with
+    that value), ``int`` (an integer in [0, 2^63-1]) or ``float`` (a finite
+    number; an integer literal beyond the float range is not finite).
+    Raises ValueError with the reason after the caller's ``prefix``."""
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"{prefix}must be one of {'|'.join(e.value for e in kind)}") from None
+    if kind is int:
+        if type(value) is not int:
+            raise ValueError(f"{prefix}must be an integer")
+        if value < 0:
+            raise ValueError(f"{prefix}must be >= 0")
+        if value > _INT64_MAX:
+            raise ValueError(f"{prefix}must be <= {_INT64_MAX}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{prefix}must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{prefix}must be finite")
+    return value
+
+
+def _check_object(obj, keys, name: str, prefix: str) -> None:
+    """Raise ValueError unless ``obj`` is a JSON object with exactly ``keys``,
+    naming after ``prefix`` its first unknown key, else the first missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = [key for key in obj if key not in keys]
+    missing = [key for key in keys if key not in obj]
+    if unknown or missing:
+        raise ValueError(prefix + (f"unknown key {unknown[0]!r}" if unknown
+                                   else f"missing key {missing[0]!r}"))
+
 
 # Validity conjuncts ``bound < field``, checked in this order; the first
 # failure is reported.
@@ -195,60 +242,15 @@ def model_label(spec: ControllerSpec) -> str:
 
 def controller_spec_to_dict(spec: ControllerSpec) -> dict:
     """JSON-ready dict in the documented spec-file schema."""
-    p = spec.params
-    return {
-        "controller_type": spec.controller_type.value,
-        "configuration": spec.configuration.value,
-        "strategy": spec.strategy.value,
-        "params": {"n": p.n, **{name: getattr(p, name) for name in _FLOAT_FIELDS}},
-    }
+    return {**{key: getattr(spec, key).value for key in _SPEC_ENUMS},
+            "params": {key: getattr(spec.params, key) for key in _PARAM_KINDS}}
 
 
 def controller_spec_from_dict(obj) -> ControllerSpec:
     """Parse the spec-file schema; rejects unknown keys and bad values."""
-    if not isinstance(obj, dict):
-        raise ValueError("controller spec must be a JSON object")
-    expected = {"controller_type", "configuration", "strategy", "params"}
-    _check_keys(obj, expected, "controller spec")
-    ct = _parse_enum(ControllerType, obj["controller_type"], "controller_type")
-    cf = _parse_enum(Configuration, obj["configuration"], "configuration")
-    st = _parse_enum(Strategy, obj["strategy"], "strategy")
+    _check_object(obj, (*_SPEC_ENUMS, "params"), "controller spec", "controller spec: ")
+    enums = [_check_value(kind, obj[key], f"{key}: ") for key, kind in _SPEC_ENUMS.items()]
     raw = obj["params"]
-    if not isinstance(raw, dict):
-        raise ValueError("params must be a JSON object")
-    _check_keys(raw, {"n", *_FLOAT_FIELDS}, "params")
-    n = raw["n"]
-    if type(n) is not int:
-        raise ValueError("params.n: expected an integer")
-    if n < 0:
-        raise ValueError("params.n: must be >= 0")
-    values = {}
-    for name in _FLOAT_FIELDS:
-        v = raw[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"params.{name}: expected a number")
-        try:
-            v = float(v)
-        except OverflowError:  # an integer literal beyond the float range
-            v = math.inf
-        if not math.isfinite(v):
-            raise ValueError(f"params.{name}: must be finite")
-        values[name] = v
-    return ControllerSpec(ct, cf, st, PlatoonParams(n=n, **values))
-
-
-def _check_keys(obj: dict, expected: set, label: str) -> None:
-    missing = expected - obj.keys()
-    if missing:
-        raise ValueError(f"{label}: missing key '{sorted(missing)[0]}'")
-    extra = obj.keys() - expected
-    if extra:
-        raise ValueError(f"{label}: unknown key '{sorted(extra)[0]}'")
-
-
-def _parse_enum(enum_cls, value, label: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = "|".join(e.value for e in enum_cls)
-        raise ValueError(f"{label}: expected one of {allowed}, got {value!r}") from None
+    _check_object(raw, _PARAM_KINDS, "params", "params: ")
+    params = [_check_value(kind, raw[key], f"params.{key}: ") for key, kind in _PARAM_KINDS.items()]
+    return ControllerSpec(*enums, PlatoonParams(*params))

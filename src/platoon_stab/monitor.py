@@ -34,15 +34,16 @@ Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
      "h0":1.0,"ca":50.0,"cd":50.0,"w":3.0}
 
 The table ``_SCHEMA`` is the one definition of this line format; the
-trace's columns, reader, validator and writer are derived from it.  ``i``
-is the index, the line's 0-based position; ``ct`` (autonomous|
+trace's columns, reader, validator and writer are derived from it.
+``i`` is the index, the line's 0-based position; ``ct`` (autonomous|
 non_autonomous), ``cf`` (unidirectional|bidirectional) and ``st``
 (constant_spacing|variable_spacing|var_time_headway) are enums; ``n`` is
 an integer in [0, 2^63-1]; ``m``, ``k``, ``c``, ``h``, ``ch``, ``vd``,
-``h0``, ``ca``, ``cd`` and ``w`` are finite floats.  Malformed lines abort
-parsing with the offending line number (``line N: invalid UTF-8`` for a
-line that is not UTF-8); the monitor refuses such traces rather than
-skipping lines.
+``h0``, ``ca``, ``cd`` and ``w`` are finite floats.  A spec file's
+fields admit the same values: one function, ``model._check_value``,
+checks both.  Malformed lines abort parsing with the offending line
+number (``line N: invalid UTF-8`` for a line that is not UTF-8); the
+monitor refuses such traces rather than skipping lines.
 
 Files are read and written a chunk of events at a time.  The writer
 formats each column of a chunk in one call; its bytes are those of one
@@ -72,32 +73,34 @@ import numpy as np
 from .model import (
     _CONJUNCTS,
     _FLOAT_FIELDS as _PARAM_KEYS,
+    _INT64_MAX,
     _MODELS,
-    Configuration,
+    _PARAM_KINDS,
+    _SPEC_ENUMS,
     ControllerSpec,
-    ControllerType,
     ErrorModel,
     PlatoonParams,
-    Strategy,
     UnsupportedControllerError,
+    _check_object,
+    _check_value,
     _model_key,
     _raw_error_model,
     error_model,
     failed_conjunct,
     is_valid_platoon,
 )
-from .frequency import _q_roots, _time_scaled, stability_constraint
+from .frequency import _q_roots, _time_scaled, _w_scaled, stability_constraint
 
-# The trace schema: an event line's keys in order, each with its kind.  The
-# index "i" has no column; an enum's column holds int8 codes, positions in the
-# enum.  The enums are the ControllerSpec fields in order; n and the keys after
-# it but the last, the frequency, are the PlatoonParams fields in order.
-_SCHEMA = {"i": None, "ct": ControllerType, "cf": Configuration, "st": Strategy,
-           "n": np.int64, **dict.fromkeys((*_PARAM_KEYS, "w"), np.float64)}
+# The trace schema: an event line's keys in order, each with its kind from the
+# spec file's tables (the ControllerSpec enums, then the PlatoonParams fields,
+# in order), and the frequency last.  The index "i" has no column; an enum's
+# column holds int8 codes, positions in the enum.
+_SCHEMA = {"i": None, **dict(zip(("ct", "cf", "st"), _SPEC_ENUMS.values())), **_PARAM_KINDS,
+           "w": float}
 _COLUMNS = tuple(_SCHEMA)[1:]
 _ENUMS = {key: tuple(kind) for key, kind in _SCHEMA.items() if isinstance(kind, EnumMeta)}
 _CODES = {key: {e.value: code for code, e in enumerate(members)} for key, members in _ENUMS.items()}
-_DTYPES = tuple(np.int8 if key in _ENUMS else _SCHEMA[key] for key in _COLUMNS)
+_DTYPES = tuple({int: np.int64, float: np.float64}.get(_SCHEMA[key], np.int8) for key in _COLUMNS)
 
 # Position in model._MODELS of the model of each controller combination,
 # indexed by the combination's position in the product of the enums; -1
@@ -108,8 +111,7 @@ _MODEL_OF = np.array([list(_MODELS).index(key) if (key := _model_key(*combo)) in
 
 def _codes(spec: ControllerSpec) -> list[int]:
     """The codes of a spec's enum columns."""
-    return [_CODES[key][e.value] for key, e in
-            zip(_ENUMS, (spec.controller_type, spec.configuration, spec.strategy))]
+    return [_CODES[key][getattr(spec, name).value] for key, name in zip(_ENUMS, _SPEC_ENUMS)]
 
 
 def _typed(rows) -> list[np.ndarray]:
@@ -209,8 +211,8 @@ class Trace:
         for pos, e in enumerate(events):
             if e.index != pos:
                 raise ValueError(f"event index {e.index} at position {pos}; indices must be contiguous")
-            params = [getattr(e.spec.params, key) for key in _PARAM_KEYS]
-            rows.append((*_codes(e.spec), e.spec.params.n, *params, e.omega))
+            params = [getattr(e.spec.params, key) for key in _PARAM_KINDS]
+            rows.append((*_codes(e.spec), *params, e.omega))
         return cls(source, *_typed(rows))
 
 
@@ -241,12 +243,9 @@ def _p2(model: ErrorModel, w):
         q = np.atleast_1d(stability_constraint(model).q(w * w))
         redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
         if redo.size:
-            w_redo = np.atleast_1d(w)[redo]
-            e = np.maximum(np.frexp(w_redo)[1], 0)
-            part = ErrorModel(*(np.atleast_1d(coefficient)[redo]
-                                for coefficient in (model.a0, model.a1, model.b0, model.b1)))
-            w_redo = np.ldexp(w_redo, -e)
-            q[redo] = stability_constraint(_time_scaled(part, e)).q(w_redo * w_redo)
+            part = ErrorModel(*(np.atleast_1d(c)[redo] for c in vars(model).values()))
+            part, w_redo, _ = _w_scaled(part, np.atleast_1d(w)[redo])
+            q[redo] = stability_constraint(part).q(w_redo * w_redo)
         return (w > 0.0) & (q > 0.0)
 
 
@@ -353,6 +352,8 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         if not math.isfinite(_JITTER[1] * getattr(p, name)):
             raise ValueError(f"template {name} = {getattr(p, name)!r} overflows when jittered "
                              f"by up to {_JITTER[1]}x")
+    if p.n + 2 > _INT64_MAX:
+        raise ValueError(f"template n = {p.n!r} overflows when jittered by up to +2")
 
     rng = np.random.default_rng(seed)
     blocks = range(0, length, _DRAW_BLOCK)
@@ -374,10 +375,11 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     for a in blocks:
         block = trace._rows(a, a + _DRAW_BLOCK)
         coefficients = _vector_coefficients(block)
-        a0 = coefficients[0]
-        # The roots of Q on the time scale 2**e that brings a0 near 1, where
-        # alpha and beta cannot overflow; scaled back exactly by 4**e.
-        e = np.frexp(a0)[1] // 2
+        a0, a1, b0, b1 = coefficients
+        # The roots of Q on the time scale 2**e that brings the largest rate
+        # of sqrt(a0), a1, sqrt(b0) and b1 into [0.5, 1), where alpha and beta
+        # cannot overflow; scaled back exactly by 4**e.
+        e = np.frexp(np.maximum.reduce([np.sqrt(a0), a1, np.sqrt(b0), b1]))[1]
         con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
         lo, hi = _q_roots(con.alpha, con.beta)
         near = a0 * rng.uniform(0.25, 4.0, size=len(block))
@@ -406,7 +408,6 @@ def _reject_constant(name):
 
 # Trace files are read and written this many events at a time.
 _CHUNK = 1024
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
@@ -484,14 +485,14 @@ def _parse_chunk(block, offset):
     if set(map(type, i)) != {int} or i != tuple(range(offset, offset + size)):
         return None
     columns = []
-    for key, column in zip(_COLUMNS, values):
+    for key, column, dtype in zip(_COLUMNS, values, _DTYPES):
         if key in _CODES:
             columns.append(np.fromiter(map(_CODES[key].__getitem__, column), np.int8, size))
             continue
-        integer = _SCHEMA[key] is np.int64
+        integer = _SCHEMA[key] is int
         if not set(map(type, column)) <= ({int} if integer else {float, int}):
             return None
-        columns.append(np.array(column, dtype=_SCHEMA[key]))  # raises on ints beyond its range
+        columns.append(np.array(column, dtype=dtype))  # raises on ints beyond its range
         if not (columns[-1] >= 0 if integer else np.isfinite(columns[-1])).all():
             return None
     return columns
@@ -505,56 +506,35 @@ def _validate_lines(block, offset):
     """
     rows = []
     for count, line in enumerate(block, offset):
-        lineno = count + 1
         try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:  # undecodable bytes, read as lone surrogates
-            raise TraceParseError(lineno, "invalid UTF-8") from None
-        line = line.rstrip("\n")
-        if not line.strip():
-            raise TraceParseError(lineno, "empty line")
-        try:
-            obj = json.loads(line, parse_constant=_reject_constant)
+            rows.append(_check_line(line, count))
         except ValueError as exc:
-            raise TraceParseError(lineno, f"invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise TraceParseError(lineno, "event must be a JSON object")
-        if obj.keys() != _SCHEMA.keys():
-            unknown = [key for key in obj if key not in _SCHEMA]
-            missing = [key for key in _SCHEMA if key not in obj]
-            raise TraceParseError(lineno, f"unknown key {unknown[0]!r}" if unknown
-                                  else f"missing key {missing[0]!r}")
-        idx = obj["i"]
-        if type(idx) is not int:
-            raise TraceParseError(lineno, "'i' must be an integer")
-        if idx != count:
-            raise TraceParseError(lineno, f"event index {idx} does not match position {count}")
-        row = []
-        for key in _COLUMNS:
-            value = obj[key]
-            if key in _CODES:
-                if not isinstance(value, str) or value not in _CODES[key]:
-                    raise TraceParseError(lineno, f"'{key}' must be one of {'|'.join(_CODES[key])}")
-                value = _CODES[key][value]
-            elif _SCHEMA[key] is np.int64:
-                if type(value) is not int:
-                    raise TraceParseError(lineno, f"'{key}' must be an integer")
-                if value < 0:
-                    raise TraceParseError(lineno, f"'{key}' must be >= 0")
-                if value > _INT64_MAX:
-                    raise TraceParseError(lineno, f"'{key}' must be <= {_INT64_MAX}")
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TraceParseError(lineno, f"'{key}' must be a number")
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer literal beyond the float range
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise TraceParseError(lineno, f"'{key}' must be finite")
-            row.append(value)
-        rows.append(row)
+            raise TraceParseError(count + 1, str(exc)) from None
     return _typed(rows)
+
+
+def _check_line(line, count):
+    """The column values of the line of event ``count``, or ValueError
+    saying what is wrong with it."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:  # undecodable bytes, read as lone surrogates
+        raise ValueError("invalid UTF-8") from None
+    line = line.rstrip("\n")
+    if not line.strip():
+        raise ValueError("empty line")
+    try:
+        obj = _decode(line)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
+    _check_object(obj, _SCHEMA, "event", "")
+    idx = obj["i"]
+    if type(idx) is not int:
+        raise ValueError("'i' must be an integer")
+    if idx != count:
+        raise ValueError(f"event index {idx} does not match position {count}")
+    values = [_check_value(_SCHEMA[key], obj[key], f"'{key}' ") for key in _COLUMNS]
+    return [_CODES[key][v.value] if key in _CODES else v for key, v in zip(_COLUMNS, values)]
 
 
 _ENUM_JSON = {key: tuple(map(json.dumps, codes)) for key, codes in _CODES.items()}

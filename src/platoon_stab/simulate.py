@@ -203,13 +203,19 @@ def tabulated_input(t, z, zdot) -> Callable:
     return fn
 
 
-def default_dt(omega: float, a0: float) -> float:
-    """Step heuristic: >=200 samples per input period and resolve the
-    natural frequency sqrt(a0)."""
-    natural = 1.0 / (20.0 * math.sqrt(a0))
+def default_dt(omega: float, a0: float, a1: float = 0.0) -> float:
+    """Step heuristic: >=200 samples per input period, resolve the natural
+    frequency sqrt(a0), and keep ``h*|lambda| <= 1``, inside RK4's stability
+    region, for the roots lambda of ``s^2 + a1*s + a0``: the eigenvalues of a
+    chain, whose state matrix is block triangular with these 2x2 blocks."""
+    root, half = math.sqrt(a0), 0.5 * a1
+    # The largest |lambda|: half + sqrt(half^2 - a0) when the roots are real,
+    # factored so that half^2 cannot overflow, else sqrt(a0).
+    fastest = max(root, half + math.sqrt(max(half - root, 0.0)) * math.sqrt(half + root))
+    dt = min(1.0 / (20.0 * root), 1.0 / fastest)
     if omega > 0.0:
-        return min(2.0 * math.pi / (200.0 * omega), natural)
-    return natural
+        return min(2.0 * math.pi / (200.0 * omega), dt)
+    return dt
 
 
 def _rk4_step(A, B, h, x, u0, uh, u1):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import platoon_stab
-from platoon_stab import controller_spec_to_dict
+from platoon_stab import controller_spec_to_dict, error_model, frequency_response, transfer_function
 from platoon_stab import cli
 from platoon_stab.cli import main
 from platoon_stab.monitor import _CHUNK
@@ -88,6 +89,12 @@ class TestAnalyze:
         bad.write_text(big)
         assert main(["analyze", "--spec", str(bad)]) == 2
         assert "params.m: must be finite" in capsys.readouterr().err
+
+    def test_vehicle_count_beyond_int64_is_validation_error(self, spec_file, capsys):
+        assert main(["analyze", "--spec", spec_file(make_spec(n=2**63))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: params.n: must be <= 9223372036854775807\n"
 
 
 class TestSweep:
@@ -182,6 +189,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "non-finite" in err
         assert len(err.splitlines()) == 1  # no numpy warnings
+
+    def test_auto_step_is_stable_on_a_stiff_headway_spec(self, spec_file, tmp_path, capsys):
+        # a1 = 202 against sqrt(a0) = 1: the input-period step puts h*a1 at 4.2,
+        # outside RK4's stability interval.
+        spec = make_spec(AUT, UNI, VTH, m=100.0, k=100.0, c=100.0, h0=1.0, ch=5.0, vd=40.0)
+        argv = ["simulate", "--spec", spec_file(spec), "--n", "4", "--omega", "1.5",
+                "--duration", "150", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        gain = frequency_response(transfer_function(error_model(spec)), 1.5).magnitude
+        for ratio in strict_json(capsys.readouterr().err)["ratios"]:
+            assert ratio == pytest.approx(gain, rel=0.01)
+        # The step of 200 samples per input period, given explicitly, diverges.
+        assert main([*argv, "--dt", repr(2.0 * math.pi / 300.0)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_step_count_overflow_is_a_validation_error(self, spec_file, tmp_path, capsys):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
@@ -337,6 +358,16 @@ class TestMonitorAndGenTrace:
                      "--spec", spec_file(make_spec(m=1.0, k=1.7e308)), "--out", str(out)]) == 2
         assert "template k = 1.7e+308 overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gen_trace_refuses_a_vehicle_count_that_jitters_past_int64(
+            self, spec_file, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--seed", "1", "--len", "100",
+                     "--spec", spec_file(make_spec(n=2**63 - 2)), "--out", str(out)]) == 2
+        assert "template n = 9223372036854775806 overflows" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["gen-trace", "--seed", "1", "--len", "100",
+                     "--spec", spec_file(make_spec(n=2**63 - 3)), "--out", str(out)]) == 0
 
     def test_gen_trace_stdout(self, spec_file, capsys):
         assert main(["gen-trace", "--seed", "3", "--len", "5",

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from platoon_stab import (
     ControllerSpec,
+    ErrorModel,
     SingularityError,
     StabilityConstraint,
     SweepResult,
@@ -117,6 +118,13 @@ class TestStabilityDecision:
         assert is_stable_at(const_spacing_model, 1.0) is False
         # |H| is exactly 1 at the threshold, so the strict test fails.
         assert is_stable_at(const_spacing_model, 2.0) is False
+
+    def test_decided_where_w_squared_overflows(self):
+        # b1*w and w*w pass the float range; |H| is about b1/w = 1e-290.
+        model = ErrorModel(2.0, 1e10, 1.0, 1e10)
+        assert is_stable_at(model, 1e300) is True
+        magnitude = frequency_response(transfer_function(model), 1e300).magnitude
+        assert magnitude == pytest.approx(1e-290, rel=1e-12)
 
     def test_nonpositive_omega_rejected(self, const_spacing_model):
         with pytest.raises(ValueError):

@@ -54,6 +54,10 @@ class TestValidity:
         with pytest.raises(ValueError):
             make_params(n=2.5)
 
+    def test_integer_beyond_float_range_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="m must be finite"):
+            make_params(m=10**400)
+
 
 class TestErrorModel:
     def test_unidirectional_constant_spacing_coefficients(self, const_spacing_spec):

@@ -3,10 +3,11 @@ import io
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from platoon_stab import monitor
 from platoon_stab import (
@@ -14,6 +15,8 @@ from platoon_stab import (
     ControllerSpec,
     ControllerType,
     Event,
+    controller_spec_from_dict,
+    controller_spec_to_dict,
     critical_frequencies,
     error_model,
     is_stable_at,
@@ -321,6 +324,14 @@ class TestGenerator:
         trace = generate_trace(1, 10, make_spec(cd=1.5e308))  # 1.15 * cd < 1.8e308
         assert np.isfinite(trace.cd).all() and run_monitor(trace).passed
 
+    def test_time_scale_comes_from_all_four_coefficients(self):
+        # a0 = 1e-300 but a1 = 1e10: a scale chosen from a0 alone overflows a1^2.
+        trace = generate_trace(3, 300, make_spec(m=1.0, k=1e-300, c=1e10))
+        for e in trace:
+            a0, a1, b0, b1 = map(Fraction, vars(error_model(e.spec)).values())
+            u = Fraction(e.omega) ** 2
+            assert (a0 - u) ** 2 + a1 * a1 * u > b0 * b0 + b1 * b1 * u
+
     def test_all_templates_produce_clean_traces(self):
         # The last two templates' gains square beyond the float range.
         templates = [make_spec(*combo) for combo in SUPPORTED_COMBOS] + [
@@ -547,6 +558,48 @@ class TestChunkedTraceIO:
         assert parsed.m.tolist() == [1000.0]
         assert parsed.k.tolist() == [float(2 ** 64 + 1)]
         assert columns(parsed) == validated_or_error(line)
+
+
+# Each field a spec file shares with a trace line: its path in the spec file
+# and its key in the trace line.
+SHARED_FIELDS = [(("controller_type",), "ct"), (("configuration",), "cf"), (("strategy",), "st"),
+                 *((("params", key), key) for key in monitor._COLUMNS[3:-1])]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.sampled_from([e.value for enum in (ControllerType, Configuration, Strategy) for e in enum]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def reason(call, prefix):
+    """The message of the ValueError ``call`` raises, after ``prefix``, or
+    None when it raises none."""
+    try:
+        call()
+    except ValueError as exc:
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):]
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(SHARED_FIELDS), value=JSON_VALUES)
+@example(field=SHARED_FIELDS[3], value=2**63)
+@example(field=SHARED_FIELDS[3], value=2**63 - 1)
+@example(field=SHARED_FIELDS[3], value=-1)
+@example(field=SHARED_FIELDS[4], value=10**400)
+@example(field=SHARED_FIELDS[4], value=True)
+@example(field=SHARED_FIELDS[1], value="autonomous")
+def test_spec_files_and_trace_lines_admit_the_same_values(field, value):
+    (*path, key), trace_key = field
+    value = json.loads(json.dumps(value))
+    spec = controller_spec_to_dict(make_spec())
+    (spec["params"] if path else spec)[key] = value
+    line = json.dumps({"i": 0, "ct": spec["controller_type"], "cf": spec["configuration"],
+                       "st": spec["strategy"], **spec["params"], "w": 3.0})
+    expected = reason(lambda: controller_spec_from_dict(spec), f"{'.'.join((*path, key))}: ")
+    assert reason(lambda: _validate_lines([line], 0), f"line 1: '{trace_key}' ") == expected
 
 
 class TestTraceLayout:

@@ -71,6 +71,17 @@ class TestSimConfig:
         assert default_dt(0.01, 2.0) == pytest.approx(1.0 / (20.0 * math.sqrt(2.0)))
         assert default_dt(0.0, 4.0) == pytest.approx(1.0 / 40.0)
 
+    @pytest.mark.parametrize("a0,a1", [(1.0, 202.0), (2.0, 0.5), (4.0, 4.0), (1e-6, 1e6),
+                                       (1.0, 1e300), (1e300, 1.0)])
+    def test_default_dt_keeps_both_roots_in_the_rk4_stability_region(self, a0, a1):
+        h = default_dt(1.0, a0, a1)
+        assert h * fastest_rate(a0, a1) <= 1.0 + 1e-12
+        for lam in np.roots([1.0, a1, a0]):
+            z = h * lam
+            assert abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) <= 1.0
+        if a1 <= 2.0 * math.sqrt(a0):  # complex or double roots: no smaller step
+            assert h == default_dt(1.0, a0)
+
 
 class TestChainSimulator:
     def test_rejects_single_vehicle(self, const_spacing_model):
