@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .model import ErrorModel
 
 # Denominator moduli below this are treated as singular.
@@ -238,10 +239,10 @@ def sweep(
     return SweepResult(omega=w, value=value, magnitude=magnitude, stable=magnitude < 1.0)
 
 
-# Sweep rows formatted per write.
+# Sweep rows formatted per write, four floats each.
 _CSV_CHUNK = 4096
-_CSV_ROW = "{!r},{!r},{!r},{!r},{}".format
-_CSV_STABLE = ("false\n", "true\n")
+_CSV_LITERALS = ("", ",", ",", ",", ",", "\n")
+_CSV_STABLE = _text.texts(("false", "true"))
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
@@ -250,6 +251,7 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     for start in range(0, len(result.omega), _CSV_CHUNK):
         part = slice(start, start + _CSV_CHUNK)
         value = result.value[part]
-        floats = (result.omega[part], value.real, value.imag, result.magnitude[part])
-        stable = map(_CSV_STABLE.__getitem__, result.stable[part].tolist())
-        fh.write("".join(map(_CSV_ROW, *(column.tolist() for column in floats), stable)))
+        floats = np.column_stack((result.omega[part], value.real, value.imag,
+                                  result.magnitude[part]))
+        fields = _text.floats(floats), _text.pick(_CSV_STABLE, result.stable[part])
+        fh.write(_text.join(_CSV_LITERALS, fields))

@@ -45,15 +45,18 @@ checks both.  Malformed lines abort parsing with the offending line
 number (``line N: invalid UTF-8`` for a line that is not UTF-8); the
 monitor refuses such traces rather than skipping lines.
 
-Files are read and written a chunk of events at a time.  The writer
-formats each column of a chunk in one call; its bytes are those of one
-``json.dumps`` per event.  The reader decodes a chunk's lines in one call
-and checks them column by column.  A chunk that fails a check is parsed
-again line by line by :func:`_validate_lines`, the one source of error
-messages, so the first bad line is named exactly as a line-by-line reader
-would name it.  :func:`parse_trace` counts a file's lines first and parses
-each chunk straight into columns of that length, so beyond the columns it
-holds one chunk; a stream that cannot be read twice, such as a pipe, is
+Files are read and written a chunk of events at a time.  The writer turns
+a chunk's ten float columns into text in one array call, its ints and
+enums in one call each, and lays out the lines in one more (see
+``_text``); its bytes are those of one ``json.dumps`` per event, floats in
+``repr`` form and non-finite ones as ``NaN`` and ``Infinity``.  The reader
+decodes a chunk's lines in one call and checks them column by column.  A
+chunk that fails a check is parsed again line by line by
+:func:`_validate_lines`, the one source of error messages, so the first bad
+line is named exactly as a line-by-line reader would name it.
+:func:`parse_trace` counts a file's lines first and parses each chunk
+straight into columns of that length, so beyond the columns it holds one
+chunk; a stream that cannot be read twice, such as a pipe, is
 parsed chunk by chunk and the chunks are joined at the end.
 """
 
@@ -70,6 +73,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import _text
 from .model import (
     _CONJUNCTS,
     _FLOAT_FIELDS as _PARAM_KEYS,
@@ -406,7 +410,8 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} not allowed")
 
 
-# Trace files are read and written this many events at a time.
+# Trace files are read this many events at a time, and written half as
+# many: ten floats an event make about 5k values per call of the formatter.
 _CHUNK = 1024
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 
@@ -537,24 +542,27 @@ def _check_line(line, count):
     return [_CODES[key][v.value] if key in _CODES else v for key, v in zip(_COLUMNS, values)]
 
 
-_ENUM_JSON = {key: tuple(map(json.dumps, codes)) for key, codes in _CODES.items()}
-_LINE = ("{{" + ",".join(f'"{key}":{{}}' for key in _SCHEMA) + "}}\n").format
-
-
-def _json_values(key, column) -> list[str]:
-    """``json.dumps`` text of each value of a column: an enum's by its
-    value, a number's with ``NaN`` and ``Infinity`` included."""
-    if key in _ENUM_JSON:
-        return list(map(_ENUM_JSON[key].__getitem__, column.tolist()))
-    return json.dumps(column.tolist(), separators=(",", ":"))[1:-1].split(",")
+# The text of a line around its values, the JSON text of each enum code,
+# and the int and float columns; the floats end the line.
+_LITERALS = (*(("," if i else "{") + f'"{key}":' for i, key in enumerate(_SCHEMA)), "}\n")
+_ENUM_TEXTS = {key: _text.texts([json.dumps(e.value) for e in members])
+               for key, members in _ENUMS.items()}
+_INTS = [key for key in _COLUMNS if _SCHEMA[key] is int]
+_FLOATS = [key for key in _COLUMNS if _SCHEMA[key] is float]
 
 
 def write_trace(trace: Trace, fh) -> None:
     """Write the line-delimited JSON form; identical traces give identical
     bytes."""
-    for start in range(0, len(trace), _CHUNK):
-        texts = (_json_values(key, getattr(trace, key)[start:start + _CHUNK]) for key in _COLUMNS)
-        fh.write("".join(map(_LINE, range(start, len(trace)), *texts)))
+    for start in range(0, len(trace), _CHUNK // 2):
+        part = trace._rows(start, start + _CHUNK // 2)
+        index = np.arange(start, start + len(part))
+        ints = _text.ints(np.stack([index, *(getattr(part, key) for key in _INTS)]))
+        texts = dict(zip(["i", *_INTS], zip(*ints)))
+        texts.update((key, _text.pick(_ENUM_TEXTS[key], getattr(part, key))) for key in _ENUMS)
+        floats = np.column_stack([getattr(part, key) for key in _FLOATS])
+        fields = [texts[key] for key in _SCHEMA if key not in _FLOATS]
+        fh.write(_text.join(_LITERALS, [*fields, _text.floats(floats, json.dumps)]))
 
 
 def write_trace_file(trace: Trace, path) -> None:

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _text
 from .model import ErrorModel, PlatoonParams, validate_platoon
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
@@ -46,10 +47,8 @@ _AMPLITUDE_FLOOR = 1e-12
 # temporary to one block.
 _BLOCK = 256
 
-# Rows formatted per write by the CSV writers.  Larger chunks are no
-# faster, and their Python floats and row strings raise peak memory (about
-# 8 MB at 4096 rows of 17 columns).
-_CSV_CHUNK = 256
+# Values formatted per write by the CSV writers, in whole rows.
+_CSV_VALUES = 4096
 
 
 class DivergenceError(ArithmeticError):
@@ -386,9 +385,11 @@ def _write_csv(fh, header: str, rows: int, table) -> None:
     """Emit ``header``, then the ``rows`` rows of ``table(a, b)`` (rows a
     to b-1 as a 2-D float array) a chunk at a time, floats in repr form."""
     fh.write(header + "\n")
-    for a in range(0, rows, _CSV_CHUNK):
-        chunk = table(a, min(a + _CSV_CHUNK, rows)).tolist()
-        fh.write("".join([",".join(map(float.__repr__, row)) + "\n" for row in chunk]))
+    width = header.count(",") + 1
+    literals = ("", *[","] * (width - 1), "\n")
+    step = max(1, _CSV_VALUES // width)
+    for a in range(0, rows, step):
+        fh.write(_text.join(literals, [_text.floats(table(a, min(a + step, rows)))]))
 
 
 def write_chain_csv(series: ChainSeries, fh) -> None:

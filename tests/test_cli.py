@@ -435,3 +435,13 @@ def test_commands_run_on_numpy_alone(spec_file, tmp_path):
                    env={**os.environ, "PYTHONPATH": src})
     result = json.loads((tmp_path / "result.json").read_text())
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+
+def test_python_dash_m_runs_the_cli(spec_file):
+    src = str(Path(platoon_stab.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "platoon_stab", "analyze",
+                           "--spec", spec_file(make_spec())],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert strict_json(done.stdout)["selected_model"]

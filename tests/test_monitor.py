@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from platoon_stab import monitor
 from platoon_stab import (
+    ChainSeries,
     Configuration,
     ControllerSpec,
     ControllerType,
@@ -30,6 +31,9 @@ from platoon_stab import (
     parse_trace_lines,
     run_monitor,
     Strategy,
+    SweepResult,
+    write_chain_csv,
+    write_sweep_csv,
     write_trace,
     write_trace_file,
 )
@@ -767,6 +771,40 @@ def test_parse_memory_beyond_the_columns_is_small_and_flat(tmp_path):
         overheads.append(parse_overhead(path))
     assert overheads[0] <= 4 * 2 ** 20, overheads
     assert overheads[1] <= overheads[0] + 2 ** 20, overheads
+
+
+class NullSink:
+    def write(self, text):
+        pass
+
+
+def writer_peak(write, data):
+    """A writer's tracemalloc peak into a sink that keeps nothing."""
+    tracemalloc.start()
+    try:
+        write(data, NullSink())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_peak_memory_is_flat_in_the_rows():
+    # The formatter's temporaries are those of one chunk: 1e5 rows take at
+    # most 256 KiB more than 1e4 rows, and no writer takes 8 MiB.
+    values = np.random.default_rng(11).standard_normal((100_000, 33))
+    trace = generate_trace(11, 100_000, make_spec(AUT, BI, VS))
+    value = values[:, 1] + 1j * values[:, 2]
+    peaks = []
+    for size in (10_000, 100_000):
+        rows = slice(0, size)
+        sweep_result = SweepResult(omega=values[rows, 0], value=value[rows],
+                                   magnitude=values[rows, 3], stable=values[rows, 3] < 1.0)
+        chain = ChainSeries(t=values[rows, 0], z=values[rows, 1:17], zdot=values[rows, 17:])
+        peaks.append([writer_peak(write_trace, trace._rows(0, size)),
+                      writer_peak(write_sweep_csv, sweep_result),
+                      writer_peak(write_chain_csv, chain)])
+    for small, large in zip(*peaks):
+        assert large <= small + 2 ** 18 and large < 8 * 2 ** 20, peaks
 
 
 @pytest.mark.parametrize("change", ["grows", "shrinks"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from platoon_stab import simulate
 from platoon_stab import (
     ChainSeries,
     ControllerSpec,
@@ -594,3 +595,21 @@ class TestChunkedCsvWriters:
         state = StateSeries(t=values[:, 0], x=values[:, 1:n + 1], v=values[:, 2 * n + 1:3 * n + 1])
         assert written(write_chain_csv, chain) == written(reference_chain_csv, chain)
         assert written(write_state_csv, state) == written(reference_state_csv, state)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("edge", [-1, 0, 1, "twice"])
+def test_csv_writers_match_row_writers_at_chunk_edges(n, edge):
+    # A chunk is _CSV_VALUES // columns rows: 2n + 1 columns of state, n + 1 of chain.
+    rows = {}
+    for columns in (n + 1, 2 * n + 1):
+        step = simulate._CSV_VALUES // columns
+        rows[columns] = 2 * step + 1 if edge == "twice" else step + edge
+    values = np.random.default_rng(n).standard_normal((max(rows.values()), 4 * n + 1))
+    chain_rows, state_rows = values[:rows[n + 1]], values[:rows[2 * n + 1]]
+    chain = ChainSeries(t=chain_rows[:, 0], z=chain_rows[:, 1:n + 1],
+                        zdot=chain_rows[:, n + 1:2 * n + 1])
+    state = StateSeries(t=state_rows[:, 0], x=state_rows[:, 1:n + 1],
+                        v=state_rows[:, n + 1:2 * n + 1])
+    assert written(write_chain_csv, chain) == written(reference_chain_csv, chain)
+    assert written(write_state_csv, state) == written(reference_state_csv, state)
