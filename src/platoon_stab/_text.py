@@ -192,7 +192,7 @@ def _lay_out(source, layouts, which):
 # A float's source: 28 bytes, 7 uint32 words.  Its 17 digits are bytes 3 to
 # 19, the decimal exponent's magnitude in four digits bytes 24 to 27.
 _MINUS, _DOT, _ZERO, _E, _PLUS = 0, 1, 2, 20, 21
-_HEAD = np.frombuffer(b"-.0\0", np.uint32)[0]  # the leading digit goes in byte 3
+_HEAD = np.frombuffer(b"-.0\0", np.uint32)[0]  # byte 3 takes the leading digit
 _E_PLUS = np.frombuffer(b"e+\0\0", np.uint32)[0]
 _X_MIN, _X_MAX = -4, 15  # the positional decimal exponents
 _X_LOW = -308  # the least decimal exponent of a normal double
@@ -240,14 +240,16 @@ def floats(values, fallback=float.__repr__):
     lead = d // _P10[16]
     quads = _quads(d - lead * _P10[16], 4)
     source = np.empty((len(d), 7), dtype=np.uint32)
-    source[:, 0] = _HEAD | (lead - (bits == _U64(0)) + _U64(ord("0"))).astype(np.uint32) << 24
+    source[:, 0] = _HEAD
     source[:, 1:5] = _QUADS.take(quads.T)
     source[:, 5] = _E_PLUS
     x = k + 16 - short  # the decimal exponent of the leading digit; 0 for zeros
     source[:, 6] = _QUADS.take(np.abs(x))
+    source = source.view(np.uint8)
+    source[:, 3] = lead - (bits == _U64(0)) + _U64(ord("0"))
     n = np.maximum.reduce([table.take(q) for table, q in zip(_SIGNIFICANT, quads)])
     which = _ROWS.take(x - _X_LOW) + n + (negative * _SIGNED - 1)
-    chars, lengths = _lay_out(source.view(np.uint8), _FLOAT_LAYOUTS, which)
+    chars, lengths = _lay_out(source, _FLOAT_LAYOUTS, which)
     for i in np.flatnonzero(special & (bits != _U64(0))):
         text = fallback(float(values[i])).encode()
         chars[i, :len(text)] = np.frombuffer(text, np.uint8)
