@@ -26,6 +26,8 @@ overflow, while array products wrap modulo 2**64 as the arithmetic needs.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _U64 = np.uint64
@@ -39,8 +41,20 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 # The decimal exponents k of the powers of ten 10**-k that normal doubles need.
 _K_MIN, _K_MAX = -324, 292
 
+# The tables below are built on first use, not at import: every command
+# imports this module, and most format no number.  Together they take 3 to
+# 6 ms to build.  The power tables keep their names as module attributes.
+_POWERS = ("_K", "_H", "_G1H", "_G1L", "_G0H", "_G0L", "_G1", "_G0")
 
-def _tables():
+
+def __getattr__(name):
+    if name in _POWERS:
+        return _powers()[_POWERS.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@cache
+def _powers():
     """Per biased exponent ``bq`` of a normal double, and at ``bq + 2048``
     for a significand of 2**52 whose lower neighbour is the closer one: the
     decimal exponent k, the shift h, and ``g`` of ``10**-k`` as the 32-bit
@@ -75,9 +89,6 @@ def _tables():
     g1, g0 = (np.array(words, dtype=_U64)[j] for words in zip(*[divmod(x, 2 ** 63) for x in g]))
     halves = g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32
     return (j + _K_MIN, (np.tile(q, 2) + np.array(r)[j] + 127).astype(_U64), *halves, g1, g0)
-
-
-_K, _H, _G1H, _G1L, _G0H, _G0L, _G1, _G0 = _tables()
 
 
 def _mulhi(ah, al, bh, bl):
@@ -116,8 +127,8 @@ def _decimal(bits):
     tail = bits & _T_MASK
     closer_below = (tail == _U64(0)) & (bq > 1)
     j = bq + 2048 * closer_below
-    h, g1h, g1l, g0h, g0l, g1, g0 = (table.take(j) for table in (_H, _G1H, _G1L, _G0H, _G0L,
-                                                                 _G1, _G0))
+    k, *tables = _powers()
+    h, g1h, g1l, g0h, g0l, g1, g0 = (table.take(j) for table in tables)
     c = tail | _C_MIN
     # The double in quarters of 2**q, shifted left by h: cp.  The ends of
     # the interval of reals that round to it lie 2 quarters above, and 2
@@ -142,18 +153,22 @@ def _decimal(bits):
     mid = (s << _U64(2)) + _U64(2)
     above = (vb > mid) | (vb == mid) & (s & _U64(1) == _U64(1))
     d = np.where(s_in != t_in, s + t_in, s + above)
-    return np.where(u_in != w_in, u + _U64(10) * w_in, d), _K.take(j)
+    return np.where(u_in != w_in, u + _U64(10) * w_in, d), k.take(j)
 
 
-# The four ASCII digits of each number below 10**4, one uint32 each.
-_QUADS = np.indices((10,) * 4).reshape(4, -1).T + ord("0")
-_QUADS = _QUADS.astype(np.uint8, order="C").view(np.uint32).ravel()
-# How many of the four digits of each number below 10**4 reach its last
-# nonzero digit; then, for such a group as the 1st to 4th after a leading
-# digit, how many digits of the whole reach it (1, the leading one, for 0).
-_USED = np.arange(10 ** 4)
-_USED = np.where(_USED, 4 - sum(_USED % 10 ** i == 0 for i in (1, 2, 3)), 0)
-_SIGNIFICANT = np.where(_USED, 1 + 4 * np.arange(4)[:, None] + _USED, 1).astype(np.uint8)
+@cache
+def _digits():
+    """The four ASCII digits of each number below 10**4, one uint32 each;
+    and, for such a group of four as the 1st to 4th after a leading digit,
+    how many digits of the whole reach the group's last nonzero digit (1,
+    the leading one, for 0)."""
+    quads = np.indices((10,) * 4).reshape(4, -1).T + ord("0")
+    used = np.arange(10 ** 4)  # how many of its own four digits reach it
+    used = np.where(used, 4 - sum(used % 10 ** i == 0 for i in (1, 2, 3)), 0)
+    return (quads.astype(np.uint8, order="C").view(np.uint32).ravel(),
+            np.where(used, 1 + 4 * np.arange(4)[:, None] + used, 1).astype(np.uint8))
+
+
 _P10 = np.array([10 ** i for i in range(20)], dtype=_U64)
 
 
@@ -214,14 +229,18 @@ def _float_layout(x: int, n: int) -> list[int]:
 
 # The layouts: of each positional decimal exponent, of two- and three-digit
 # exponents below and above zero, each with 1 to 17 digits; then all again
-# with a sign.  _ROWS holds the first layout of each exponent from _X_LOW.
+# with a sign.
 _LAYOUT_XS = (*range(_X_MIN, _X_MAX + 1), -10, 16, -100, 100)
-_FLOAT_LAYOUTS = _layout_table([_float_layout(x, n) for x in _LAYOUT_XS for n in range(1, 18)],
-                               _MINUS)
 _SIGNED = len(_LAYOUT_XS) * 17
-_ROWS = np.arange(_X_LOW, -_X_LOW + 1)
-_ROWS = 17 * np.select([_ROWS < -99, _ROWS < _X_MIN, _ROWS <= _X_MAX, _ROWS < 100],
-                       [22, 20, _ROWS - _X_MIN, 21], 23)
+
+
+@cache
+def _float_layouts():
+    """The float layouts, and the first layout of each exponent from _X_LOW."""
+    layouts = _layout_table([_float_layout(x, n) for x in _LAYOUT_XS for n in range(1, 18)], _MINUS)
+    x = np.arange(_X_LOW, -_X_LOW + 1)
+    return layouts, 17 * np.select([x < -99, x < _X_MIN, x <= _X_MAX, x < 100],
+                                   [22, 20, x - _X_MIN, 21], 23)
 
 
 def floats(values, fallback=float.__repr__):
@@ -235,21 +254,22 @@ def floats(values, fallback=float.__repr__):
     bits = bits & _M63
     special = (bits < _C_MIN) | (bits >= _INF_BITS)  # zero, subnormal, inf or nan
     d, k = _decimal(np.where(special, _ONE_BITS, bits))  # 1.0 stands in for them
+    (quad_text, significant), (layouts, first_layout) = _digits(), _float_layouts()
     short = d < _P10[16]
     d = np.where(short, d * _U64(10), d)
     lead = d // _P10[16]
     quads = _quads(d - lead * _P10[16], 4)
     source = np.empty((len(d), 7), dtype=np.uint32)
     source[:, 0] = _HEAD
-    source[:, 1:5] = _QUADS.take(quads.T)
+    source[:, 1:5] = quad_text.take(quads.T)
     source[:, 5] = _E_PLUS
     x = k + 16 - short  # the decimal exponent of the leading digit; 0 for zeros
-    source[:, 6] = _QUADS.take(np.abs(x))
+    source[:, 6] = quad_text.take(np.abs(x))
     source = source.view(np.uint8)
     source[:, 3] = lead - (bits == _U64(0)) + _U64(ord("0"))
-    n = np.maximum.reduce([table.take(q) for table, q in zip(_SIGNIFICANT, quads)])
-    which = _ROWS.take(x - _X_LOW) + n + (negative * _SIGNED - 1)
-    chars, lengths = _lay_out(source, _FLOAT_LAYOUTS, which)
+    n = np.maximum.reduce([table.take(q) for table, q in zip(significant, quads)])
+    which = first_layout.take(x - _X_LOW) + n + (negative * _SIGNED - 1)
+    chars, lengths = _lay_out(source, layouts, which)
     for i in np.flatnonzero(special & (bits != _U64(0))):
         text = fallback(float(values[i])).encode()
         chars[i, :len(text)] = np.frombuffer(text, np.uint8)
@@ -271,7 +291,7 @@ def ints(values):
     magnitude = np.where(negative, _U64(0) - magnitude, magnitude)
     source = np.empty((len(values), 6), dtype=np.uint32)
     source[:, 0] = np.frombuffer(b"\0\0\0-", np.uint32)[0]
-    source[:, 1:] = _QUADS.take(_quads(magnitude, 5).T)
+    source[:, 1:] = _digits()[0].take(_quads(magnitude, 5).T)
     n = np.searchsorted(_P10[1:], magnitude, side="right")  # digits - 1
     chars, lengths = _lay_out(source.view(np.uint8), _INT_LAYOUTS, n + 20 * negative)
     return chars.reshape(*shape, chars.shape[1]), lengths.reshape(shape)

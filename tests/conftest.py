@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,14 @@ def base_params() -> PlatoonParams:
 @pytest.fixture
 def const_spacing_spec(base_params) -> ControllerSpec:
     return ControllerSpec(AUT, UNI, CS, base_params)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process behind (pid {pid or 'still running'})")

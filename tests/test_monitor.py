@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -825,6 +827,205 @@ def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, 
     monkeypatch.setattr(monitor, "_chunks", changing)
     with pytest.raises(ValueError, match="changed while it was read"):
         parse_trace(path)
+
+
+def force_split(patch, split=2 * _CHUNK, cpus=3):
+    """Let parse_trace split files of ``2 * split`` lines or more on
+    ``cpus`` usable CPUs, whatever the host has."""
+    patch.setattr(monitor, "_SPLIT", split)
+    patch.setattr(monitor.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def counting(patch, name):
+    """Wrap ``monitor.<name>`` so that the calls made in this process are
+    counted; a forked child's calls are not."""
+    calls = []
+    original = getattr(monitor, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(monitor, name, wrapper)
+    return calls
+
+
+def parsed_file_or_error(path):
+    try:
+        return columns(parse_trace(path))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture(scope="module")
+def split_trace():
+    """Lines of a trace of a little over six chunks, with violations."""
+    trace = generate_trace(41, 6 * _CHUNK + 5, make_spec(AUT, BI, CS), [(_CHUNK, "P1"), (4000, "P2")])
+    return trace, written(trace).splitlines(True)
+
+
+class TestSplitParse:
+    """parse_trace on line ranges at once: the first range here, each other
+    range in a forked child."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(length=st.integers(0, 6 * _CHUNK + 5), cpus=st.integers(1, 5),
+           split=st.sampled_from([1, _CHUNK // 2, _CHUNK, 2 * _CHUNK]),
+           newline=st.sampled_from(["\n", "\r", "\r\n"]))
+    @example(length=6 * _CHUNK + 5, cpus=3, split=2 * _CHUNK, newline="\n")
+    @example(length=2 * _CHUNK, cpus=2, split=_CHUNK, newline="\n")
+    @example(length=5, cpus=4, split=1, newline="\r\n")  # ranges with no lines
+    def test_columns_equal_the_serial_parse(self, split_trace, tmp_path_factory, length, cpus,
+                                            split, newline):
+        trace, lines = split_trace
+        path = tmp_path_factory.mktemp("split") / "trace.jsonl"
+        path.write_bytes("".join(lines[:length]).replace("\n", newline).encode())
+        with pytest.MonkeyPatch.context() as patch:
+            force_split(patch, split, cpus)
+            chunk_calls, forks = counting(patch, "_chunks"), counting(patch, "_fork_range")
+            parsed = parse_trace(path)
+            bounds = monitor._ranges(length)
+        assert columns(parsed) == columns(trace._rows(0, length))
+        assert len(bounds) - 1 == max(1, min(cpus, length // split, monitor._RANGES))
+        assert all(a % _CHUNK == 0 for a in bounds[:-1])
+        assert [fork[3:5] for fork in forks] == list(zip(bounds[1:-1], bounds[2:]))
+        assert len(chunk_calls) == 1  # every child sent its range
+
+    def test_a_child_range_that_fails_is_parsed_here(self, split_trace, tmp_path, monkeypatch):
+        trace, lines = split_trace
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines))
+        force_split(monkeypatch)
+        monkeypatch.setattr(monitor, "_fork_range", lambda *args: None)
+        chunk_calls = counting(monkeypatch, "_chunks")
+        assert columns(parse_trace(path)) == columns(trace)
+        assert [call[1:] for call in chunk_calls] == [(), (2 * _CHUNK,), (4 * _CHUNK,)]
+
+    # The benchmark's five corruptions, then lines that only a file can hold.
+    CORRUPTIONS = {
+        "bad-json": lambda line: line[:-2] + b"\n",
+        "unknown-key": lambda line: line[:-2] + b',"zz":0}\n',
+        "nan": lambda line: re.sub(rb'"w":[^}]+', b'"w":NaN', line),
+        "index-gap": lambda line: re.sub(rb'"i":(\d+)', lambda m: b'"i":%d' % (int(m[1]) + 1), line),
+        "401-digits": lambda line: re.sub(rb'"m":[^,]+', b'"m":1' + b"0" * 400, line),
+        "invalid-utf8": lambda line: line.replace(b"autonomous", b"auto\xffnomous"),
+        "empty": lambda line: b"\n",
+        "cr-inside": lambda line: line.replace(b',"m"', b'\r,"m"'),
+        "crlf-ending": lambda line: line[:-1] + b"\r\n",
+    }
+    # 1-based lines in a file of three ranges that start at lines 1, 2049
+    # and 4097: in range 0, in a later range, on a range's first line, on
+    # the last line, and in two ranges at once.
+    PLACES = {"range-0": (7,), "later-range": (3000,), "range-start": (2 * _CHUNK + 1,),
+              "last-line": (6 * _CHUNK + 5,), "two-ranges": (4 * _CHUNK + 1, 2 * _CHUNK + 9)}
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_errors_equal_the_serial_parse(self, split_trace, tmp_path, monkeypatch, name, place):
+        lines = [line.encode() for line in split_trace[1]]
+        for lineno in self.PLACES[place]:
+            lines[lineno - 1] = self.CORRUPTIONS[name](lines[lineno - 1])
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"".join(lines))
+        with monkeypatch.context() as patch:
+            force_split(patch, cpus=1)
+            serial = parsed_file_or_error(path)
+        force_split(monkeypatch)
+        forks = counting(monkeypatch, "_fork_range")
+        assert parsed_file_or_error(path) == serial
+        assert len(forks) == 2
+        if name != "crlf-ending":
+            assert serial.startswith(f"TraceParseError: line {min(self.PLACES[place])}: ")
+
+    def test_an_error_in_the_first_range_leaves_no_child(self, split_trace, tmp_path, monkeypatch):
+        lines = list(split_trace[1])
+        lines[2] = "{}\n"
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines))
+        force_split(monkeypatch)
+        forks = counting(monkeypatch, "_fork_range")
+        with pytest.raises(TraceParseError, match="^line 3: "):
+            parse_trace(path)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("change", ["grows", "shrinks-into-range-0", "shrinks-into-range-2"])
+    def test_a_file_that_changes_while_it_is_read_is_refused(self, split_trace, tmp_path,
+                                                             monkeypatch, change):
+        lines = split_trace[1]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines[:6 * _CHUNK]))
+        ranges = monitor._ranges
+
+        def changing(size):  # called after the lines are counted, before any child starts
+            if change == "grows":
+                with open(path, "a") as out:
+                    out.writelines(lines[6 * _CHUNK:])
+            else:
+                path.write_text("".join(lines[:3 if change.endswith("0") else 5 * _CHUNK]))
+            return ranges(size)
+
+        force_split(monkeypatch)
+        monkeypatch.setattr(monitor, "_ranges", changing)
+        forks = counting(monkeypatch, "_fork_range")
+        with pytest.raises(ValueError, match="changed while it was read"):
+            parse_trace(path)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("case", ["one-cpu", "pipe", "second-thread"])
+    def test_stays_in_one_process(self, split_trace, tmp_path, monkeypatch, case):
+        trace, lines = split_trace
+        text = "".join(lines[:40])
+        force_split(monkeypatch, split=1, cpus=1 if case == "one-cpu" else 3)
+        monkeypatch.setattr(monitor, "_fork_range", None)  # a call would raise
+        source = tmp_path / "trace.jsonl"
+        source.write_text(text)
+        if case == "pipe":  # 40 lines fit in the pipe's buffer
+            source, write_end = os.pipe()
+            with open(write_end, "w") as out:
+                out.write(text)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "second-thread":
+            thread.start()
+        try:
+            parsed = parse_trace(source)
+        finally:
+            stop.set()
+            if case == "second-thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert columns(parsed) == columns(trace._rows(0, 40))
+
+
+class TestChunkBoundariesUnderSplit(TestChunkBoundaries):
+    """The chunk-boundary tests again, each text parsed from a file in three
+    ranges, which start at lines 1, 1025 and 3073 of the 4098."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def split(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("boundaries") / "trace.jsonl"
+
+        def parsed_from_file(text):
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            assert len(monitor._ranges(text.count("\n"))) == 4
+            result = parsed_file_or_error(path)
+            return result.removeprefix("TraceParseError: ") if isinstance(result, str) else result
+
+        with pytest.MonkeyPatch.context() as patch:
+            force_split(patch, split=_CHUNK)
+            patch.setitem(globals(), "parsed_or_error", parsed_from_file)
+            yield
+
+    # Hypothesis runs a test on one class only, so this one is declared again.
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 4098))
+    @example("truncated", _CHUNK + 1)
+    @example("index-gap", 3 * _CHUNK + 1)
+    def test_mutation_anywhere(self, boundary_trace, name, lineno):
+        text, expected = mutated(boundary_trace, name, lineno)
+        assert parsed_or_error(text) == expected
 
 
 def one_pass(trace):

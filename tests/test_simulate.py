@@ -572,7 +572,7 @@ _SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300
 class TestChunkedCsvWriters:
     def test_chain_csv_matches_row_writer_across_chunks(self, const_spacing_model):
         cfg = SimConfig(dt=0.01, duration=90.0, amplitude=-1.0, omega=3.0)
-        series = simulate_chain(const_spacing_model, 4, cfg)  # 9001 rows, 36 chunks
+        series = simulate_chain(const_spacing_model, 4, cfg)  # 9001 rows, 11 chunks of 819
         assert not series.z.flags.c_contiguous
         text = written(write_chain_csv, series)
         assert text == written(reference_chain_csv, series)
@@ -585,8 +585,14 @@ class TestChunkedCsvWriters:
         assert written(write_state_csv, series) == written(reference_state_csv, series)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.sampled_from([1, 255, 256, 257, 1000]))
-    def test_special_values_match_row_writers(self, seed, n, rows):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.sampled_from(["chain", "state"]),
+           st.sampled_from([None, -1, 0, 1]))
+    def test_special_values_match_row_writers(self, seed, n, writer, edge):
+        # One row, or a row before, on or after the first chunk edge of one
+        # writer: a chunk is _CSV_VALUES // columns rows, n + 1 columns of
+        # chain and 2n + 1 of state.
+        columns = n + 1 if writer == "chain" else 2 * n + 1
+        rows = 1 if edge is None else simulate._CSV_VALUES // columns + edge
         rng = np.random.default_rng(seed)
         values = rng.choice(_SPECIAL, size=(rows, 4 * n + 1))
         values[rng.random(values.shape) < 0.3] = rng.standard_normal() * 1e-10
