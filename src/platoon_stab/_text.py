@@ -43,14 +43,7 @@ _K_MIN, _K_MAX = -324, 292
 
 # The tables below are built on first use, not at import: every command
 # imports this module, and most format no number.  Together they take 3 to
-# 6 ms to build.  The power tables keep their names as module attributes.
-_POWERS = ("_K", "_H", "_G1H", "_G1L", "_G0H", "_G0L", "_G1", "_G0")
-
-
-def __getattr__(name):
-    if name in _POWERS:
-        return _powers()[_POWERS.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# 6 ms to build.
 
 
 @cache

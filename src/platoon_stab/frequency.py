@@ -37,10 +37,6 @@ import numpy as np
 from . import _text
 from .model import ErrorModel
 
-# Denominator moduli below this are treated as singular.
-_SINGULARITY_FLOOR = 1e-300
-
-
 class SingularityError(ArithmeticError):
     """The transfer-function denominator vanishes at the requested point."""
 
@@ -96,11 +92,12 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
     The magnitude is the ratio of numerator and denominator moduli rather
     than ``abs(value)``: when the two moduli are equal (the |H| = 1
     boundary) the ratio is exactly 1.0, which keeps the strict stability
-    comparison honest there.  Raises :class:`SingularityError` when the
-    denominator modulus falls below 1e-300 (never the case for models
-    built from a valid platoon, whose a1 > 0 keeps the denominator away
-    from zero for omega > 0).  The arithmetic is that of :func:`sweep`, so
-    a sweep row and this function agree bit for bit.
+    comparison honest there.  Raises :class:`SingularityError` only where
+    the denominator modulus, on the time scale of :func:`_w_scaled`, is
+    exactly 0: a valid platoon has a1 > 0, which keeps the denominator
+    away from zero for omega > 0 unless ``a1*w`` underflows where
+    ``a0 = w^2``.  The arithmetic is that of :func:`sweep`, so a sweep row
+    and this function agree bit for bit.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
@@ -111,14 +108,14 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
 def _response(model, w):
     """``H(i*w)`` and ``|H(i*w)|`` at float64 ``w``, an array or a numpy
     scalar (not a Python float, whose complex division rounds otherwise), on
-    the time scale of :func:`_w_scaled`; the singularity floor applies to the
-    denominator's modulus scaled back."""
+    the time scale of :func:`_w_scaled`; singular where the denominator's
+    modulus there is exactly 0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled, v, e = _w_scaled(model, w)
+        scaled, v = _w_scaled(model, w)
         num_re, num_im = scaled.b0, scaled.b1 * v
         den_re, den_im = scaled.a0 - v * v, scaled.a1 * v
         den_mod = np.hypot(den_re, den_im)
-        singular = np.extract(np.ldexp(den_mod, 2 * e) < _SINGULARITY_FLOOR, w)
+        singular = np.extract(den_mod == 0.0, w)
         if singular.size:
             raise SingularityError(f"transfer function singular at omega = {float(singular[0])!r}")
         value = (num_re + 1j * num_im) / (den_re + 1j * den_im)
@@ -152,11 +149,11 @@ def _time_scaled(model: ErrorModel, e) -> ErrorModel:
 
 
 def _w_scaled(model: ErrorModel, w):
-    """The model, ``w`` and ``e`` with time in units of ``2**e``, where
+    """The model and ``w`` with time in units of ``2**e``, where
     ``e = max(frexp(w)[1], 0)`` brings a w of 1 or more into [0.5, 1) and
     leaves a smaller w as it is.  ``|H|`` and the sign of Q are unchanged."""
     e = np.maximum(np.frexp(w)[1], 0)
-    return _time_scaled(model, e), np.ldexp(w, -e), e
+    return _time_scaled(model, e), np.ldexp(w, -e)
 
 
 def critical_frequencies(constraint: StabilityConstraint) -> list[float]:
@@ -225,6 +222,8 @@ def sweep(
     """
     if not omega_min > 0.0:
         raise ValueError("omega range must start above 0")
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
+        raise ValueError("omega range must be finite")
     if not omega_max > omega_min:
         raise ValueError("omega range must be increasing")
     if points < 2:

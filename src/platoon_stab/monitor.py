@@ -60,7 +60,8 @@ chunk.  A file of at least ``2 * _SPLIT`` lines is parsed in line ranges
 at once, one per usable CPU, at most ``_RANGES`` and each at least
 ``_SPLIT`` lines: this process parses the first range, a forked child each
 of the others, and each child's columns come back through a pipe, read
-straight into the caller's columns.
+straight into the caller's columns.  Every range, here or in a child, is
+parsed by one function, :func:`_parse_range`.
 A child's memory is its own and does not count in the caller's peak RSS.
 A child that fails in any way leaves its range to this process, so every
 error is raised here, as the serial parse would raise it; no child
@@ -259,7 +260,7 @@ def _p2(model: ErrorModel, w):
         redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
         if redo.size:
             part = ErrorModel(*(np.atleast_1d(c)[redo] for c in vars(model).values()))
-            part, w_redo, _ = _w_scaled(part, np.atleast_1d(w)[redo])
+            part, w_redo = _w_scaled(part, np.atleast_1d(w)[redo])
             q[redo] = stability_constraint(part).q(w_redo * w_redo)
         return (w > 0.0) & (q > 0.0)
 
@@ -442,9 +443,11 @@ def parse_trace(path) -> Trace:
     chunk into columns of that length.  A large file is parsed in line
     ranges at once (:func:`_ranges`): this process parses the first range
     while a forked child parses each of the others and sends back its
-    columns.  A range whose child fails in any way is parsed again here, so
-    every error is raised here, the earliest range's first.  A file that
-    cannot be read twice (a pipe) goes through :func:`parse_trace_lines`.
+    columns.  The first range, which has no child, and a range whose child
+    fails in any way are parsed here, in order, by :func:`_parse_range`
+    from the handle that counted the lines, so every error is raised here,
+    the earliest range's first.  A file that cannot be read twice (a pipe)
+    goes through :func:`parse_trace_lines`.
     """
     # Bytes that are not UTF-8 become lone surrogates, which _validate_lines refuses.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -454,18 +457,16 @@ def parse_trace(path) -> Trace:
         fh.seek(0)
         columns = [np.empty(size, dtype) for dtype in _DTYPES]
         bounds = _ranges(size)
-        (a, b), *rest = zip(bounds, bounds[1:])
+        ranges = list(zip(bounds, bounds[1:]))
         stat = os.fstat(fh.fileno())
         children = []
         try:
-            for c, d in rest:
-                children.append(_fork_range(path, (stat.st_dev, stat.st_ino), columns, c, d, size))
-            _fill(columns, _chunks(_lines(fh, a, b, size)), a, b, path)
-            done = b  # the lines of fh read so far
-            for (a, b), child in zip(rest, children):
+            for a, b in ranges[1:]:
+                children.append(_fork_range(path, (stat.st_dev, stat.st_ino), columns, a, b, size))
+            done = 0  # the lines of fh read so far
+            for (a, b), child in zip(ranges, [None, *children]):
                 if child is None or not _receive(child[1], columns, a, b):
-                    _skip(fh, a - done)
-                    _fill(columns, _chunks(_lines(fh, a, b, size), a), a, b, path)
+                    _parse_range(fh, done, columns, a, b, size, path)
                     done = b
         finally:
             for pid, pipe in filter(None, children):
@@ -488,23 +489,15 @@ def _ranges(size) -> list[int]:
     return [chunks * i // count * _CHUNK for i in range(count)] + [size]
 
 
-def _lines(fh, a, b, size):
-    """The lines ``a`` to ``b - 1`` of ``fh``, which is at line ``a``.  The
-    last range reads on to the end of the file, so that lines added since
-    the count show."""
-    return fh if b == size else islice(fh, b - a)
-
-
-def _skip(fh, count):
-    """Read past the next ``count`` lines of ``fh``."""
-    next(islice(fh, count, count), None)
-
-
-def _fill(columns, chunks, a, b, path):
-    """Copy each chunk's columns into rows ``a`` to ``b - 1``; the chunks
-    must end at line ``b``, else the file changed since it was counted."""
+def _parse_range(fh, at, columns, a, b, size, path):
+    """Parse lines ``a`` to ``b - 1`` of ``fh``, which is at line ``at``,
+    into rows ``a`` to ``b - 1`` of the columns.  The last range reads on to
+    the end of the file, so that lines added since the count show; the
+    lines must end at line ``b``, else the file changed since it was
+    counted."""
+    next(islice(fh, a - at, a - at), None)
     end = a
-    for start, chunk in chunks:
+    for start, chunk in _chunks(fh if b == size else islice(fh, b - a), a):
         end = start + len(chunk[0])
         if end > b:
             break
@@ -520,8 +513,9 @@ def _fork_range(path, identity, columns, a, b, size):
     child's pid and the pipe's read end, or None when no child can start.
 
     A forked child shares the parent's file offset, so the child opens the
-    file again, and sends nothing unless it is the same file (``identity``
-    is its device and inode) and the whole range parsed.  It ends through
+    file again and parses the range with :func:`_parse_range` from line 0.
+    It sends nothing unless it is the same file (``identity`` is its device
+    and inode) and the whole range parsed.  It ends through
     ``os._exit``, so it runs no exit handlers and flushes no inherited
     buffer.
     """
@@ -540,8 +534,7 @@ def _fork_range(path, identity, columns, a, b, size):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             stat = os.fstat(fh.fileno())
             if (stat.st_dev, stat.st_ino) == identity:
-                _skip(fh, a)
-                _fill(columns, _chunks(_lines(fh, a, b, size), a), a, b, path)
+                _parse_range(fh, 0, columns, a, b, size, path)
                 with open(write_fd, "wb") as out:
                     for column in columns:
                         out.write(column[a:b])

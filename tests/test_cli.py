@@ -148,6 +148,19 @@ class TestSweep:
                      "--omega-min", "0", "--omega-max", "10", "--points", "10"]) == 2
         assert main(["sweep", "--spec", spec_file(make_spec()),
                      "--omega-min", "5", "--omega-max", "1", "--points", "10"]) == 2
+        assert main(["sweep", "--spec", spec_file(make_spec()),
+                     "--omega-min", "1", "--omega-max", "inf", "--points", "10"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_tiny_frequencies_of_a_valid_platoon_are_not_singular(self, spec_file, capsys):
+        # a1 = 1e-150 > 0 keeps the denominator off zero, although its
+        # modulus at the lowest frequencies is about 1e-305.
+        spec = spec_file(make_spec(m=1.0, k=1e-305, c=1e-150))
+        assert main(["sweep", "--spec", spec, "--omega-min", "1e-200",
+                     "--omega-max", "1e-100", "--points", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(cells[3]) for cells in rows] == pytest.approx(
+            [1.0, 1.0, math.sqrt(0.5), 1e-25, 1e-50], rel=1e-4)
 
 
 class TestSimulate:

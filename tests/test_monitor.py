@@ -816,13 +816,13 @@ def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, 
     path.write_text("".join(lines[:2 * _CHUNK]))
     chunks = monitor._chunks
 
-    def changing(fh):  # called after the lines are counted
+    def changing(fh, offset):  # called after the lines are counted
         if change == "grows":
             with open(path, "a") as out:
                 out.writelines(lines[2 * _CHUNK:])
         else:
             path.write_text("".join(lines[:3]))
-        return chunks(fh)
+        return chunks(fh, offset)
 
     monkeypatch.setattr(monitor, "_chunks", changing)
     with pytest.raises(ValueError, match="changed while it was read"):
@@ -899,7 +899,7 @@ class TestSplitParse:
         monkeypatch.setattr(monitor, "_fork_range", lambda *args: None)
         chunk_calls = counting(monkeypatch, "_chunks")
         assert columns(parse_trace(path)) == columns(trace)
-        assert [call[1:] for call in chunk_calls] == [(), (2 * _CHUNK,), (4 * _CHUNK,)]
+        assert [call[1:] for call in chunk_calls] == [(0,), (2 * _CHUNK,), (4 * _CHUNK,)]
 
     # The benchmark's five corruptions, then lines that only a file can hold.
     CORRUPTIONS = {
@@ -972,6 +972,27 @@ class TestSplitParse:
         with pytest.raises(ValueError, match="changed while it was read"):
             parse_trace(path)
         assert len(forks) == 2
+
+    def test_a_file_replaced_after_the_count_is_parsed_from_the_counted_handle(
+            self, split_trace, tmp_path, monkeypatch):
+        trace, lines = split_trace
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines))
+        other = tmp_path / "other.jsonl"
+        other.write_text(written(generate_trace(42, 6 * _CHUNK + 5, make_spec())))
+        ranges = monitor._ranges
+
+        def replacing(size):  # called after the lines are counted, before any child starts
+            os.replace(other, path)
+            return ranges(size)
+
+        force_split(monkeypatch)
+        monkeypatch.setattr(monitor, "_ranges", replacing)
+        forks = counting(monkeypatch, "_fork_range")
+        chunk_calls = counting(monkeypatch, "_chunks")
+        assert columns(parse_trace(path)) == columns(trace)
+        assert len(forks) == 2  # each child opens the new file and sends nothing
+        assert len(chunk_calls) == 3  # so every range is parsed here
 
     @pytest.mark.parametrize("case", ["one-cpu", "pipe", "second-thread"])
     def test_stays_in_one_process(self, split_trace, tmp_path, monkeypatch, case):

@@ -110,14 +110,14 @@ def test_power_of_ten_table_brackets_each_power():
     """Each g and r of the table: ``(g - 1) * 2**r <= 10**-k < g * 2**r``
     with ``2**125 < g < 2**126``; and each k is ``floor(log10(2**q))``, or
     ``floor(log10(3/4 * 2**q))`` where the lower neighbour is closer."""
-    g1h, g1l, g0h, g0l = (table.astype(object) for table in (_text._G1H, _text._G1L,
-                                                             _text._G0H, _text._G0L))
+    ks, hs, *halves, _, _ = _text._powers()
+    g1h, g1l, g0h, g0l = (table.astype(object) for table in halves)
     for bq in range(1, 2047):
         q = bq - 1075
         for j, scale in ((bq, Fraction(1)), (bq + 2048, Fraction(3, 4))):
             if j == 2049:  # bq 1 has no closer lower neighbour
                 continue
-            k, h = int(_text._K[j]), int(_text._H[j])
+            k, h = int(ks[j]), int(hs[j])
             g = g1h[j] << 95 | g1l[j] << 63 | g0h[j] << 32 | g0l[j]
             r = h - q - 127
             assert 2 ** 125 < g < 2 ** 126
