@@ -56,17 +56,27 @@ chunk that fails a check is parsed again line by line by
 line is named exactly as a line-by-line reader would name it.
 :func:`parse_trace` counts a file's lines first and parses each chunk
 straight into columns of that length, so beyond the columns it holds one
-chunk.  A file of at least ``2 * _SPLIT`` lines is parsed in line ranges
-at once, one per usable CPU, at most ``_RANGES`` and each at least
-``_SPLIT`` lines: this process parses the first range, a forked child each
-of the others, and each child's columns come back through a pipe, read
-straight into the caller's columns.  Every range, here or in a child, is
-parsed by one function, :func:`_parse_range`.
-A child's memory is its own and does not count in the caller's peak RSS.
-A child that fails in any way leaves its range to this process, so every
-error is raised here, as the serial parse would raise it; no child
-outlives the call.  A stream that cannot be read twice, such as a pipe, is
-parsed chunk by chunk in this process and the chunks are joined at the end.
+chunk.  A stream that cannot be read twice, such as a pipe, is parsed
+chunk by chunk in this process and the chunks are joined at the end.
+
+A file of at least ``2 * _SPLIT`` lines, or a trace of as many events, is
+read or written by one process per usable CPU, at most ``_RANGES`` and
+each with at least ``_SPLIT`` lines; by this process alone where it
+cannot fork or runs a second thread.  The parse splits the file into line
+ranges: this process parses the first, a forked child each of the others,
+and each child's columns come back through a pipe, read straight into the
+caller's columns.  Every range, here or in a child, is parsed by one
+function, :func:`_parse_range`.  The writer deals its chunks out in turn:
+chunk j goes to process j mod k, this process the first.  Each child
+sends the text of its chunks through a pipe, one chunk at a time, and this
+process writes every chunk in order, so no process holds much more than
+one chunk of text.  A child that fails in any way leaves its range or its
+remaining chunks to this process, so every error is raised here, as in
+one process, and the bytes written never depend on the children.  Reader
+and writer start and end their children through the same two functions,
+:func:`_fork` and :func:`_children`: a child's memory is its own and does
+not count in the caller's peak RSS, and no child outlives the call,
+whether it returns or raises.
 """
 
 from __future__ import annotations
@@ -77,8 +87,10 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import EnumMeta
+from functools import partial
 from itertools import chain, islice, product
 from operator import itemgetter
 from types import SimpleNamespace
@@ -351,8 +363,10 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     (P1 by zeroing one positivity conjunct or dropping n to 1, P2 by a
     frequency inside the non-attenuating band, or a non-positive one when
     the model attenuates everywhere).  Identical arguments produce an
-    identical trace.
+    identical trace; ``seed`` must be a non-negative int.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if length < 0:
         raise ValueError("length must be >= 0")
     error_model(template)  # reject invalid or unsupported templates up front
@@ -459,8 +473,7 @@ def parse_trace(path) -> Trace:
         bounds = _ranges(size)
         ranges = list(zip(bounds, bounds[1:]))
         stat = os.fstat(fh.fileno())
-        children = []
-        try:
+        with _children() as children:
             for a, b in ranges[1:]:
                 children.append(_fork_range(path, (stat.st_dev, stat.st_ino), columns, a, b, size))
             done = 0  # the lines of fh read so far
@@ -468,23 +481,25 @@ def parse_trace(path) -> Trace:
                 if child is None or not _receive(child[1], columns, a, b):
                     _parse_range(fh, done, columns, a, b, size, path)
                     done = b
-        finally:
-            for pid, pipe in filter(None, children):
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
     return Trace(str(path), *columns)
+
+
+def _processes(size) -> int:
+    """How many processes share the parse or the write of ``size`` lines:
+    one per usable CPU, at most :data:`_RANGES` and each with at least
+    :data:`_SPLIT` lines.  One where the process cannot fork, or has a
+    second thread, which a forked child could find holding a lock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, size // _SPLIT, _RANGES))
 
 
 def _ranges(size) -> list[int]:
     """The bounds of the line ranges that :func:`parse_trace` parses at
-    once: 0, multiples of :data:`_CHUNK`, then ``size``.  One range where
-    the process cannot fork, or has a second thread, which a forked child
-    could find holding a lock."""
-    count = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        count = max(1, min(cpus or 1, size // _SPLIT, _RANGES))
+    once, one per process (:func:`_processes`): 0, multiples of
+    :data:`_CHUNK`, then ``size``."""
+    count = _processes(size)
     chunks = -(-size // _CHUNK)
     return [chunks * i // count * _CHUNK for i in range(count)] + [size]
 
@@ -507,22 +522,32 @@ def _parse_range(fh, at, columns, a, b, size, path):
         raise ValueError(f"{path}: the file changed while it was read")
 
 
-def _fork_range(path, identity, columns, a, b, size):
-    """Fork a child that parses lines ``a`` to ``b - 1`` of the file into
-    its copy of the columns and writes their bytes to a pipe.  Returns the
-    child's pid and the pipe's read end, or None when no child can start.
+@contextmanager
+def _children():
+    """A list for the ``(pid, pipe)`` of each child that :func:`_fork`
+    starts, or None for one that did not start.  On leaving, whatever
+    raised, each pipe is closed and each child killed and reaped, so that
+    none outlives the block."""
+    children = []
+    try:
+        yield children
+    finally:
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    A forked child shares the parent's file offset, so the child opens the
-    file again and parses the range with :func:`_parse_range` from line 0.
-    It sends nothing unless it is the same file (``identity`` is its device
-    and inode) and the whole range parsed.  It ends through
-    ``os._exit``, so it runs no exit handlers and flushes no inherited
-    buffer.
-    """
+
+def _fork(job):
+    """Fork a child that runs ``job(out)``, ``out`` the write end of a pipe
+    as a binary file.  Returns the child's pid and the pipe's read end, or
+    None when no child can start.  The child ends through ``os._exit``,
+    whether ``job`` returns or raises, so it runs no exit handlers and
+    flushes no inherited buffer, such as that of the caller's output."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # out of processes or memory: the caller parses the range
+    except OSError:  # out of processes or memory: the caller does the job
         os.close(read_fd)
         os.close(write_fd)
         return None
@@ -531,15 +556,31 @@ def _fork_range(path, identity, columns, a, b, size):
         return pid, open(read_fd, "rb")
     try:
         os.close(read_fd)
+        with open(write_fd, "wb") as out:
+            job(out)
+    finally:
+        os._exit(0)
+
+
+def _fork_range(path, identity, columns, a, b, size):
+    """Fork a child (:func:`_fork`) that parses lines ``a`` to ``b - 1`` of
+    the file into its copy of the columns and writes their bytes to its
+    pipe.
+
+    A forked child shares the parent's file offset, so the child opens the
+    file again and parses the range with :func:`_parse_range` from line 0.
+    It sends nothing unless it is the same file (``identity`` is its device
+    and inode) and the whole range parsed.
+    """
+    def send(out):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             stat = os.fstat(fh.fileno())
             if (stat.st_dev, stat.st_ino) == identity:
                 _parse_range(fh, 0, columns, a, b, size, path)
-                with open(write_fd, "wb") as out:
-                    for column in columns:
-                        out.write(column[a:b])
-    finally:
-        os._exit(0)
+                for column in columns:
+                    out.write(column[a:b])
+
+    return _fork(send)
 
 
 def _receive(pipe, columns, a, b) -> bool:
@@ -658,16 +699,59 @@ _FLOATS = [key for key in _COLUMNS if _SCHEMA[key] is float]
 
 def write_trace(trace: Trace, fh) -> None:
     """Write the line-delimited JSON form; identical traces give identical
-    bytes."""
-    for start in range(0, len(trace), _CHUNK // 2):
-        part = trace._rows(start, start + _CHUNK // 2)
-        index = np.arange(start, start + len(part))
-        ints = _text.ints(np.stack([index, *(getattr(part, key) for key in _INTS)]))
-        texts = dict(zip(["i", *_INTS], zip(*ints)))
-        texts.update((key, _text.pick(_ENUM_TEXTS[key], getattr(part, key))) for key in _ENUMS)
-        floats = np.column_stack([getattr(part, key) for key in _FLOATS])
-        fields = [texts[key] for key in _SCHEMA if key not in _FLOATS]
-        fh.write(_text.join(_LITERALS, [*fields, _text.floats(floats, json.dumps)]))
+    bytes.
+
+    Chunk j of ``_CHUNK // 2`` events is formatted by process j mod k
+    (:func:`_processes`), this process the first and a forked child each
+    of the others, which sends its chunks through a pipe
+    (:func:`_send_chunks`).  Every chunk is written to ``fh`` in order, a
+    child's once all of it has arrived; a child that stops early, for
+    whatever reason, leaves the rest of its chunks to this process.
+    """
+    starts = range(0, len(trace), _CHUNK // 2)
+    count = _processes(len(trace))
+    with _children() as children:
+        for i in range(1, count):
+            children.append(_fork(partial(_send_chunks, trace, starts[i::count])))
+        pipes = [None, *(child and child[1] for child in children)]
+        for j, start in enumerate(starts):
+            fh.write(_next_block(pipes[j % count]) or _chunk_text(trace, start))
+
+
+def _chunk_text(trace, start) -> str:
+    """The lines of the ``_CHUNK // 2`` events of the trace from ``start``."""
+    part = trace._rows(start, start + _CHUNK // 2)
+    index = np.arange(start, start + len(part))
+    ints = _text.ints(np.stack([index, *(getattr(part, key) for key in _INTS)]))
+    texts = dict(zip(["i", *_INTS], zip(*ints)))
+    texts.update((key, _text.pick(_ENUM_TEXTS[key], getattr(part, key))) for key in _ENUMS)
+    floats = np.column_stack([getattr(part, key) for key in _FLOATS])
+    fields = [texts[key] for key in _SCHEMA if key not in _FLOATS]
+    return _text.join(_LITERALS, [*fields, _text.floats(floats, json.dumps)])
+
+
+def _send_chunks(trace, starts, out):
+    """In a child of :func:`write_trace`: send the text of the chunk at
+    each of ``starts``, in order, as a block: its length in ASCII digits
+    and a newline, then the ASCII text."""
+    for start in starts:
+        text = _chunk_text(trace, start).encode("ascii")
+        out.write(b"%d\n" % len(text))
+        out.write(text)
+
+
+def _next_block(pipe):
+    """The text of the next block from a child's pipe, or None when there
+    is no pipe or the child sent less than a whole block.  A child that
+    sent less has closed its pipe, so later calls on it return None too."""
+    if pipe is None:
+        return None
+    head = pipe.readline()
+    if not head.endswith(b"\n"):
+        return None
+    size = int(head)
+    text = pipe.read(size)
+    return text.decode("ascii") if len(text) == size else None
 
 
 def write_trace_file(trace: Trace, path) -> None:

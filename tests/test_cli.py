@@ -364,6 +364,13 @@ class TestMonitorAndGenTrace:
         assert main(["gen-trace", "--seed", "1", "--len", "10", "--spec", spec,
                      "--violate", "nope"]) == 2
 
+    def test_gen_trace_refuses_a_negative_seed(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--seed", "-1", "--len", "10",
+                     "--spec", spec_file(make_spec()), "--out", str(out)]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_trace_refuses_a_template_that_jitters_past_the_float_range(
             self, spec_file, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -297,6 +298,13 @@ class TestGenerator:
             generate_trace(1, 10, const_spacing_spec, [(3, "P3")])
         with pytest.raises(ValueError):
             generate_trace(1, -5, const_spacing_spec)
+
+    @pytest.mark.parametrize("seed", [-1, None, 1.0, True, "1", np.int64(1)],
+                             ids=["negative", "none", "float", "bool", "str", "numpy-int"])
+    def test_refuses_a_seed_that_is_not_a_non_negative_int(self, const_spacing_spec, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
+                                                       f"got {seed!r}")):
+            generate_trace(seed, 3, const_spacing_spec)
 
     def test_rejects_invalid_or_unsupported_template(self):
         with pytest.raises(ValueError):
@@ -1018,6 +1026,123 @@ class TestSplitParse:
                 thread.join(timeout=10)
         assert not thread.is_alive()
         assert columns(parsed) == columns(trace._rows(0, 40))
+
+
+@pytest.fixture(scope="module")
+def write_sample():
+    """A trace of thirteen writer chunks, the last of 56 events, with
+    violations, and frequencies that take the formatter's fallback in the
+    chunks of both children of a three-process write."""
+    trace = generate_trace(43, 6200, make_spec(AUT, UNI, VTH), [(0, "P2"), (3000, "P1")])
+    trace.w[[600, 1100, 2000, 6199]] = [np.nan, np.inf, 5e-324, -0.0]
+    return trace
+
+
+def serial_written(trace):
+    """The text of the one-process writer."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_split(patch, cpus=1)
+        return written(trace)
+
+
+class TestSplitWrite:
+    """write_trace on several processes: writer chunk j by process j mod k,
+    this process the first and a forked child each of the others."""
+
+    STEP = _CHUNK // 2  # events per writer chunk
+
+    @settings(max_examples=30, deadline=None)
+    @given(length=st.integers(0, 6200), cpus=st.integers(1, 5),
+           split=st.sampled_from([1, _CHUNK // 2, _CHUNK, 2 * _CHUNK]))
+    @example(length=6200, cpus=5, split=1)
+    @example(length=2 * _CHUNK, cpus=2, split=_CHUNK)
+    @example(length=3, cpus=4, split=1)  # children with no chunk
+    def test_bytes_equal_the_one_process_writer(self, write_sample, tmp_path_factory, length,
+                                                cpus, split):
+        trace = write_sample._rows(0, length)
+        expected = serial_written(trace)
+        path = tmp_path_factory.mktemp("write") / "trace.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            force_split(patch, split, cpus)
+            forks, here = counting(patch, "_fork"), counting(patch, "_chunk_text")
+            text = written(trace)
+            write_trace_file(trace, path)
+        count = max(1, min(cpus, length // split, monitor._RANGES))
+        assert text == expected
+        assert path.read_bytes() == expected.encode()
+        assert len(forks) == 2 * (count - 1)
+        # Every child sent all of its chunks, so this process formatted its own only.
+        assert [start for _, start in here] == 2 * list(range(0, length, self.STEP)[::count])
+
+    # Thirteen chunks on three processes: child 1 formats chunks 1, 4, 7 and
+    # 10, child 2 chunks 2, 5, 8 and 11.  The chunks each case leaves here.
+    STOPS = {"fork-refused": range(13),
+             "raises-on-first": [0, 1, 3, 4, 6, 7, 9, 10, 12],
+             "raises-on-middle": [0, 3, 6, 7, 9, 10, 12],
+             "killed": [0, 3, 4, 6, 7, 9, 10, 12],
+             "short-block": [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]}
+
+    @pytest.mark.parametrize("case", sorted(STOPS))
+    def test_a_child_that_stops_leaves_its_chunks_here(self, write_sample, monkeypatch, case):
+        expected = serial_written(write_sample)
+        force_split(monkeypatch, split=self.STEP, cpus=3)
+        parent, chunk_text, here = os.getpid(), monitor._chunk_text, []
+        stop = {"raises-on-first": 1, "raises-on-middle": 7, "killed": 4}.get(case)
+
+        def stopping(trace, start):
+            if os.getpid() == parent:
+                here.append(start // self.STEP)
+            elif start == self.STEP * stop and case == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif start == self.STEP * stop:
+                raise RuntimeError("a child fails")
+            return chunk_text(trace, start)
+
+        def short(trace, starts, out):  # a whole block, then half of one
+            for start, keep in zip(starts, (1.0, 0.5)):
+                text = chunk_text(trace, start).encode()
+                out.write(b"%d\n%s" % (len(text), text[:int(keep * len(text))]))
+
+        def refused():
+            raise OSError("out of processes")
+
+        monkeypatch.setattr(monitor, "_chunk_text", stopping)
+        if case == "short-block":
+            monkeypatch.setattr(monitor, "_send_chunks", short)
+        if case == "fork-refused":
+            monkeypatch.setattr(monitor.os, "fork", refused)
+        assert written(write_sample) == expected
+        assert here == list(self.STOPS[case])
+
+    def test_an_output_error_propagates_and_leaves_no_child(self, write_sample, monkeypatch):
+        class Full:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 5:  # a child's chunk, with both children running
+                    raise OSError("no space left on device")
+
+        force_split(monkeypatch, split=self.STEP, cpus=3)
+        with pytest.raises(OSError, match="no space left"):
+            write_trace(write_sample, Full())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_second_thread_keeps_the_write_in_one_process(self, write_sample, monkeypatch):
+        expected = serial_written(write_sample)
+        force_split(monkeypatch, split=1, cpus=3)
+        monkeypatch.setattr(monitor, "_fork", None)  # a call would raise
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            text = written(write_sample)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert text == expected
 
 
 class TestChunkBoundariesUnderSplit(TestChunkBoundaries):
