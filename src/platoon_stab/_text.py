@@ -13,7 +13,8 @@ step is one array operation over a whole chunk:
   [-4, 16), with ``.0`` on integral values, and ``d.ddde±XX`` otherwise.
   Subnormals, infinities and nan are rare; they take the text of
   ``fallback`` (``float.__repr__`` by default) one value at a time.
-* :func:`ints` gives the text of ``str`` of each int64.
+* :func:`ints` gives the text of ``str`` of each int64: numpy's cast of
+  int64 to bytes writes the digits.
 * :func:`texts` and :func:`pick` give one of a few fixed texts per code.
 * :func:`join` lays out a chunk of rows, each row its fields between
   literal texts, as one string.
@@ -162,14 +163,14 @@ def _digits():
             np.where(used, 1 + 4 * np.arange(4)[:, None] + used, 1).astype(np.uint8))
 
 
-_P10 = np.array([10 ** i for i in range(20)], dtype=_U64)
+_P10 = np.array([10 ** i for i in range(17)], dtype=_U64)
 
 
-def _quads(d, groups: int):
-    """Rows of the groups of four decimal digits of ``d < 10**(4 * groups)``,
-    the most significant first, as uint32."""
-    quads = np.empty((groups, len(d)), dtype=np.uint32)
-    for i in reversed(range(groups)):
+def _quads(d):
+    """Rows of the four groups of four decimal digits of ``d < 10**16``, the
+    most significant first, as uint32."""
+    quads = np.empty((4, len(d)), dtype=np.uint32)
+    for i in reversed(range(4)):
         q = d // _P10[4]
         quads[i] = d - q * _P10[4]
         d = q
@@ -251,7 +252,7 @@ def floats(values, fallback=float.__repr__):
     short = d < _P10[16]
     d = np.where(short, d * _U64(10), d)
     lead = d // _P10[16]
-    quads = _quads(d - lead * _P10[16], 4)
+    quads = _quads(d - lead * _P10[16])
     source = np.empty((len(d), 7), dtype=np.uint32)
     source[:, 0] = _HEAD
     source[:, 1:5] = quad_text.take(quads.T)
@@ -270,24 +271,13 @@ def floats(values, fallback=float.__repr__):
     return chars.reshape(*shape, chars.shape[1]), lengths.reshape(shape)
 
 
-# An int's source: a minus sign in byte 3, then 20 digits, zero-filled.
-_INT_LAYOUTS = _layout_table([list(range(24 - n, 24)) for n in range(1, 21)], 3)
-
-
 def ints(values):
     """The text of ``str`` of each int64 in ``values``, as a field of the
     same shape."""
     shape = np.shape(values)
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    negative = values < 0
-    magnitude = values.view(_U64)
-    magnitude = np.where(negative, _U64(0) - magnitude, magnitude)
-    source = np.empty((len(values), 6), dtype=np.uint32)
-    source[:, 0] = np.frombuffer(b"\0\0\0-", np.uint32)[0]
-    source[:, 1:] = _digits()[0].take(_quads(magnitude, 5).T)
-    n = np.searchsorted(_P10[1:], magnitude, side="right")  # digits - 1
-    chars, lengths = _lay_out(source.view(np.uint8), _INT_LAYOUTS, n + 20 * negative)
-    return chars.reshape(*shape, chars.shape[1]), lengths.reshape(shape)
+    chars = values.astype("S20").view(np.uint8).reshape(*shape, 20)  # 20 bytes hold -2**63
+    return chars, np.count_nonzero(chars, axis=-1)
 
 
 def texts(strings):

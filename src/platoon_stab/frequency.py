@@ -95,9 +95,11 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
     comparison honest there.  Raises :class:`SingularityError` only where
     the denominator modulus, on the time scale of :func:`_w_scaled`, is
     exactly 0: a valid platoon has a1 > 0, which keeps the denominator
-    away from zero for omega > 0 unless ``a1*w`` underflows where
-    ``a0 = w^2``.  The arithmetic is that of :func:`sweep`, so a sweep row
-    and this function agree bit for bit.
+    away from zero for omega > 0.  On that scale, where the larger of w and
+    the model's largest rate is near 1, ``a1*w`` underflows where
+    ``a0 = w^2`` only when a1 lies far below that rate.  The arithmetic is
+    that of :func:`sweep`, so a sweep row and this function agree bit for
+    bit.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
@@ -149,10 +151,14 @@ def _time_scaled(model: ErrorModel, e) -> ErrorModel:
 
 
 def _w_scaled(model: ErrorModel, w):
-    """The model and ``w`` with time in units of ``2**e``, where
-    ``e = max(frexp(w)[1], 0)`` brings a w of 1 or more into [0.5, 1) and
-    leaves a smaller w as it is.  ``|H|`` and the sign of Q are unchanged."""
-    e = np.maximum(np.frexp(w)[1], 0)
+    """The model and ``w`` with time in units of ``2**e``.  A w of 1 or more
+    is brought into [0.5, 1).  A smaller w is scaled up until it or the
+    model's largest rate, of ``sqrt|a0|``, ``|a1|``, ``sqrt|b0|`` and
+    ``|b1|``, reaches [0.5, 1); not at all where that rate is 1 or more.  So
+    no coefficient overflows, and ``|H|`` and the sign of Q are unchanged."""
+    rate = np.maximum.reduce([np.sqrt(np.abs(model.a0)), np.abs(model.a1),
+                              np.sqrt(np.abs(model.b0)), np.abs(model.b1)])
+    e = np.maximum(np.frexp(w)[1], np.minimum(np.frexp(rate)[1], 0))
     return _time_scaled(model, e), np.ldexp(w, -e)
 
 

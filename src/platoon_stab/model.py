@@ -192,8 +192,8 @@ _MODELS = {
     (_AUT, _UNI, _VS): lambda p: (p.k / p.m, (p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
     (_AUT, _UNI, _VTH): lambda p: (p.k / p.m, (p.c + p.k * p.h0 + p.k * p.ch * p.vd) / p.m,
                                    p.k / p.m, (p.c + p.k * p.ch * p.vd) / p.m),
-    (_AUT, _BI, _CS): lambda p: (2.0 * (p.k / p.m), 2.0 * (p.c / p.m), p.k / p.m, p.c / p.m),
-    (_AUT, _BI, _VS): lambda p: (2.0 * (p.k / p.m), (2.0 * p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
+    (_AUT, _BI, _CS): lambda p: (2 * (p.k / p.m), 2 * (p.c / p.m), p.k / p.m, p.c / p.m),
+    (_AUT, _BI, _VS): lambda p: (2 * (p.k / p.m), (2 * p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
     _NON: lambda p: (p.k / p.m, (p.c + p.ca) / p.m, p.k / p.m, p.c / p.m),
 }
 

@@ -265,8 +265,9 @@ def check_p2(event: Event) -> bool:
 
 def _p2(model: ErrorModel, w):
     """P2 of a model and frequency, floats or arrays alike, as an array;
-    Q is evaluated again with time rescaled where it is nan.  Small w are
-    never scaled up, which could overflow ``a0/w^2``."""
+    Q is evaluated again with time rescaled where it is nan.  With finite
+    coefficients such a row has a w or a rate of 1 or more, which
+    :func:`_w_scaled` never scales up."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.atleast_1d(stability_constraint(model).q(w * w))
         redo = np.flatnonzero(np.isnan(q) & (w > 0.0))

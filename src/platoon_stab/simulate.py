@@ -371,7 +371,7 @@ def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport
         ref = amps[i - 1]
         if ref < _AMPLITUDE_FLOOR:
             raise DegenerateInputError(
-                f"reference amplitude {ref!r} of channel {i} is below 1e-12"
+                f"reference amplitude {float(ref)!r} of channel {i} is below 1e-12"
             )
         ratios.append(float(amps[i] / ref))
     return AttenuationReport(

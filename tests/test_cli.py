@@ -162,6 +162,15 @@ class TestSweep:
         assert [float(cells[3]) for cells in rows] == pytest.approx(
             [1.0, 1.0, math.sqrt(0.5), 1e-25, 1e-50], rel=1e-4)
 
+    def test_a1_w_below_the_float_range_is_not_singular(self, spec_file, capsys):
+        # a0 = b0 = 1e-200 = w^2 at the first point, where a1*w = 1e-350
+        # underflows unless time is first scaled to the model's rates.
+        spec = spec_file(make_spec(m=1.0, k=1e-200, c=1e-250))
+        assert main(["sweep", "--spec", spec, "--omega-min", "1e-100",
+                     "--omega-max", "2e-100", "--points", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(cells[3]) for cells in rows] == pytest.approx([1e150, 1 / 3], rel=1e-12)
+
 
 class TestSimulate:
     def test_stable_run_writes_trajectory_and_report(self, spec_file, tmp_path, capsys):
@@ -193,6 +202,13 @@ class TestSimulate:
                      "--omega", "3", "--amp", "0", "--duration", "150",
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert "--amp" in capsys.readouterr().err
+
+    def test_subnormal_reference_amplitude_is_printed_as_a_float(self, spec_file, tmp_path, capsys):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "2",
+                     "--omega", "5e-324", "--duration", "100", "--dt", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "4.94e-322" in err and "np.float64(" not in err
 
     def test_oversized_step_diverges_with_exit_3(self, spec_file, tmp_path, capsys):
         code = main(["simulate", "--spec", spec_file(make_spec()), "--n", "2",

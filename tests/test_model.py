@@ -1,4 +1,7 @@
+import dataclasses
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from platoon_stab import (
     failed_conjunct,
     is_valid_platoon,
 )
+from platoon_stab.model import _MODELS
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_params, make_spec, random_params
 
 
@@ -100,6 +104,14 @@ class TestErrorModel:
                 assert model.a1 == pytest.approx(a1, rel=1e-14)
                 assert model.b0 == pytest.approx(b0, rel=1e-14)
                 assert model.b1 == pytest.approx(b1, rel=1e-14)
+
+    def test_model_table_runs_exactly_on_fractions(self):
+        p = SimpleNamespace(**{key: Fraction(value)
+                               for key, value in dataclasses.asdict(make_params()).items()})
+        for formulas in _MODELS.values():
+            coefficients = formulas(p)
+            assert len(coefficients) == 4
+            assert all(type(x) is Fraction for x in coefficients)
 
     def test_coefficients_positive_for_valid_platoons(self):
         rng = np.random.default_rng(11)

@@ -84,6 +84,10 @@ def test_fields_keep_the_shape_of_their_values():
     assert chars.shape[:2] == lengths.shape == (3, 4)
     assert texts((chars[2], lengths[2])) == ["8.0", "9.0", "10.0", "11.0"]
     assert lengths.size == 12 and _text.floats(np.empty(0))[1].shape == (0,)
+    chars, lengths = _text.ints(np.arange(-5, 7).reshape(3, 4))
+    assert chars.shape[:2] == lengths.shape == (3, 4)
+    assert texts((chars[0], lengths[0])) == ["-5", "-4", "-3", "-2"]
+    assert _text.ints(np.empty(0, dtype=np.int64))[1].shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)
