@@ -276,8 +276,8 @@ def ints(values):
     same shape."""
     shape = np.shape(values)
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    chars = values.astype("S20").view(np.uint8).reshape(*shape, 20)  # 20 bytes hold -2**63
-    return chars, np.count_nonzero(chars, axis=-1)
+    text = values.astype("S20")  # 20 bytes hold -2**63
+    return text.view(np.uint8).reshape(*shape, 20), np.char.str_len(text).reshape(shape)
 
 
 def texts(strings):

@@ -22,10 +22,20 @@ On a linear system one RK4 step is exactly
 the RK4 stability function.  The integrator builds the four matrices by
 applying the one RK4 step to the identity and to unit inputs, then walks
 the grid in blocks: the input is evaluated once on a block's half-step
-times, the forcing terms are formed for that block only, and each step is
-one vector-matrix product written straight into the output buffer.  The
-returned series are views of that buffer, so a run holds little more
-memory than its output.
+times, the forcing terms are formed for that block only and written
+straight into the output buffer, and the first-order recurrence
+``x_k = x_{k-1} M + f_k`` is then solved in place by a blocked scan
+(Kogge & Stone 1973; Blelloch 1990).  From the powers of ``M``, built
+once per run, one matrix product gives every sub-block of 8 steps its sum
+from a zero start, a loop carries the state from sub-block to sub-block,
+and 7 products over all sub-blocks at once fill the steps in between: a
+block of 256 steps takes about 40 numpy calls, not 256.  Steps go one
+vector-matrix product at a time where the scan does not fit: the few
+steps at a block's end, every step where a power of ``M`` is not finite
+or the state is wider than ``_SCAN_WIDTH``, and a block that the scan
+left non-finite, stepped again so that a divergence is reported at the
+time of the one-step recurrence.  The returned series are views of the
+output buffer, so a run holds little more memory than its output.
 """
 
 from __future__ import annotations
@@ -46,6 +56,19 @@ _AMPLITUDE_FLOOR = 1e-12
 # divergence check are evaluated a block at a time, which bounds every
 # temporary to one block.
 _BLOCK = 256
+
+# Rows per sub-block of the blocked scan (see _recur).  Each power of the
+# step matrix rounds anew, so this length sets the scan's accuracy.  Over
+# 2,000 random state-space runs the worst error against a 60-digit RK4 was
+# 13.7 ulp of a channel's amplitude per step at 8, 13.0 at 4 and 17.2 at
+# 16, against 30.6 stepping row by row.
+_SCAN = 8
+
+# State widths (2n) above which the run steps row by row.  The stacked
+# powers take _SCAN * width**2 doubles, 400 KiB at this width.  Wider, the
+# scan's extra products and the powers cost as much as it saves: at
+# n = 48, 400 steps, a fresh process ran no faster than row by row.
+_SCAN_WIDTH = 80
 
 # Values formatted per write by the CSV writers, in whole rows.
 _CSV_VALUES = 4096
@@ -228,9 +251,50 @@ def _rk4_step(A, B, h, x, u0, uh, u1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _powers(M):
+    """``(M**_SCAN, [M**(_SCAN-1); ...; M**0])``, the second stacked into
+    one ``(_SCAN * size, size)`` matrix; None if a power is not finite."""
+    size = len(M)
+    stack = np.empty((_SCAN, size, size))
+    stack[-1] = np.eye(size)
+    for j in range(_SCAN - 2, -1, -1):
+        np.matmul(stack[j + 1], M, out=stack[j])
+    top = stack[0] @ M
+    if not (np.isfinite(stack).all() and np.isfinite(top).all()):
+        return None
+    return top, stack.reshape(-1, size)
+
+
+def _recur(x, M, powers=None):
+    """Make each row ``x[k]`` (k >= 1), which holds a forcing row, into
+    ``x[k-1] @ M + x[k]``, in place.
+
+    With ``powers`` from :func:`_powers`, whole sub-blocks of ``_SCAN``
+    rows go by the blocked scan: one product gives each sub-block's sum
+    from a zero start, a loop carries the state from one sub-block's last
+    row to the next, and ``_SCAN - 1`` products over all sub-blocks at
+    once fill the rows in between.  The rows left over, and every row
+    without ``powers``, take one product each.
+    """
+    done = 0
+    if powers is not None:
+        top, stack = powers
+        size = len(M)
+        done = (len(x) - 1) // _SCAN * _SCAN
+        x[_SCAN:done + 1:_SCAN] = x[1:done + 1].reshape(-1, _SCAN * size) @ stack
+        for prev, row in zip(x[:done:_SCAN], x[_SCAN:done + 1:_SCAN]):
+            row += prev @ top
+        y = x[:done].reshape(-1, _SCAN, size)
+        for j in range(1, _SCAN):
+            y[:, j] += y[:, j - 1] @ M
+    for prev, row in zip(x[done:], x[done + 1:]):
+        row += prev @ M
+
+
 def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
     """Integrate ``x' = A x + B u`` in place: row k of ``out`` becomes the
-    state at time k*h, starting from ``out[0]``.
+    state at time k*h, starting from ``out[0]``.  ``out`` must be
+    C-contiguous.
 
     ``inputs`` maps a 1-D array of times to the input rows, shape
     ``(len(t), p)``; it sees every time of the half-step grid exactly once,
@@ -247,6 +311,10 @@ def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
         # Row form: x(t+h) = x(t) @ M + u(t) @ N0 + u(t+h/2) @ Nh + u(t+h) @ N1.
         M, N0, Nh, N1 = (np.ascontiguousarray(m) for m in
                          np.split(step.T, [size, size + p, size + 2 * p]))
+        powers = _powers(M) if size <= _SCAN_WIDTH else None
+        # A block that the scan leaves non-finite is stepped again row by
+        # row, so the time reported is the one-step recurrence's.
+        attempts = (None,) if powers is None else (powers, None)
         u = inputs(np.zeros(1))
         if input_cols:
             out[0, input_cols] = u[0]
@@ -257,15 +325,17 @@ def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
             t[1::2] = t[:-1:2] + 0.5 * h
             u = np.concatenate((u[-1:], inputs(t[1:])))
             x = out[k0:k1 + 1]
-            np.matmul(u[:-1:2], N0, out=x[1:])
-            x[1:] += u[1::2] @ Nh
-            x[1:] += u[2::2] @ N1
-            for prev, row in zip(x, x[1:]):
-                row += prev @ M
-            if input_cols:
-                x[1:, input_cols] = u[2::2]
-            finite = np.isfinite(x[1:]).all(axis=1)
-            if not finite.all():
+            for attempt in attempts:
+                np.matmul(u[:-1:2], N0, out=x[1:])
+                x[1:] += u[1::2] @ Nh
+                x[1:] += u[2::2] @ N1
+                _recur(x, M, attempt)
+                if input_cols:
+                    x[1:, input_cols] = u[2::2]
+                finite = np.isfinite(x[1:]).all(axis=1)
+                if finite.all():
+                    break
+            else:
                 k = k0 + 1 + int(np.argmin(finite))
                 raise DivergenceError(f"non-finite state at t = {k * h:.6g} s")
 
