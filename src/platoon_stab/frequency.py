@@ -22,6 +22,17 @@ exit 2).  For the unidirectional constant-spacing controller a1 = b1 and
 a0 = b0, hence alpha = -2*k/m and beta = 0, and the condition collapses to
 the classic bound w^2 > 2*k/m.
 
+This module alone picks power-of-two time units, and it picks three: the
+frequency unit of :func:`_w_scaled`, for ``|H|`` and P2; the rate unit of
+:func:`_rate_exponent`, for the trace generator's stable band
+(:func:`_stable_band`); and the unit of alpha and beta inside the root
+finder, :func:`_q_roots`.  Each is exact while the scaled numbers stay
+normal.  P2, the monitor's ``w > 0 and Q(w^2) > 0`` (:func:`_attenuates`),
+is overflow-safe: where ``Q(w^2)`` evaluated as written is nan (``w^4`` or
+a coefficient square overflowed to inf - inf), it is evaluated again with
+time rescaled by the power of two ``2**e`` that brings w into [0.5, 1).
+That scaling is exact and leaves H, hence the sign of Q, unchanged.
+
 The decision procedures below use raw strict comparisons (no epsilon), so
 verdicts are reproducible bit for bit; tests compare against tolerances
 instead.
@@ -150,16 +161,50 @@ def _time_scaled(model: ErrorModel, e) -> ErrorModel:
                       np.ldexp(model.b0, -2 * e), np.ldexp(model.b1, -e))
 
 
+def _rate_exponent(model: ErrorModel):
+    """The binary exponent of the model's largest rate, of ``sqrt|a0|``,
+    ``|a1|``, ``sqrt|b0|`` and ``|b1|``: time in units of ``2**e`` brings
+    that rate into [0.5, 1).  0 where the rate is inf or nan."""
+    return np.frexp(np.maximum.reduce([np.sqrt(np.abs(model.a0)), np.abs(model.a1),
+                                       np.sqrt(np.abs(model.b0)), np.abs(model.b1)]))[1]
+
+
 def _w_scaled(model: ErrorModel, w):
     """The model and ``w`` with time in units of ``2**e``.  A w of 1 or more
     is brought into [0.5, 1).  A smaller w is scaled up until it or the
-    model's largest rate, of ``sqrt|a0|``, ``|a1|``, ``sqrt|b0|`` and
-    ``|b1|``, reaches [0.5, 1); not at all where that rate is 1 or more.  So
-    no coefficient overflows, and ``|H|`` and the sign of Q are unchanged."""
-    rate = np.maximum.reduce([np.sqrt(np.abs(model.a0)), np.abs(model.a1),
-                              np.sqrt(np.abs(model.b0)), np.abs(model.b1)])
-    e = np.maximum(np.frexp(w)[1], np.minimum(np.frexp(rate)[1], 0))
+    model's largest rate (:func:`_rate_exponent`) reaches [0.5, 1); not at
+    all where that rate is 1 or more.  So no coefficient overflows, and
+    ``|H|`` and the sign of Q are unchanged."""
+    e = np.maximum(np.frexp(w)[1], np.minimum(_rate_exponent(model), 0))
     return _time_scaled(model, e), np.ldexp(w, -e)
+
+
+def _attenuates(model: ErrorModel, w):
+    """P2, ``w > 0 and Q(w^2) > 0``, of a model and frequency, floats or
+    arrays alike, as an array.  Q is evaluated again on the frequency unit
+    of :func:`_w_scaled` where it is nan.  With finite coefficients such a
+    row has a w or a rate of 1 or more, which that unit never scales up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.atleast_1d(stability_constraint(model).q(w * w))
+        redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
+        if redo.size:
+            part = ErrorModel(*(np.atleast_1d(c)[redo] for c in vars(model).values()))
+            part, w_redo = _w_scaled(part, np.atleast_1d(w)[redo])
+            q[redo] = stability_constraint(part).q(w_redo * w_redo)
+        return (w > 0.0) & (q > 0.0)
+
+
+def _stable_band(model: ErrorModel):
+    """The roots ``lo <= hi`` of Q in ``u = w^2`` (nan where complex), on
+    floats or arrays: the model attenuates below ``lo`` and above ``hi``.
+    They are found on the rate unit of :func:`_rate_exponent`, where alpha
+    and beta cannot overflow, and scaled back exactly by ``4**e``.  A root
+    beyond the float range comes back as an infinity, and a model with an
+    inf or nan coefficient can give infinities or nan; neither warns."""
+    e = _rate_exponent(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        con = stability_constraint(_time_scaled(model, e))
+        return tuple(np.ldexp(root, 2 * e) for root in _q_roots(con.alpha, con.beta))
 
 
 def critical_frequencies(constraint: StabilityConstraint) -> list[float]:

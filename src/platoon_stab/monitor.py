@@ -21,11 +21,10 @@ a handful of vectorised passes; :class:`Event` objects are materialised
 only on demand.  The per-event predicates :func:`check_p1` and
 :func:`check_p2` agree with the vectorised scan by construction: the
 conjuncts, the coefficient map, ``Q`` and P2 are each written once, as
-arithmetic that runs on floats and arrays alike.  P2 (:func:`_p2`) is
-overflow-safe: where ``Q(w^2)`` evaluated as written is nan (``w^4`` or a
-coefficient square overflowed to inf - inf), it is evaluated again with
-time rescaled by the power of two ``2**e`` that brings w into [0.5, 1).
-That scaling is exact and leaves H, hence the sign of Q, unchanged.
+arithmetic that runs on floats and arrays alike.  P2's arithmetic, and the
+generator's stable band, are ``frequency``'s (:func:`_attenuates`,
+:func:`_stable_band`), which alone picks the time units that keep them in
+range.
 
 Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
 
@@ -117,7 +116,7 @@ from .model import (
     failed_conjunct,
     is_valid_platoon,
 )
-from .frequency import _q_roots, _time_scaled, _w_scaled, stability_constraint
+from .frequency import _attenuates, _stable_band
 
 # The trace schema: an event line's keys in order, each with its kind from the
 # spec file's tables (the ControllerSpec enums, then the PlatoonParams fields,
@@ -260,22 +259,7 @@ def check_p2(event: Event) -> bool:
         model = _raw_error_model(event.spec)
     except (ZeroDivisionError, UnsupportedControllerError):
         return False
-    return bool(_p2(model, event.omega)[0])
-
-
-def _p2(model: ErrorModel, w):
-    """P2 of a model and frequency, floats or arrays alike, as an array;
-    Q is evaluated again with time rescaled where it is nan.  With finite
-    coefficients such a row has a w or a rate of 1 or more, which
-    :func:`_w_scaled` never scales up."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.atleast_1d(stability_constraint(model).q(w * w))
-        redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
-        if redo.size:
-            part = ErrorModel(*(np.atleast_1d(c)[redo] for c in vars(model).values()))
-            part, w_redo = _w_scaled(part, np.atleast_1d(w)[redo])
-            q[redo] = stability_constraint(part).q(w_redo * w_redo)
-        return (w > 0.0) & (q > 0.0)
+    return bool(_attenuates(model, event.omega)[0])
 
 
 def _vector_coefficients(trace: Trace) -> np.ndarray:
@@ -303,7 +287,7 @@ def _vector_masks(trace: Trace):
     p1 = np.ones(len(trace), dtype=bool)
     for name, bound in _CONJUNCTS:
         p1 &= getattr(trace, name) > bound
-    return p1, _p2(ErrorModel(*_vector_coefficients(trace)), trace.w)
+    return p1, _attenuates(ErrorModel(*_vector_coefficients(trace)), trace.w)
 
 
 # The scan and the generator work on this many events at a time, so their
@@ -364,7 +348,10 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     (P1 by zeroing one positivity conjunct or dropping n to 1, P2 by a
     frequency inside the non-attenuating band, or a non-positive one when
     the model attenuates everywhere).  Identical arguments produce an
-    identical trace; ``seed`` must be a non-negative int.
+    identical trace; ``seed`` must be a non-negative int.  Raises
+    ValueError, naming the first such event, where a drawn or injected
+    frequency is not a finite double: the template's band, ``w^2``, leaves
+    the float range.
     """
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -405,31 +392,30 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     bands = {}
     for a in blocks:
         block = trace._rows(a, a + _DRAW_BLOCK)
-        coefficients = _vector_coefficients(block)
-        a0, a1, b0, b1 = coefficients
-        # The roots of Q on the time scale 2**e that brings the largest rate
-        # of sqrt(a0), a1, sqrt(b0) and b1 into [0.5, 1), where alpha and beta
-        # cannot overflow; scaled back exactly by 4**e.
-        e = np.frexp(np.maximum.reduce([np.sqrt(a0), a1, np.sqrt(b0), b1]))[1]
-        con = stability_constraint(_time_scaled(ErrorModel(*coefficients), e))
-        lo, hi = _q_roots(con.alpha, con.beta)
-        near = a0 * rng.uniform(0.25, 4.0, size=len(block))
-        np.sqrt(np.where(hi > 0.0, np.ldexp(hi, 2 * e) * block.w, near), out=block.w)
+        model = ErrorModel(*_vector_coefficients(block))
+        lo, hi = _stable_band(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = model.a0 * rng.uniform(0.25, 4.0, size=len(block))
+            np.sqrt(np.where(hi > 0.0, hi * block.w, near), out=block.w)
         # Bands of the P2 targets, from their parameters before any injection.
         at = targets[(a <= targets) & (targets < a + _DRAW_BLOCK)] - a
-        bands.update(zip((a + at).tolist(), zip(e[at], lo[at], hi[at])))
+        bands.update(zip((a + at).tolist(), zip(lo[at], hi[at])))
     for i, kind in plan:
         if kind == "P1":
             name, bound = _CONJUNCTS[int(rng.integers(0, len(_CONJUNCTS)))]
             getattr(trace, name)[i] = bound
         else:
-            e_i, lo_i, hi_i = bands[i]
+            lo_i, hi_i = bands[i]
             if hi_i > 0.0:
-                u_lo, u_hi = np.ldexp((max(lo_i, 0.0), hi_i), 2 * e_i)
-                u_bad = u_lo + (u_hi - u_lo) * rng.uniform(0.25, 0.75)
-                trace.w[i] = math.sqrt(u_bad)
+                u_lo = max(lo_i, 0.0)
+                trace.w[i] = math.sqrt(u_lo + (hi_i - u_lo) * rng.uniform(0.25, 0.75))
             else:
                 trace.w[i] = 0.0
+    finite = np.isfinite(trace.w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"event {i} draws w = {float(trace.w[i])!r}: the template's stable "
+                         "band leaves the float range")
     return trace
 
 

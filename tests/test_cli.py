@@ -405,6 +405,23 @@ class TestMonitorAndGenTrace:
         assert main(["gen-trace", "--seed", "1", "--len", "100",
                      "--spec", spec_file(make_spec(n=2**63 - 3)), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("overrides", [dict(m=1e-300, k=1e10), dict(m=1.0, k=1e308)],
+                             ids=["a0-infinite", "band-overflows"])
+    def test_gen_trace_refuses_a_band_beyond_the_float_range(self, spec_file, tmp_path,
+                                                            overrides):
+        # In a fresh interpreter, so that a numpy warning would reach stderr.
+        out = tmp_path / "trace.jsonl"
+        src = str(Path(platoon_stab.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "platoon_stab", "gen-trace", "--seed", "1",
+                               "--len", "100", "--spec", spec_file(make_spec(**overrides)),
+                               "--out", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: event 0 draws w = inf: the template's stable "
+                                            "band leaves the float range"]
+        assert not out.exists()
+
     def test_gen_trace_stdout(self, spec_file, capsys):
         assert main(["gen-trace", "--seed", "3", "--len", "5",
                      "--spec", spec_file(make_spec())]) == 0

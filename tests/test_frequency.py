@@ -24,7 +24,7 @@ from platoon_stab import (
     transfer_function,
     write_sweep_csv,
 )
-from platoon_stab.frequency import _CSV_CHUNK, _q_roots
+from platoon_stab.frequency import _CSV_CHUNK, _q_roots, _stable_band
 from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, make_spec, random_params
 
 
@@ -326,6 +326,20 @@ class TestRootFinder:
         for function in (stable_intervals, critical_frequencies):
             with pytest.raises(ValueError, match="alpha = .*, beta = "):
                 function(StabilityConstraint(alpha, beta))
+
+
+class TestStableBand:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SUPPORTED_COMBOS), st.integers(0, 2 ** 32 - 1))
+    def test_generator_band_is_the_analysis_threshold(self, combo, seed):
+        # The trace generator draws from _stable_band; analyze prints the
+        # critical frequencies.  Both read the same roots of Q.
+        model = error_model(ControllerSpec(*combo, random_params(np.random.default_rng(seed))))
+        con = stability_constraint(model)
+        assume(math.isfinite(con.alpha) and math.isfinite(con.beta))
+        band = _stable_band(model)
+        assert np.array(band).tobytes() == np.array(_q_roots(con.alpha, con.beta)).tobytes()
+        assert sorted({math.sqrt(u) for u in band if u > 0.0}) == critical_frequencies(con)
 
 
 class TestSweep:

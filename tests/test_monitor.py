@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +272,18 @@ class TestRunMonitor:
         json.dumps(obj)  # serialisable
 
 
+# A positive finite double, log-uniform from 5e-324 to 1.5e308.
+_ANY_POSITIVE = st.floats(-1074.0, math.log2(1.5e308)).map(lambda x: 2.0 ** x)
+
+
+@st.composite
+def full_range_specs(draw):
+    """A valid spec of any supported model, n from 2 to 12, every float
+    parameter log-uniform over the positive finite doubles."""
+    floats = {name: draw(_ANY_POSITIVE) for name in ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd")}
+    return make_spec(*draw(st.sampled_from(SUPPORTED_COMBOS)), n=draw(st.integers(2, 12)), **floats)
+
+
 class TestGenerator:
     def test_deterministic_bytes(self, const_spacing_spec):
         a, b = io.StringIO(), io.StringIO()
@@ -353,6 +367,21 @@ class TestGenerator:
         for i, template in enumerate(templates):
             trace = generate_trace(100 + i, 300, template)
             assert run_monitor(trace).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_range_specs(), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 29), st.sampled_from(("P1", "P2"))), max_size=3))
+    def test_every_trace_over_the_whole_float_range_reads_back(self, template, seed, plan):
+        # Either a refusal that names the float range, or a trace whose
+        # written text parses back to the same columns; never a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                trace = generate_trace(seed, 30, template, plan)
+            except ValueError as exc:
+                assert "band leaves the float range" in str(exc)
+                return
+            assert columns(parse_trace_lines(io.StringIO(written(trace)))) == columns(trace)
 
 
 class TestTraceIO:
