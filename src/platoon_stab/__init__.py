@@ -28,7 +28,6 @@ from .frequency import (
     SingularityError,
     StabilityConstraint,
     SweepResult,
-    TransferFunction,
     critical_frequencies,
     frequency_response,
     is_stable_at,

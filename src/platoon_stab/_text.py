@@ -18,6 +18,8 @@ step is one array operation over a whole chunk:
 * :func:`texts` and :func:`pick` give one of a few fixed texts per code.
 * :func:`join` lays out a chunk of rows, each row its fields between
   literal texts, as one string.
+* :func:`write_rows` writes a CSV file through :func:`join`, a chunk of
+  rows per write.
 
 A field is a pair ``(chars, lengths)``: a uint8 array with the ASCII text of
 each value left-aligned along its last axis, and the length of each text.
@@ -323,3 +325,13 @@ def join(literals, fields) -> str:
     starts = pre - np.array(list(map(len, literals)))
     keep = used.reshape(-1, width).take(starts * (width + 1) + ends, axis=0)
     return text[keep].tobytes().decode("ascii")
+
+
+def write_rows(fh, header: str, rows: int, step: int, fields) -> None:
+    """Write the CSV line ``header``, then ``rows`` rows, ``step`` rows per
+    write.  ``fields(a, b)`` gives the fields of rows a to b - 1, one token
+    per column of ``header``; the tokens of a row are comma-separated."""
+    fh.write(header + "\n")
+    literals = ("", *[","] * header.count(","), "\n")
+    for a in range(0, rows, step):
+        fh.write(join(literals, fields(a, min(a + step, rows))))

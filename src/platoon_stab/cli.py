@@ -32,7 +32,6 @@ from .frequency import (
     stability_constraint,
     stable_intervals,
     sweep,
-    transfer_function,
     write_sweep_csv,
 )
 from .simulate import (
@@ -98,7 +97,6 @@ def _condition_text(spec: ControllerSpec, constraint, intervals) -> str:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     model = error_model(spec)
-    tf = transfer_function(model)
     constraint = stability_constraint(model)
     crits = critical_frequencies(constraint)
     intervals = stable_intervals(constraint)
@@ -108,7 +106,7 @@ def cmd_analyze(args) -> int:
         "strategy": spec.strategy.value,
         "selected_model": model_label(spec),
         "coefficients": {"a0": model.a0, "a1": model.a1, "b0": model.b0, "b1": model.b1},
-        "transfer_function": str(tf),
+        "transfer_function": str(model),
         "constraint": {"alpha": constraint.alpha, "beta": constraint.beta},
         "critical_frequencies": crits,
         "stable_intervals": _interval_json(intervals),
@@ -150,6 +148,8 @@ def cmd_simulate(args) -> int:
         raise ValueError("--n must be > 1")
     if not args.omega > 0.0:
         raise ValueError("--omega must be positive")
+    if not math.isfinite(args.omega):
+        raise ValueError("--omega must be finite")
     if args.dt == "auto":
         dt = default_dt(args.omega, model.a0, model.a1)
     else:

@@ -5,9 +5,12 @@ function
 
     H(s) = (b1*s + b0) / (s^2 + a1*s + a0)
 
-and the platoon attenuates spacing oscillations at angular frequency w
-exactly when ``|H(i*w)| < 1``.  Squaring and clearing denominators turns
-that norm condition into a sign condition on a quartic in w:
+the Laplace transform of its spacing-error equation.  So an
+:class:`ErrorModel` is H: its four coefficients are H's, ``str(model)`` is
+the formula above, and :func:`frequency_response` takes the model.  The
+platoon attenuates spacing oscillations at angular frequency w exactly
+when ``|H(i*w)| < 1``.  Squaring and clearing denominators turns that norm
+condition into a sign condition on a quartic in w:
 
     |H(i*w)| < 1   <=>   Q(w^2) > 0,
     Q(u) = u^2 + alpha*u + beta,
@@ -53,22 +56,6 @@ class SingularityError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class TransferFunction:
-    """Rational function ``(b1*s + b0) / (s^2 + a1*s + a0)``."""
-
-    b0: float
-    b1: float
-    a0: float
-    a1: float
-
-    def __str__(self):
-        return (
-            f"H(s) = ({self.b1:g}*s + {self.b0:g}) / "
-            f"(s^2 + {self.a1:g}*s + {self.a0:g})"
-        )
-
-
-@dataclass(frozen=True)
 class FrequencyResponse:
     """Value and modulus of H at ``s = i*omega``."""
 
@@ -92,13 +79,14 @@ class StabilityConstraint:
         return u * u + self.alpha * u + self.beta
 
 
-def transfer_function(model: ErrorModel) -> TransferFunction:
-    """Laplace-domain adjacent-error ratio of the model."""
-    return TransferFunction(b0=model.b0, b1=model.b1, a0=model.a0, a1=model.a1)
+def transfer_function(model: ErrorModel) -> ErrorModel:
+    """Laplace-domain adjacent-error ratio H of the model: the model itself,
+    whose four coefficients are those of H."""
+    return model
 
 
-def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
-    """Evaluate H at ``s = i*omega``.
+def frequency_response(model: ErrorModel, omega: float) -> FrequencyResponse:
+    """Evaluate the model's H at ``s = i*omega``.
 
     The magnitude is the ratio of numerator and denominator moduli rather
     than ``abs(value)``: when the two moduli are equal (the |H| = 1
@@ -114,7 +102,7 @@ def frequency_response(tf: TransferFunction, omega: float) -> FrequencyResponse:
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
-    value, magnitude = _response(tf, np.float64(omega))
+    value, magnitude = _response(model, np.float64(omega))
     return FrequencyResponse(omega=omega, value=complex(value), magnitude=float(magnitude))
 
 
@@ -142,7 +130,7 @@ def is_stable_at(model: ErrorModel, omega: float) -> bool:
     """
     if not omega > 0.0:
         raise ValueError("omega must be positive")
-    return frequency_response(transfer_function(model), omega).magnitude < 1.0
+    return frequency_response(model, omega).magnitude < 1.0
 
 
 def stability_constraint(model: ErrorModel) -> StabilityConstraint:
@@ -291,17 +279,14 @@ def sweep(
 
 # Sweep rows formatted per write, four floats each.
 _CSV_CHUNK = 4096
-_CSV_LITERALS = ("", ",", ",", ",", ",", "\n")
 _CSV_STABLE = _text.texts(("false", "true"))
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
     """Emit ``omega,re,im,magnitude,stable`` rows, one per grid point."""
-    fh.write("omega,re,im,magnitude,stable\n")
-    for start in range(0, len(result.omega), _CSV_CHUNK):
-        part = slice(start, start + _CSV_CHUNK)
-        value = result.value[part]
-        floats = np.column_stack((result.omega[part], value.real, value.imag,
-                                  result.magnitude[part]))
-        fields = _text.floats(floats), _text.pick(_CSV_STABLE, result.stable[part])
-        fh.write(_text.join(_CSV_LITERALS, fields))
+    def fields(a, b):
+        value = result.value[a:b]
+        floats = np.column_stack((result.omega[a:b], value.real, value.imag, result.magnitude[a:b]))
+        return _text.floats(floats), _text.pick(_CSV_STABLE, result.stable[a:b])
+
+    _text.write_rows(fh, "omega,re,im,magnitude,stable", len(result.omega), _CSV_CHUNK, fields)

@@ -171,13 +171,19 @@ class ErrorModel:
     """Coefficients of ``z'' + a1*z' + a0*z = b1*zp' + b0*zp``.
 
     The leading coefficient is normalised to 1; a0, b0 are in 1/s^2 and
-    a1, b1 in 1/s.  Built from a valid platoon all four are positive.
+    a1, b1 in 1/s.  Built from a valid platoon all four are positive.  By
+    the Laplace transform the model is also the adjacent-error transfer
+    function ``H(s) = (b1*s + b0) / (s^2 + a1*s + a0)``, whose formula
+    ``str`` gives.
     """
 
     a0: float
     a1: float
     b0: float
     b1: float
+
+    def __str__(self):
+        return f"H(s) = ({self.b1:g}*s + {self.b0:g}) / (s^2 + {self.a1:g}*s + {self.a0:g})"
 
 
 _AUT, _NON = ControllerType.AUTONOMOUS, ControllerType.NON_AUTONOMOUS

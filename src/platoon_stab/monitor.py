@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import signal
 import threading
@@ -212,8 +213,10 @@ class Trace:
         return len(self.w)
 
     def __getitem__(self, i: int) -> Event:
-        if not isinstance(i, int):
-            raise TypeError("trace indices must be integers")
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError("trace indices must be integers") from None
         if not -len(self) <= i < len(self):
             raise IndexError("trace index out of range")
         i %= len(self)

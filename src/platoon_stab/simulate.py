@@ -100,14 +100,16 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if not (math.isfinite(self.duration) and self.duration >= 100.0 * self.dt):
+        if not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
+        if not self.duration >= 100.0 * self.dt:
             raise ValueError("duration must be at least 100*dt")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration/dt overflows the step count")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
             raise ValueError("input descriptor must be finite")
         # The phase at the last grid time, as the simulators step it.
-        if not math.isfinite(self.omega * (round(self.duration / self.dt) * self.dt)):
+        if not math.isfinite(self.omega * (self.steps * self.dt)):
             raise ValueError("omega * duration overflows the input phase")
         if not math.isfinite(self.amplitude * self.omega):
             raise ValueError("amplitude * omega overflows the input rate")
@@ -115,6 +117,12 @@ class SimConfig:
             raise ValueError("omega must be >= 0")
         if not 0.0 <= self.discard < 1.0:
             raise ValueError("discard fraction must be in [0, 1)")
+
+    @property
+    def steps(self) -> int:
+        """Steps of the run's grid, whose times are ``k * dt`` for k = 0 to
+        ``steps``."""
+        return round(self.duration / self.dt)
 
 
 @dataclass(frozen=True)
@@ -191,13 +199,21 @@ def tabulated_input(t, z, zdot) -> Callable:
     interpolation error is fourth order in the sample spacing (the same
     order as the integrator).  Queries outside the sampled range clamp to
     the end intervals.  The returned function takes a float or an array
-    of times.
+    of times.  Raises ValueError unless ``t``, ``z`` and ``zdot`` are 1-D
+    of one length, at least two, and the times are finite and strictly
+    increasing.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
+    if not t.ndim == z.ndim == zdot.ndim == 1:
+        raise ValueError("tabulated input samples must be 1-D")
     if len(t) < 2:
         raise ValueError("tabulated input needs at least two samples")
+    if not len(z) == len(zdot) == len(t):
+        raise ValueError(f"tabulated input needs z and zdot of t's length {len(t)}")
+    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+        raise ValueError("tabulated input times must be finite and strictly increasing")
     last = len(t) - 2
 
     def fn(s):
@@ -291,19 +307,21 @@ def _recur(x, M, powers=None):
         row += prev @ M
 
 
-def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
-    """Integrate ``x' = A x + B u`` in place: row k of ``out`` becomes the
-    state at time k*h, starting from ``out[0]``.  ``out`` must be
-    C-contiguous.
+def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
+    """Integrate ``x' = A x + B u`` from rest on the grid of ``cfg``: the
+    times ``t``, ``k * dt`` for k = 0 to ``cfg.steps``, and a C-contiguous
+    array whose row k is the state at ``t[k]``.
 
     ``inputs`` maps a 1-D array of times to the input rows, shape
     ``(len(t), p)``; it sees every time of the half-step grid exactly once,
-    a block at a time.  Columns ``input_cols`` of ``out`` are not
+    a block at a time.  Columns ``input_cols`` of the state are not
     integrated: they record the input itself at each grid time, and A and
     B must neither read nor drive them.  Raises :class:`DivergenceError`
     at the first grid time whose row is not finite.
     """
+    h, steps = cfg.dt, cfg.steps
     size, p = B.shape
+    out = np.zeros((steps + 1, size))
     width = size + 3 * p
     with np.errstate(all="ignore"):
         step = _rk4_step(A, B, h, np.eye(size, width),
@@ -338,6 +356,7 @@ def _integrate_linear(A, B, h, steps, inputs, out, input_cols=None):
             else:
                 k = k0 + 1 + int(np.argmin(finite))
                 raise DivergenceError(f"non-finite state at t = {k * h:.6g} s")
+    return np.arange(steps + 1) * h, out
 
 
 def simulate_chain(
@@ -357,7 +376,6 @@ def simulate_chain(
         raise ValueError("n must be an integer > 1")
     if input_fn is None:
         input_fn = sine_input(cfg.amplitude, cfg.omega)
-    steps = int(round(cfg.duration / cfg.dt))
     # State [z_1..z_n, z_1'..z_n']; z_1 and z_1' are the input, so the
     # columns of A that read them move into B.
     size = 2 * n
@@ -377,9 +395,8 @@ def simulate_chain(
         u[:, 0], u[:, 1] = input_fn(t)
         return u
 
-    buf = np.zeros((steps + 1, size))
-    _integrate_linear(A, B, cfg.dt, steps, inputs, buf, input_cols=slots)
-    return ChainSeries(t=np.arange(steps + 1) * cfg.dt, z=buf[:, :n], zdot=buf[:, n:])
+    t, buf = _integrate_linear(A, B, cfg, inputs, input_cols=slots)
+    return ChainSeries(t=t, z=buf[:, :n], zdot=buf[:, n:])
 
 
 def simulate_state_space(
@@ -403,7 +420,6 @@ def simulate_state_space(
     n = params.n
     km = params.k / params.m
     cm = params.c / params.m
-    steps = int(round(cfg.duration / cfg.dt))
     # State [x_1..x_n, v_1..v_n].
     size = 2 * n
     i = np.arange(n)
@@ -420,9 +436,8 @@ def simulate_state_space(
     def inputs(t):
         return np.fromiter(map(leader_force, t.tolist()), float, len(t)).reshape(-1, 1)
 
-    buf = np.zeros((steps + 1, size))
-    _integrate_linear(A, B, cfg.dt, steps, inputs, buf)
-    return StateSeries(t=np.arange(steps + 1) * cfg.dt, x=buf[:, :n], v=buf[:, n:])
+    t, buf = _integrate_linear(A, B, cfg, inputs)
+    return StateSeries(t=t, x=buf[:, :n], v=buf[:, n:])
 
 
 def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport:
@@ -454,12 +469,8 @@ def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport
 def _write_csv(fh, header: str, rows: int, table) -> None:
     """Emit ``header``, then the ``rows`` rows of ``table(a, b)`` (rows a
     to b-1 as a 2-D float array) a chunk at a time, floats in repr form."""
-    fh.write(header + "\n")
-    width = header.count(",") + 1
-    literals = ("", *[","] * (width - 1), "\n")
-    step = max(1, _CSV_VALUES // width)
-    for a in range(0, rows, step):
-        fh.write(_text.join(literals, [_text.floats(table(a, min(a + step, rows)))]))
+    step = max(1, _CSV_VALUES // (header.count(",") + 1))
+    _text.write_rows(fh, header, rows, step, lambda a, b: [_text.floats(table(a, b))])
 
 
 def write_chain_csv(series: ChainSeries, fh) -> None:

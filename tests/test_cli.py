@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,12 +13,30 @@ from platoon_stab import controller_spec_to_dict, error_model, frequency_respons
 from platoon_stab import cli
 from platoon_stab.cli import main
 from platoon_stab.monitor import _CHUNK
-from conftest import AUT, BI, NON, UNI, VS, VTH, make_spec
+from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec
 
 # Valid specs whose alpha and beta overflow: with k = c = 1e308 the squares
 # of a0 = b0 and a1 = b1 pass the float range (alpha = beta = nan); with
 # k*h = 1e309, a1 is inf.
 OVERFLOWING_SPECS = [make_spec(k=1e308, c=1e308), make_spec(AUT, UNI, VS, k=1e308, h=10.0)]
+
+
+# analyze's stdout for each supported model on the README spec: the
+# transfer function line, then the SHA-256 of every byte.
+ANALYZE_STDOUT = {
+    (AUT, UNI, CS): ("H(s) = (0.4*s + 2) / (s^2 + 0.4*s + 2)",
+                     "cf83a406e06260780562030fe033b19f14b0f74b525cb4bb14660faf1533fb25"),
+    (AUT, UNI, VS): ("H(s) = (0.4*s + 2) / (s^2 + 2.4*s + 2)",
+                     "cf928a9eb553093ceffe922274b74dd7d0c7c54b3fa4dded41a98d6c5d6038f7"),
+    (AUT, UNI, VTH): ("H(s) = (50.4*s + 2) / (s^2 + 52.4*s + 2)",
+                      "5cf91550e54d33c670e16c8e1e91f4a42099e4086990966dd0acc33885a7ed27"),
+    (AUT, BI, CS): ("H(s) = (0.4*s + 2) / (s^2 + 0.8*s + 4)",
+                    "69e0ff1018428a495ecb4261161498a184a98cfe5441a194c972f83a5d677f73"),
+    (AUT, BI, VS): ("H(s) = (0.4*s + 2) / (s^2 + 2.8*s + 4)",
+                    "054f2f0ffa41b8b6b03e917eb3455d33b5e96fa4871954a8ca915f9ec298d962"),
+    (NON, UNI, CS): ("H(s) = (0.4*s + 2) / (s^2 + 0.45*s + 2)",
+                     "c063ab8b337decf8f53f9327d8e57a63884c32d5c3f1cbc0541e07cd9e54fe0d"),
+}
 
 
 def strict_json(text):
@@ -95,6 +114,15 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: params.n: must be <= 9223372036854775807\n"
+
+    @pytest.mark.parametrize("combo", SUPPORTED_COMBOS,
+                             ids=lambda combo: "-".join(e.value for e in combo))
+    def test_stdout_is_pinned(self, spec_file, capsys, combo):
+        transfer_function_text, digest = ANALYZE_STDOUT[combo]
+        assert main(["analyze", "--spec", spec_file(make_spec(*combo))]) == 0
+        out = capsys.readouterr().out
+        assert strict_json(out)["transfer_function"] == transfer_function_text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSweep:
@@ -242,6 +270,13 @@ class TestSimulate:
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "1e300",
                      "--dt", "1e300", "--duration", "1e302", "--out", str(tmp_path / "t.csv")]) == 2
         assert "omega * duration overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega,duration,message", [("inf", "150", "--omega must be finite"),
+                                                        ("3", "inf", "duration must be finite")])
+    def test_an_infinite_flag_is_named(self, spec_file, tmp_path, capsys, omega, duration, message):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", omega,
+                     "--duration", duration, "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_flag_validation(self, spec_file, tmp_path):
         spec = spec_file(make_spec())

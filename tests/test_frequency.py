@@ -13,7 +13,6 @@ from platoon_stab import (
     SingularityError,
     StabilityConstraint,
     SweepResult,
-    TransferFunction,
     critical_frequencies,
     error_model,
     frequency_response,
@@ -82,7 +81,7 @@ class TestFrequencyResponse:
             assert fr.magnitude < 1e-5 * (model.b1 + 1.0)
 
     def test_singular_denominator_raises(self):
-        tf = TransferFunction(b0=1.0, b1=1.0, a0=4.0, a1=0.0)  # undamped
+        tf = ErrorModel(a0=4.0, a1=0.0, b0=1.0, b1=1.0)  # undamped
         with pytest.raises(SingularityError):
             frequency_response(tf, 2.0)
 

@@ -472,6 +472,18 @@ class TestTraceIO:
         with pytest.raises(TypeError):
             trace["0"]
 
+    def test_trace_takes_numpy_integer_indices(self, const_spacing_spec):
+        trace = generate_trace(8, 10, const_spacing_spec)
+        assert trace[np.int64(3)] == trace[3]
+        assert trace[np.intp(-1)].index == 9
+        i = np.argmax([event.omega for event in trace])
+        assert trace[i].omega == max(event.omega for event in trace)
+        with pytest.raises(IndexError, match="out of range"):
+            trace[np.int64(10)]
+        for bad in (1.0, np.float64(1.0), "0"):
+            with pytest.raises(TypeError, match="^trace indices must be integers$"):
+                trace[bad]
+
 
 # -- Chunked trace I/O against per-event references -------------------------
 

@@ -331,6 +331,27 @@ class TestTabulatedInput:
         with pytest.raises(ValueError):
             tabulated_input([0.0], [1.0], [0.0])
 
+    @pytest.mark.parametrize("t", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0]],
+                             ids=["decreasing", "repeated"])
+    def test_refuses_times_that_do_not_increase(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tabulated_input(t, np.zeros(4), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_a_time_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tabulated_input([0.0, 1.0, bad], np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("z,zdot", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4))],
+                             ids=["z", "zdot"])
+    def test_refuses_samples_of_another_length(self, z, zdot):
+        with pytest.raises(ValueError, match="length 3"):
+            tabulated_input([0.0, 1.0, 2.0], z, zdot)
+
+    def test_refuses_samples_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            tabulated_input([0.0, 1.0, 2.0], np.zeros((3, 1)), np.zeros(3))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
     def test_array_queries_match_scalar_queries_exactly(self, seed, samples):
