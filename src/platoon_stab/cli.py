@@ -5,8 +5,9 @@ output is always valid JSON or valid CSV, never mixed on one stream:
 CSV goes to --out (or stdout), side reports go to their own file or
 stderr.
 
-Exit codes: 0 success/pass, 1 I/O error, 2 validation or parse error,
-3 numeric divergence, 4 monitor detected a violation.
+Exit codes: 0 success/pass, 1 I/O error, 2 validation or parse error or a
+run too large to allocate, 3 numeric divergence, 4 monitor detected a
+violation.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 from contextlib import contextmanager
 
 from .model import (
-    Configuration,
+    _CLASSIC,
     ControllerSpec,
     ControllerType,
-    Strategy,
+    _model_key,
     controller_spec_from_dict,
     error_model,
     model_label,
@@ -56,9 +57,10 @@ def _load_spec(path) -> ControllerSpec:
 
 
 @contextmanager
-def _open_out(path):
+def _open_out(path, default):
+    """The file at ``path``, opened for writing, or ``default`` without one."""
     if path is None:
-        yield sys.stdout
+        yield default
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -74,12 +76,7 @@ def _interval_json(intervals):
 
 
 def _condition_text(spec: ControllerSpec, constraint, intervals) -> str:
-    classic_form = (
-        spec.controller_type is ControllerType.AUTONOMOUS
-        and spec.configuration is Configuration.UNIDIRECTIONAL
-        and spec.strategy is Strategy.CONSTANT_SPACING
-    )
-    if classic_form:
+    if _model_key(spec.controller_type, spec.configuration, spec.strategy) == _CLASSIC:
         threshold = -constraint.alpha
         return (
             f"stable iff omega^2 > 2k/m = {threshold:g} "
@@ -135,7 +132,7 @@ def cmd_sweep(args) -> int:
         "critical_frequencies": critical_frequencies(constraint),
         "stable_intervals": _interval_json(stable_intervals(constraint)),
     }
-    with _open_out(args.out) as fh:
+    with _open_out(args.out, sys.stdout) as fh:
         write_sweep_csv(result, fh)
     _print_json(summary, sys.stderr)
     return 0
@@ -153,7 +150,10 @@ def cmd_simulate(args) -> int:
     if args.dt == "auto":
         dt = default_dt(args.omega, model.a0, model.a1)
     else:
-        dt = float(args.dt)
+        try:
+            dt = float(args.dt)
+        except ValueError:
+            raise ValueError(f"--dt must be a number or 'auto', got {args.dt!r}") from None
     cfg = SimConfig(
         dt=dt,
         duration=args.duration,
@@ -165,13 +165,10 @@ def cmd_simulate(args) -> int:
         raise DegenerateInputError("--amp 0 gives no input to attenuate")
     series = simulate_chain(model, args.n, cfg)
     report = attenuation_report(series, cfg)
-    with _open_out(args.out) as fh:
+    with _open_out(args.out, sys.stdout) as fh:
         write_chain_csv(series, fh)
-    if args.report is None:
-        _print_json(report.to_dict(), sys.stderr)
-    else:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            _print_json(report.to_dict(), fh)
+    with _open_out(args.report, sys.stderr) as fh:
+        _print_json(report.to_dict(), fh)
     return 0
 
 
@@ -196,7 +193,7 @@ def cmd_gen_trace(args) -> int:
     spec = _load_spec(args.spec)
     plan = [_parse_violation(v) for v in args.violate]
     trace = generate_trace(args.seed, args.len, spec, plan)
-    with _open_out(args.out) as fh:
+    with _open_out(args.out, sys.stdout) as fh:
         write_trace(trace, fh)
     return 0
 
@@ -257,6 +254,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

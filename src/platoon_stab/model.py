@@ -117,7 +117,9 @@ def _check_object(obj, keys, name: str, prefix: str) -> None:
 
 
 # Validity conjuncts ``bound < field``, checked in this order; the first
-# failure is reported.
+# failure is reported.  A field must also be finite: PlatoonParams refuses
+# other values, but a monitor Trace's columns can hold them, so each check
+# is ``bound < field < inf`` and names the conjunct ``bound < field``.
 _CONJUNCTS = (*((name, 0.0) for name in _FLOAT_FIELDS), ("n", 1))
 
 
@@ -134,9 +136,12 @@ class UnsupportedControllerError(ValueError):
 
 
 def failed_conjunct(p: PlatoonParams) -> str | None:
-    """First violated validity conjunct (``"0 < m"`` style), or None."""
+    """First violated validity conjunct (``"0 < m"`` style), or None.
+
+    ``p`` is anything with the parameter attributes: a PlatoonParams, or a
+    one-event monitor Trace, whose columns carry the same names."""
     for name, bound in _CONJUNCTS:
-        if not getattr(p, name) > bound:
+        if not bound < getattr(p, name) < math.inf:
             return f"{bound:g} < {name}"
     return None
 
@@ -190,11 +195,15 @@ _AUT, _NON = ControllerType.AUTONOMOUS, ControllerType.NON_AUTONOMOUS
 _UNI, _BI = Configuration.UNIDIRECTIONAL, Configuration.BIDIRECTIONAL
 _CS, _VS, _VTH = Strategy.CONSTANT_SPACING, Strategy.VARIABLE_SPACING, Strategy.VAR_TIME_HEADWAY
 
+# The classic controller: the one with the ``w^2 > 2k/m`` bound and a
+# vehicle-level state-space form (simulate.simulate_state_space).
+_CLASSIC = (_AUT, _UNI, _CS)
+
 # The coefficient map: ``(a0, a1, b0, b1)`` of each model as a function of
 # an object with the parameter attributes, a PlatoonParams or a monitor
 # Trace (whose columns carry the same names).  Keys as in :func:`_model_key`.
 _MODELS = {
-    (_AUT, _UNI, _CS): lambda p: (p.k / p.m, p.c / p.m, p.k / p.m, p.c / p.m),
+    _CLASSIC: lambda p: (p.k / p.m, p.c / p.m, p.k / p.m, p.c / p.m),
     (_AUT, _UNI, _VS): lambda p: (p.k / p.m, (p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
     (_AUT, _UNI, _VTH): lambda p: (p.k / p.m, (p.c + p.k * p.h0 + p.k * p.ch * p.vd) / p.m,
                                    p.k / p.m, (p.c + p.k * p.ch * p.vd) / p.m),

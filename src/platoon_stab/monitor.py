@@ -289,7 +289,8 @@ def _vector_coefficients(trace: Trace) -> np.ndarray:
 def _vector_masks(trace: Trace):
     p1 = np.ones(len(trace), dtype=bool)
     for name, bound in _CONJUNCTS:
-        p1 &= getattr(trace, name) > bound
+        column = getattr(trace, name)
+        p1 &= (column > bound) & (column < np.inf)
     return p1, _attenuates(ErrorModel(*_vector_coefficients(trace)), trace.w)
 
 
@@ -323,13 +324,13 @@ def run_monitor(trace: Trace) -> Verdict:
             earliest = (a + at, bool(p1[at]))
     if earliest is not None:
         idx, p1_holds = earliest
-        event = trace[idx]
+        omega = float(trace.w[idx])
         if not p1_holds:
-            first = Violation(idx, "P1", f"{failed_conjunct(event.spec.params)} violated")
-        elif not event.omega > 0.0:
+            first = Violation(idx, "P1", f"{failed_conjunct(trace._rows(idx, idx + 1))} violated")
+        elif not omega > 0.0:
             first = Violation(idx, "P2", "0 < omega violated")
         else:
-            first = Violation(idx, "P2", f"omega = {event.omega!r} lies in a non-attenuating band "
+            first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating band "
                                          "(Q(omega^2) <= 0)")
     return Verdict(
         passed=first is None,

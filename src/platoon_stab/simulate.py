@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import _text
-from .model import ErrorModel, PlatoonParams, validate_platoon
+from .model import _CLASSIC, _MODELS, ErrorModel, PlatoonParams, validate_platoon
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
 _AMPLITUDE_FLOOR = 1e-12
@@ -359,6 +359,20 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
     return np.arange(steps + 1) * h, out
 
 
+def _cascade(model: ErrorModel, n: int) -> np.ndarray:
+    """State matrix of ``z_i'' + a1*z_i' + a0*z_i = b1*z_{i-1}' + b0*z_{i-1}``
+    for i = 2..n on the state ``[z_1..z_n, z_1'..z_n']``; the rows of z_1
+    and z_1' are zero."""
+    i = np.arange(1, n)
+    A = np.zeros((2 * n, 2 * n))
+    A[i, n + i] = 1.0
+    A[n + i, i] = -model.a0
+    A[n + i, n + i] = -model.a1
+    A[n + i, i - 1] = model.b0
+    A[n + i, n + i - 1] = model.b1
+    return A
+
+
 def simulate_chain(
     model: ErrorModel,
     n: int,
@@ -376,16 +390,9 @@ def simulate_chain(
         raise ValueError("n must be an integer > 1")
     if input_fn is None:
         input_fn = sine_input(cfg.amplitude, cfg.omega)
-    # State [z_1..z_n, z_1'..z_n']; z_1 and z_1' are the input, so the
-    # columns of A that read them move into B.
-    size = 2 * n
-    i = np.arange(1, n)
-    A = np.zeros((size, size))
-    A[i, n + i] = 1.0
-    A[n + i, i] = -model.a0
-    A[n + i, n + i] = -model.a1
-    A[n + i, i - 1] = model.b0
-    A[n + i, n + i - 1] = model.b1
+    # z_1 and z_1' are the input, so the columns of A that read them move
+    # into B.
+    A = _cascade(model, n)
     slots = [0, n]
     B = A[:, slots]
     A[:, slots] = 0.0
@@ -410,6 +417,9 @@ def simulate_state_space(
         x_1' = v_1,  v_1' = u/m
         x_i' = v_i,  v_i' = (k/m)(x_{i-1} - x_i) + (c/m)(v_{i-1} - v_i)
 
+    For i = 2..n this is the classic model's error cascade (a0 = b0 = k/m,
+    a1 = b1 = c/m) on positions, with the leader integrated as well.
+
     ``leader_force`` is u(t) in newtons, called with one float at a time,
     once per half-step time.  The run starts at the equilibrium: every
     vehicle at rest at its desired spacing.  The state-space form exists
@@ -418,19 +428,11 @@ def simulate_state_space(
     """
     validate_platoon(params)
     n = params.n
-    km = params.k / params.m
-    cm = params.c / params.m
-    # State [x_1..x_n, v_1..v_n].
-    size = 2 * n
-    i = np.arange(n)
-    j = np.arange(1, n)
-    A = np.zeros((size, size))
-    A[i, n + i] = 1.0
-    A[n + j, j - 1] = km
-    A[n + j, j] = -km
-    A[n + j, n + j - 1] = cm
-    A[n + j, n + j] = -cm
-    B = np.zeros((size, 1))
+    # State [x_1..x_n, v_1..v_n]; x_1' = v_1 is the one entry outside the
+    # cascade.
+    A = _cascade(ErrorModel(*_MODELS[_CLASSIC](params)), n)
+    A[0, n] = 1.0
+    B = np.zeros((2 * n, 1))
     B[n, 0] = 1.0 / params.m
 
     def inputs(t):

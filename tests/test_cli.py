@@ -278,6 +278,11 @@ class TestSimulate:
                      "--duration", duration, "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_a_step_that_is_not_a_number_is_named(self, spec_file, tmp_path, capsys):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
+                     "--duration", "150", "--dt", "abc", "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "error: --dt must be a number or 'auto', got 'abc'\n"
+
     def test_flag_validation(self, spec_file, tmp_path):
         spec = spec_file(make_spec())
         assert main(["simulate", "--spec", spec, "--n", "1", "--omega", "3",
@@ -463,6 +468,30 @@ class TestMonitorAndGenTrace:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
         strict_json(out.splitlines()[0])
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 29.8 GiB for an array"),
+     "Unable to allocate 29.8 GiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+@pytest.mark.parametrize("call,argv", [
+    ("simulate_chain", ["simulate", "--n", "2", "--omega", "1", "--duration", "1e6",
+                        "--dt", "1e-3"]),
+    ("sweep", ["sweep", "--omega-min", "0.1", "--omega-max", "10", "--points", "10000000000"]),
+    ("generate_trace", ["gen-trace", "--seed", "1", "--len", "100000000000"]),
+])
+def test_a_run_too_large_to_allocate_exits_2(spec_file, tmp_path, monkeypatch, capsys,
+                                             call, argv, error, message):
+    # The library call is replaced: a real allocation of that size may
+    # succeed under overcommit and fail later, outside the program.
+    def refuse(*args):
+        raise error
+    monkeypatch.setattr(cli, call, refuse)
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", spec_file(make_spec()), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_trace_commands_call_the_traced_functions(spec_file, tmp_path, monkeypatch):

@@ -215,6 +215,19 @@ class TestRunMonitor:
         assert verdict.p1_failures == 1
         assert verdict.p2_failures == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", monitor._PARAM_KEYS)
+    def test_non_finite_parameter_fails_p1(self, const_spacing_spec, name, value):
+        # An in-memory trace can hold values that no trace file or
+        # PlatoonParams admits; P1 reports them instead of raising.
+        trace = generate_trace(1, 10, const_spacing_spec)
+        trace = Trace(trace.source, *(getattr(trace, key).copy() for key in monitor._COLUMNS))
+        getattr(trace, name)[3] = value
+        verdict = run_monitor(trace)
+        assert (verdict.first_violation.index, verdict.first_violation.predicate) == (3, "P1")
+        assert verdict.first_violation.reason == f"0 < {name} violated"
+        assert verdict.p1_failures == 1
+
     def test_counters_cover_the_whole_trace(self, const_spacing_spec):
         trace = generate_trace(3, 200, const_spacing_spec, [(10, "P1"), (50, "P2"), (120, "P2")])
         verdict = run_monitor(trace)
