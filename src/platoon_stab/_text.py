@@ -29,7 +29,7 @@ overflow, while array products wrap modulo 2**64 as the arithmetic needs.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -303,13 +303,7 @@ def join(literals, fields) -> str:
     rows = len(fields[0][1])
     blocks = [(chars, lengths) if lengths.ndim == 2 else (chars[:, None], lengths[:, None])
               for chars, lengths in fields]
-    # Each token in a slot of one width: its literal right-aligned in the
-    # first ``pre`` bytes, then its text.
-    pre = max(map(len, literals))
-    width = pre + max(chars.shape[2] for chars, _ in blocks)
-    template = np.zeros((len(literals), width), dtype=np.uint8)
-    for row, literal in zip(template, literals):
-        row[pre - len(literal):pre] = np.frombuffer(literal.encode("ascii"), np.uint8)
+    pre, template, starts = _literal_slots(literals, max(chars.shape[2] for chars, _ in blocks))
     text = np.empty((rows, *template.shape), dtype=np.uint8)
     text[:] = template
     ends = np.full(text.shape[:2], pre)
@@ -319,12 +313,34 @@ def join(literals, fields) -> str:
         text[:, tokens, pre:pre + chars.shape[2]] = chars
         ends[:, tokens] += lengths
         token = tokens.stop
-    # Row ``start * (width + 1) + end`` of ``used`` keeps bytes start to end - 1.
+    keep = _keep_table(template.shape[1]).take(starts + ends, axis=0)
+    return text[keep].tobytes().decode("ascii")
+
+
+@lru_cache(maxsize=16)
+def _literal_slots(literals, text_width):
+    """Each token in a slot of one width: its literal right-aligned in the
+    first ``pre`` bytes, then up to ``text_width`` bytes of text.  Gives
+    ``pre``, the read-only template of the slots with their literals, and
+    each literal's first byte times ``width + 1``, for :func:`_keep_table`."""
+    pre = max(map(len, literals))
+    width = pre + text_width
+    template = np.zeros((len(literals), width), dtype=np.uint8)
+    for row, literal in zip(template, literals):
+        row[pre - len(literal):pre] = np.frombuffer(literal.encode("ascii"), np.uint8)
+    starts = (pre - np.array(list(map(len, literals)))) * (width + 1)
+    template.flags.writeable = starts.flags.writeable = False
+    return pre, template, starts
+
+
+@lru_cache(maxsize=16)
+def _keep_table(width):
+    """Read-only; row ``start * (width + 1) + end`` keeps bytes start to
+    end - 1 of a slot of ``width`` bytes."""
     place = np.arange(width + 1)
     used = (place[:-1] >= place[:, None, None]) & (place[:-1] < place[:, None])
-    starts = pre - np.array(list(map(len, literals)))
-    keep = used.reshape(-1, width).take(starts * (width + 1) + ends, axis=0)
-    return text[keep].tobytes().decode("ascii")
+    used.flags.writeable = False
+    return used.reshape(-1, width)
 
 
 def write_rows(fh, header: str, rows: int, step: int, fields) -> None:

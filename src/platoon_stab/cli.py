@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .model import (
     _CLASSIC,
@@ -198,6 +199,10 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
+# Built once per process: a build takes about 0.7 ms, most of an
+# `analyze` call.  Parsing leaves the parser unchanged, and argparse copies
+# the one list default (--violate) before it appends to it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="platoon-stab",

@@ -26,10 +26,13 @@ times, the forcing terms are formed for that block only and written
 straight into the output buffer, and the first-order recurrence
 ``x_k = x_{k-1} M + f_k`` is then solved in place by a blocked scan
 (Kogge & Stone 1973; Blelloch 1990).  From the powers of ``M``, built
-once per run, one matrix product gives every sub-block of 8 steps its sum
-from a zero start, a loop carries the state from sub-block to sub-block,
-and 7 products over all sub-blocks at once fill the steps in between: a
-block of 256 steps takes about 40 numpy calls, not 256.  Steps go one
+once per run, one matrix product per 32 sub-blocks of 8 steps gives each
+sub-block its sum from a zero start; the state is carried from sub-block
+to sub-block by the same scan one level up, on the sub-block ends with
+``M**8`` in place of ``M``; and 7 products per 32 sub-blocks fill the
+steps in between: a block of 1024 steps takes about 115 numpy calls, not
+1024.  No product spans more than 32 sub-blocks, so up to n = 16 each
+stays below the size at which OpenBLAS starts threads.  Steps go one
 vector-matrix product at a time where the scan does not fit: the few
 steps at a block's end, every step where a power of ``M`` is not finite
 or the state is wider than ``_SCAN_WIDTH``, and a block that the scan
@@ -54,15 +57,29 @@ _AMPLITUDE_FLOOR = 1e-12
 
 # Grid steps integrated per block; inputs, forcing terms and the
 # divergence check are evaluated a block at a time, which bounds every
-# temporary to one block.
-_BLOCK = 256
+# temporary to one block.  Sub-block boundaries fall on multiples of
+# _SCAN for any multiple of it, so the block length alone moves no bit.
+# The block's temporaries add to the output buffer: at n = 16, 9,600
+# steps, a run peaked at 1.14 times the buffer with 256-step blocks, 1.20
+# with 1024 and 1.58 with 4096.
+_BLOCK = 1024
 
-# Rows per sub-block of the blocked scan (see _recur).  Each power of the
-# step matrix rounds anew, so this length sets the scan's accuracy.  Over
-# 2,000 random state-space runs the worst error against a 60-digit RK4 was
-# 13.7 ulp of a channel's amplitude per step at 8, 13.0 at 4 and 17.2 at
-# 16, against 30.6 stepping row by row.
+# Rows per sub-block of the blocked scan (see _recur), at either level.
+# Each power of the step matrix rounds anew, so this length sets the
+# scan's accuracy.  Over 2,000 random state-space runs the worst error
+# against a 60-digit RK4 was 13.7 ulp of a channel's amplitude per step at
+# 8, 13.0 at 4 and 17.2 at 16, against 30.6 stepping row by row, all with
+# one level over 256-step blocks.  Over another 2,000 it was 9.0 ulp with
+# one level and 9.5 with two over 1024-step blocks.
 _SCAN = 8
+
+# Sub-blocks per matrix product of the scan.  At a state width of 32
+# (n = 16) the stacked product over 32 sub-blocks is 32 x 256 x 32
+# multiply-adds, the largest that OpenBLAS runs on one thread (it threads
+# a GEMM above 4 * 65,536).  With products over a whole 1024-step block
+# and threads not pinned, one process in six ran 3000 steps at n = 16 in
+# 16 ms against 1.6 ms.
+_PIECE = 32
 
 # State widths (2n) above which the run steps row by row.  The stacked
 # powers take _SCAN * width**2 doubles, 400 KiB at this width.  Wider, the
@@ -98,7 +115,9 @@ class SimConfig:
     discard: float = 0.7    # transient fraction discarded by reports
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not math.isfinite(self.duration):
             raise ValueError("duration must be finite")
@@ -267,7 +286,7 @@ def _rk4_step(A, B, h, x, u0, uh, u1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _powers(M):
+def _stacked(M):
     """``(M**_SCAN, [M**(_SCAN-1); ...; M**0])``, the second stacked into
     one ``(_SCAN * size, size)`` matrix; None if a power is not finite."""
     size = len(M)
@@ -281,28 +300,52 @@ def _powers(M):
     return top, stack.reshape(-1, size)
 
 
+def _powers(M):
+    """The powers of each level of the scan: ``(_stacked(M),)``, followed
+    by ``_stacked(M**_SCAN)`` when its powers are finite; None if those of
+    ``M`` are not."""
+    level = _stacked(M)
+    if level is None:
+        return None
+    upper = _stacked(level[0])
+    return (level,) if upper is None else (level, upper)
+
+
 def _recur(x, M, powers=None):
     """Make each row ``x[k]`` (k >= 1), which holds a forcing row, into
     ``x[k-1] @ M + x[k]``, in place.
 
     With ``powers`` from :func:`_powers`, whole sub-blocks of ``_SCAN``
-    rows go by the blocked scan: one product gives each sub-block's sum
-    from a zero start, a loop carries the state from one sub-block's last
-    row to the next, and ``_SCAN - 1`` products over all sub-blocks at
-    once fill the rows in between.  The rows left over, and every row
-    without ``powers``, take one product each.
+    rows go by the blocked scan.  One product per ``_PIECE`` sub-blocks
+    gives each sub-block's sum from a zero start, in its last row.  Those
+    rows then satisfy the same recurrence with ``M**_SCAN`` in place of
+    ``M``, so with a second level of powers and more than ``2 * _SCAN``
+    sub-blocks they are solved by this function one level up, on a
+    contiguous copy; otherwise a loop carries the state from one
+    sub-block's last row to the next.  ``_SCAN - 1`` products per
+    ``_PIECE`` sub-blocks then fill the rows in between.  The rows left
+    over, and every row without ``powers``, take one product each.
     """
     done = 0
     if powers is not None:
-        top, stack = powers
+        (top, stack), upper = powers[0], powers[1:]
         size = len(M)
         done = (len(x) - 1) // _SCAN * _SCAN
-        x[_SCAN:done + 1:_SCAN] = x[1:done + 1].reshape(-1, _SCAN * size) @ stack
-        for prev, row in zip(x[:done:_SCAN], x[_SCAN:done + 1:_SCAN]):
-            row += prev @ top
-        y = x[:done].reshape(-1, _SCAN, size)
-        for j in range(1, _SCAN):
-            y[:, j] += y[:, j - 1] @ M
+        pieces = [(a, min(a + _PIECE * _SCAN, done)) for a in range(0, done, _PIECE * _SCAN)]
+        for a, b in pieces:
+            x[a + _SCAN:b + 1:_SCAN] = x[a + 1:b + 1].reshape(-1, _SCAN * size) @ stack
+        ends = x[:done + 1:_SCAN]
+        if upper and len(ends) > 2 * _SCAN + 1:
+            carried = ends.copy()
+            _recur(carried, top, upper)
+            ends[1:] = carried[1:]
+        else:
+            for prev, row in zip(ends[:-1], ends[1:]):
+                row += prev @ top
+        for a, b in pieces:
+            y = x[a:b].reshape(-1, _SCAN, size)
+            for j in range(1, _SCAN):
+                y[:, j] += y[:, j - 1] @ M
     for prev, row in zip(x[done:], x[done + 1:]):
         row += prev @ M
 

@@ -283,6 +283,16 @@ class TestSimulate:
                      "--duration", "150", "--dt", "abc", "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == "error: --dt must be a number or 'auto', got 'abc'\n"
 
+    @pytest.mark.parametrize("dt,message", [("inf", "dt must be finite"),
+                                            ("nan", "dt must be finite"),
+                                            ("0", "dt must be positive"),
+                                            ("-1", "dt must be positive")])
+    def test_a_step_that_is_not_finite_and_positive_is_named(self, spec_file, tmp_path, capsys,
+                                                            dt, message):
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
+                     "--duration", "150", "--dt", dt, "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_flag_validation(self, spec_file, tmp_path):
         spec = spec_file(make_spec())
         assert main(["simulate", "--spec", spec, "--n", "1", "--omega", "3",
@@ -492,6 +502,29 @@ def test_a_run_too_large_to_allocate_exits_2(spec_file, tmp_path, monkeypatch, c
     assert main([*argv, "--spec", spec_file(make_spec()), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call(spec_file, tmp_path, capsys):
+    """The parser is built once per process; an appended flag, or an argv
+    that it rejected, does not carry over to the next call."""
+    assert cli._build_parser() is cli._build_parser()
+    spec = spec_file(make_spec())
+
+    def gen_trace(name, *extra):
+        out = tmp_path / name
+        assert main(["gen-trace", "--seed", "3", "--len", "50", "--spec", spec,
+                     *extra, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    clean = gen_trace("clean.jsonl")
+    violated = gen_trace("violated.jsonl", "--violate", "0:P1")
+    assert violated != clean
+    assert gen_trace("again.jsonl") == clean
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-trace", "--seed", "3", "--len", "50", "--violate", "1:P2", "--bogus"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert gen_trace("after_rejection.jsonl") == clean
 
 
 def test_trace_commands_call_the_traced_functions(spec_file, tmp_path, monkeypatch):

@@ -480,6 +480,109 @@ class TestBlockedScan:
         assert np.array_equal(series.z, rows.z) and np.array_equal(series.zdot, rows.zdot)
 
 
+    @pytest.mark.parametrize("rows,levels", [
+        (2 * _L * _L, 1),             # 2L sub-blocks: one level
+        ((2 * _L + 1) * _L, 2),       # 2L + 1 sub-blocks
+        ((2 * _L + 5) * _L + 3, 2),   # 21 sub-blocks, not a multiple of L, and a tail
+        (1025, 2),
+        (2048 + 8 * 37 + 3, 2),
+        (9601, 2),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_second_level_matches_the_row_loop(self, monkeypatch, rows, levels, seed):
+        rng = np.random.default_rng([rows, seed])
+        size = int(rng.integers(1, 25))
+        rho = (0.1, 0.9, 1.0, 1.001)[seed]
+        M = rng.uniform(-1.0, 1.0, (size, size))
+        M *= rho / np.abs(M).sum(axis=0).max()  # |x| @ |M| grows by at most rho per step
+        x = rng.standard_normal((rows + 1, size)) * np.exp(rng.uniform(-5.0, 5.0, (rows + 1, 1)))
+        expected = x.copy()
+        row_loop(expected, M)
+        powers = simulate._powers(M)
+        assert powers is not None and len(powers) == 2
+        scan, calls = simulate._recur, []
+
+        def spy(x, M, powers=None):
+            calls.append(len(x))
+            scan(x, M, powers)
+
+        monkeypatch.setattr(simulate, "_recur", spy)
+        scanned = x.copy()
+        simulate._recur(scanned, M, powers)
+        assert calls == [rows + 1, rows // _L + 1][:levels]
+        # As in test_scan_matches_the_row_loop, with one more level: the
+        # second solves the sub-block ends' recurrence by the same scan with
+        # M**L in place of M, whose powers are products of M's and whose
+        # sums add at most another 2L(size + 1) roundings to each term, so
+        # D_k = (k + 4L)(size + 1) bounds both.
+        a = np.abs(x)
+        row_loop(a, np.abs(M))
+        du = (np.arange(rows + 1) + 4 * _L) * (size + 1) * 2.0 ** -53
+        gamma = du / (1.0 - du)
+        bound = 2.0 * gamma / (1.0 - gamma)
+        assert np.all(np.abs(scanned - expected) <= bound[:, None] * a)
+
+    def test_powers_whose_second_level_overflows_take_one_level(self):
+        # M**8 = diag(1e48, 2**-8) is finite, M**64 is not.
+        M = np.diag([1e6, 0.5])
+        with np.errstate(all="ignore"):  # as _integrate_linear calls it
+            powers = simulate._powers(M)
+        assert powers is not None and len(powers) == 1
+        x = np.zeros((1026, 2))
+        x[:, 1] = np.random.default_rng(5).standard_normal(1026)
+        expected = x.copy()
+        row_loop(expected, M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate._recur(x, M, powers)
+        assert not x[:, 0].any()
+        assert np.allclose(x, expected, rtol=1e-13, atol=0.0)
+        # The same through a chain: h * a1 = 1000 puts the step matrix's
+        # entries near 1e10, so its 8th power is finite and its 64th is not.
+        model = ErrorModel(a0=1.0, a1=1000.0, b0=1.0, b1=1.0)
+        A = simulate._cascade(model, 3)
+        A[:, [0, 3]] = 0.0
+        M = simulate._rk4_step(A, np.zeros((6, 1)), 1.0, np.eye(6), *np.zeros((3, 1, 6))).T
+        with np.errstate(all="ignore"):
+            assert len(simulate._powers(M)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = simulate_chain(model, 3, SimConfig(dt=1.0, duration=3000.0))
+        assert not series.z.any() and not series.zdot.any()
+
+    @pytest.mark.parametrize("size", [2, 6, 32, 80])
+    def test_no_product_is_larger_than_the_stacked_one_over_32_sub_blocks(self, size):
+        # BLAS libraries start threads above some size of product; the scan
+        # keeps each within the stacked product over 32 sub-blocks,
+        # 32 x (8 * size) x size multiply-adds.
+        products = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                inputs = [a.view(np.ndarray) if isinstance(a, Recorded) else a for a in inputs]
+                if ufunc is np.matmul:
+                    a, b = inputs
+                    products.append(a.size // a.shape[-1] * a.shape[-1] * b.shape[-1])
+                if out is not None:
+                    kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+                result = getattr(ufunc, method)(*inputs, **kwargs)
+                return out[0] if out is not None else result
+
+        rng = np.random.default_rng(size)
+        M = rng.uniform(-1.0, 1.0, (size, size))
+        M *= 0.9 / np.abs(M).sum(axis=0).max()
+        x = rng.standard_normal((simulate._BLOCK + 1, size))
+        expected = x.copy()
+        row_loop(expected, M)
+        powers = simulate._powers(M)
+        assert len(powers) == 2
+        scanned = x.copy().view(Recorded)
+        simulate._recur(scanned, M, powers)
+        assert np.allclose(scanned.view(np.ndarray), expected, rtol=1e-12, atol=1e-12)
+        assert len(products) > 2 * _L
+        assert max(products) <= 32 * (_L * size) * size
+
+
 # Reference implementations: the per-step scalar RK4 loops and the per-row
 # CSV writers that the matrix integrator and the chunked writers replaced.
 # The new code must agree with them to rounding and byte for byte.
