@@ -18,11 +18,27 @@ step is one array operation over a whole chunk:
 * :func:`texts` and :func:`pick` give one of a few fixed texts per code.
 * :func:`join` lays out a chunk of rows, each row its fields between
   literal texts, as one string.
-* :func:`write_rows` writes a CSV file through :func:`join`, a chunk of
-  rows per write.
+* :func:`write_rows` writes a CSV file through :func:`join`, about
+  :data:`VALUES_PER_WRITE` values per write.
 
-A field is a pair ``(chars, lengths)``: a uint8 array with the ASCII text of
-each value left-aligned along its last axis, and the length of each text.
+A field is a pair ``(source, which)``: a uint8 array with, along its last
+axis, the bytes each value's text is gathered from, and the layout of each
+value's text.  A layout (:func:`_layouts`) lists the positions in the source
+of the text's bytes.  Layout n, up to :data:`_TEXT_MAX`, is the first n
+bytes, so the text of an int or a pick is the first ``which`` bytes of its
+source.  A float's source holds its digits, its exponent's and the bytes
+``-.0e+``, and its layout picks and orders them.
+
+:func:`join` copies a chunk's sources into one line buffer, each value's
+source in a slot followed by the bytes of the literal after it.  A layout's
+gather row lists the positions of its text in the slot and then those of
+the literal, so the line's text comes out of the buffer in one gather, with
+each row's first ``length + literal`` positions kept.  The gather's index
+takes 8 bytes a gathered byte, so it is built :data:`_GATHER` values at a
+time.  A chain CSV write keeps about 120 bytes a value alive at its
+peak, in :func:`_decimal` and in :func:`join`: 1.85 MiB for its chunk of
+16371 values at n = 16.
+
 Every operation below is on arrays: numpy warns when uint64 scalars
 overflow, while array products wrap modulo 2**64 as the arithmetic needs.
 """
@@ -44,9 +60,20 @@ _ONE_BITS = _U64(0x3FF0000000000000)
 # The decimal exponents k of the powers of ten 10**-k that normal doubles need.
 _K_MIN, _K_MAX = -324, 292
 
+# Values formatted per write by :func:`write_rows`, in whole rows.  A
+# chunk's numpy calls cost a fixed 200-300 us, so larger chunks run faster
+# per value: 16384 values ran the chain-sim benchmark's p90 9% faster than
+# 8192, and a write still holds under 2 MiB.
+VALUES_PER_WRITE = 16384
+
+# Values whose gather index :func:`join` builds at once: 200 KiB of index.
+# Larger blocks raise a write's peak and, in a long-running process, the
+# page faults it takes to get its memory back from the system.
+_GATHER = 1024
+
 # The tables below are built on first use, not at import: every command
-# imports this module, and most format no number.  Together they take 3 to
-# 6 ms to build.
+# imports this module, and most format no number.  Together they take
+# about 9 ms to build.
 
 
 @cache
@@ -84,72 +111,104 @@ def _powers():
     j = np.clip(j, 0, len(g) - 1)  # clips only bq 0 and 2047, which are never looked up
     g1, g0 = (np.array(words, dtype=_U64)[j] for words in zip(*[divmod(x, 2 ** 63) for x in g]))
     halves = g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32
-    return (j + _K_MIN, (np.tile(q, 2) + np.array(r)[j] + 127).astype(_U64), *halves, g1, g0)
+    h = np.tile(q, 2) + np.array(r)[j] + 127
+    return ((j + _K_MIN).astype(np.int16), h.astype(np.uint8), *halves, g1, g0)
 
 
 def _mulhi(ah, al, bh, bl):
     """High 64 bits of the 128-bit products of ``ah * 2**32 + al`` and
     ``bh * 2**32 + bl``, from their 32-bit halves; ``bh < 2**31``."""
     hl = ah * bl
-    mid = (al * bl >> _U64(32)) + al * bh + (hl & _M32)
-    return ah * bh + (hl >> _U64(32)) + (mid >> _U64(32))
+    mid = al * bl
+    mid >>= _U64(32)
+    mid += al * bh
+    mid += hl & _M32
+    hl >>= _U64(32)
+    hl += ah * bh
+    mid >>= _U64(32)
+    hl += mid
+    return hl
 
 
 def _round_to_odd(x1, y0, y1):
     """``floor(g * cp / 2**127)``, its lowest bit set when the quotient is
     inexact, for ``g = g1 * 2**63 + g0``: from ``x1``, the high word of
     ``g0 * cp``, and ``y1`` and ``y0``, the words of ``g1 * cp``.  (The low
-    word of ``g0 * cp`` does not change the result.)"""
-    z = (y0 >> _U64(1)) + x1
-    return y1 + (z >> _U64(63)) | (z & _M63) + _M63 >> _U64(63)
+    word of ``g0 * cp`` does not change the result.)  Overwrites ``y0``."""
+    y0 >>= _U64(1)
+    y0 += x1
+    inexact = y0 & _M63
+    inexact += _M63
+    inexact >>= _U64(63)
+    y0 >>= _U64(63)
+    y0 += y1
+    y0 |= inexact
+    return y0
 
 
-def _shifted(x0, x1, y0, y1, g0, g1, s, up: bool):
-    """The words ``x1, y0, y1`` of the products for ``cp + 2**s`` (``up``)
-    or ``cp - 2**s``, from those for ``cp`` and the low word ``x0``."""
-    rest = _U64(64) - s
+def _bound(x0, x1, y0, y1, g0, g1, s, up: bool):
+    """:func:`_round_to_odd` of the products for ``cp + 2**s`` (``up``) or
+    ``cp - 2**s``, from the words ``x0, x1, y0, y1`` of those for ``cp``."""
+    rest = 64 - s
     if up:
-        low, y = x0 + (g0 << s), y0 + (g1 << s)
-        return x1 + (g0 >> rest) + (low < x0), y, y1 + (g1 >> rest) + (y < y0)
-    low, y = x0 - (g0 << s), y0 - (g1 << s)
-    return x1 - (g0 >> rest) - (low > x0), y, y1 - (g1 >> rest) - (y > y0)
+        low = x0 + (g0 << s)
+        x = x1 + (g0 >> rest) + (low < x0)
+        del low
+        y = y0 + (g1 << s)
+        return _round_to_odd(x, y, y1 + (g1 >> rest) + (y < y0))
+    low = x0 - (g0 << s)
+    x = x1 - (g0 >> rest) - (low > x0)
+    del low
+    y = y0 - (g1 << s)
+    return _round_to_odd(x, y, y1 - (g1 >> rest) - (y > y0))
 
 
 def _decimal(bits):
     """``d`` and ``k`` such that ``d * 10**k`` is the shortest decimal that
     rounds to each positive normal double, the closer one when there are
-    two; ``d`` has 16 or 17 digits, trailing zeros included."""
-    bq = (bits >> _U64(52)).astype(np.intp)
-    tail = bits & _T_MASK
-    closer_below = (tail == _U64(0)) & (bq > 1)
-    j = bq + 2048 * closer_below
-    k, *tables = _powers()
-    h, g1h, g1l, g0h, g0l, g1, g0 = (table.take(j) for table in tables)
-    c = tail | _C_MIN
+    two; ``d`` has 16 or 17 digits, trailing zeros included.  Each
+    temporary goes after its last use."""
+    j = (bits >> _U64(52)).astype(np.intp)
+    c = bits & _T_MASK
+    closer_below = (c == _U64(0)) & (j > 1)
+    j += 2048 * closer_below
+    c |= _C_MIN
+    k, h, g1h, g1l, g0h, g0l, g1, g0 = _powers()
+    h = h.take(j)
     # The double in quarters of 2**q, shifted left by h: cp.  The ends of
     # the interval of reals that round to it lie 2 quarters above, and 2
     # below (1 when the lower neighbour is closer).  Each times g is in
     # quarters of 10**k.
-    cp = c << (h + _U64(2))
+    cp = c << h + 2
+    odd = (c & _U64(1)).astype(bool)
+    del c
     ch, cl = cp >> _U64(32), cp & _M32
-    words = g0 * cp, _mulhi(g0h, g0l, ch, cl), g1 * cp, _mulhi(g1h, g1l, ch, cl)
-    vb = _round_to_odd(*words[1:])
-    vbl = _round_to_odd(*_shifted(*words, g0, g1, h + _U64(1) - closer_below, up=False))
-    vbr = _round_to_odd(*_shifted(*words, g0, g1, h + _U64(1), up=True))
+    x1 = _mulhi(g0h.take(j), g0l.take(j), ch, cl)
+    y1 = _mulhi(g1h.take(j), g1l.take(j), ch, cl)
+    del ch, cl
+    g0, g1, k = g0.take(j), g1.take(j), k.take(j)
+    del j
+    x0, y0 = g0 * cp, g1 * cp
+    del cp
+    h += 1
+    vbr = _bound(x0, x1, y0, y1, g0, g1, h, up=True)
+    h -= closer_below
+    vbl = _bound(x0, x1, y0, y1, g0, g1, h, up=False)
+    vb = _round_to_odd(x1, y0, y1)
+    del x0, x1, y0, y1, g0, g1, h, closer_below
     # A decimal of m quarters is in the interval when m, plus one where c is
     # odd and the ends are open, lies between its ends.  Of the multiples
     # of 10 next to s, at most one is in; else s or s + 1, the closer one.
-    odd = c & _U64(1)
+    vbl += odd
+    vbr -= odd
     s = vb >> _U64(2)
     u = s // _U64(10) * _U64(10)
-    u_in = vbl + odd <= u << _U64(2)
-    w_in = (u + _U64(10) << _U64(2)) + odd <= vbr
-    s_in = vbl + odd <= s << _U64(2)
-    t_in = (s + _U64(1) << _U64(2)) + odd <= vbr
+    u_in, w_in = vbl <= u << _U64(2), u + _U64(10) << _U64(2) <= vbr
+    s_in, t_in = vbl <= s << _U64(2), s + _U64(1) << _U64(2) <= vbr
     mid = (s << _U64(2)) + _U64(2)
     above = (vb > mid) | (vb == mid) & (s & _U64(1) == _U64(1))
     d = np.where(s_in != t_in, s + t_in, s + above)
-    return np.where(u_in != w_in, u + _U64(10) * w_in, d), k.take(j)
+    return np.where(u_in != w_in, u + _U64(10) * w_in, d), k
 
 
 @cache
@@ -179,34 +238,18 @@ def _quads(d):
     return quads
 
 
-def _layout_table(layouts, minus=None):
-    """Each layout's source bytes padded to one width, and its length; then,
-    given the source byte of a minus sign, each layout again after one."""
-    lengths = np.array(list(map(len, layouts)))
-    width = lengths.max() + (minus is not None)
-    table = np.array([cols + [0] * (width - len(cols)) for cols in layouts], dtype=np.intp)
-    if minus is not None:
-        signed = np.roll(table, 1, axis=1)
-        signed[:, 0] = minus
-        table, lengths = np.concatenate([table, signed]), np.concatenate([lengths, lengths + 1])
-    return table, lengths
-
-
-def _lay_out(source, layouts, which):
-    """The field of each row of ``source`` (bytes) in layout ``which``."""
-    table, lengths = layouts
-    index = table.take(which, axis=0)
-    index += np.arange(0, source.size, source.shape[1])[:, None]
-    return source.ravel().take(index), lengths.take(which)
-
-
 # A float's source: 28 bytes, 7 uint32 words.  Its 17 digits are bytes 3 to
 # 19, the decimal exponent's magnitude in four digits bytes 24 to 27.
+_SOURCE = 28
 _MINUS, _DOT, _ZERO, _E, _PLUS = 0, 1, 2, 20, 21
 _HEAD = np.frombuffer(b"-.0\0", np.uint32)[0]  # byte 3 takes the leading digit
 _E_PLUS = np.frombuffer(b"e+\0\0", np.uint32)[0]
 _X_MIN, _X_MAX = -4, 15  # the positional decimal exponents
 _X_LOW = -308  # the least decimal exponent of a normal double
+
+# The longest text of a value, that of -2.2250738585072014e-308; no int,
+# pick or fallback text is longer.
+_TEXT_MAX = 24
 
 
 def _float_layout(x: int, n: int) -> list[int]:
@@ -223,54 +266,73 @@ def _float_layout(x: int, n: int) -> list[int]:
     return [*range(3, 3 + point), _DOT, _ZERO]  # the digits past n are zeros
 
 
-# The layouts: of each positional decimal exponent, of two- and three-digit
-# exponents below and above zero, each with 1 to 17 digits; then all again
-# with a sign.
+# The float layouts: of each positional decimal exponent, of two- and
+# three-digit exponents below and above zero, each with 1 to 17 digits;
+# then all again with a sign.  They follow the _TEXT_MAX + 1 layouts of the
+# first n bytes.
 _LAYOUT_XS = (*range(_X_MIN, _X_MAX + 1), -10, 16, -100, 100)
 _SIGNED = len(_LAYOUT_XS) * 17
 
 
 @cache
-def _float_layouts():
-    """The float layouts, and the first layout of each exponent from _X_LOW."""
-    layouts = _layout_table([_float_layout(x, n) for x in _LAYOUT_XS for n in range(1, 18)], _MINUS)
+def _layouts():
+    """Every layout's source positions, padded to :data:`_TEXT_MAX`, and
+    its length."""
+    floats = [_float_layout(x, n) for x in _LAYOUT_XS for n in range(1, 18)]
+    layouts = [[*range(n)] for n in range(_TEXT_MAX + 1)] + floats + [[_MINUS, *f] for f in floats]
+    table = np.array([cols + [0] * (_TEXT_MAX - len(cols)) for cols in layouts], dtype=np.int8)
+    return table, np.array(list(map(len, layouts)))
+
+
+@cache
+def _first_layouts():
+    """Per decimal exponent from _X_LOW, the layout before its first float
+    layout, of one digit and no sign: plus n, that of n digits."""
     x = np.arange(_X_LOW, -_X_LOW + 1)
-    return layouts, 17 * np.select([x < -99, x < _X_MIN, x <= _X_MAX, x < 100],
-                                   [22, 20, x - _X_MIN, 21], 23)
+    first = 17 * np.select([x < -99, x < _X_MIN, x <= _X_MAX, x < 100], [22, 20, x - _X_MIN, 21], 23)
+    return (first + _TEXT_MAX).astype(np.int16)
 
 
 def floats(values, fallback=float.__repr__):
     """The text of ``float.__repr__`` of each float64 in ``values``, as a
     field of the same shape; subnormals and non-finite values take the
-    text of ``fallback``."""
+    text of ``fallback``, at most :data:`_TEXT_MAX` bytes."""
     shape = np.shape(values)
     values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = values.view(_U64)
     negative = bits > _M63
     bits = bits & _M63
     special = (bits < _C_MIN) | (bits >= _INF_BITS)  # zero, subnormal, inf or nan
-    d, k = _decimal(np.where(special, _ONE_BITS, bits))  # 1.0 stands in for them
-    (quad_text, significant), (layouts, first_layout) = _digits(), _float_layouts()
+    zero = bits == _U64(0)
+    np.copyto(bits, _ONE_BITS, where=special)  # 1.0 stands in for them
+    d, x = _decimal(bits)
+    del bits
+    (quad_text, significant), first_layout = _digits(), _first_layouts()
     short = d < _P10[16]
-    d = np.where(short, d * _U64(10), d)
+    np.multiply(d, _U64(10), out=d, where=short)
     lead = d // _P10[16]
-    quads = _quads(d - lead * _P10[16])
-    source = np.empty((len(d), 7), dtype=np.uint32)
+    d -= lead * _P10[16]
+    quads = _quads(d)
+    del d
+    source = np.empty((len(lead), 7), dtype=np.uint32)
     source[:, 0] = _HEAD
     source[:, 1:5] = quad_text.take(quads.T)
     source[:, 5] = _E_PLUS
-    x = k + 16 - short  # the decimal exponent of the leading digit; 0 for zeros
+    x += 16
+    x -= short  # the decimal exponent of the leading digit; 0 for zeros
     source[:, 6] = quad_text.take(np.abs(x))
     source = source.view(np.uint8)
-    source[:, 3] = lead - (bits == _U64(0)) + _U64(ord("0"))
-    n = np.maximum.reduce([table.take(q) for table, q in zip(significant, quads)])
-    which = first_layout.take(x - _X_LOW) + n + (negative * _SIGNED - 1)
-    chars, lengths = _lay_out(source, layouts, which)
-    for i in np.flatnonzero(special & (bits != _U64(0))):
+    lead -= zero
+    lead += _U64(ord("0"))
+    source[:, 3] = lead
+    which = first_layout.take(x - _X_LOW)
+    which += np.maximum.reduce([table.take(q) for table, q in zip(significant, quads)])
+    which += negative * _SIGNED
+    for i in np.flatnonzero(special & ~zero):
         text = fallback(float(values[i])).encode()
-        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-        lengths[i] = len(text)
-    return chars.reshape(*shape, chars.shape[1]), lengths.reshape(shape)
+        source[i, :len(text)] = np.frombuffer(text, np.uint8)
+        which[i] = len(text)
+    return source.reshape(*shape, _SOURCE), which.reshape(shape)
 
 
 def ints(values):
@@ -283,71 +345,135 @@ def ints(values):
 
 
 def texts(strings):
-    """A field of the given ASCII strings, one per row, to :func:`pick` from."""
-    table, lengths = _layout_table([list(s.encode("ascii")) for s in strings])
-    return table.astype(np.uint8), lengths
+    """A field of the given ASCII strings, one per row, to :func:`pick` from;
+    each at most :data:`_TEXT_MAX` bytes."""
+    encoded = [s.encode("ascii") for s in strings]
+    text = np.array(encoded, dtype=f"S{max(map(len, encoded))}")
+    return text.view(np.uint8).reshape(len(encoded), -1), np.array(list(map(len, encoded)))
 
 
 def pick(field, codes):
     """The field of row ``codes[i]`` of ``field`` for each i."""
-    chars, lengths = field
+    source, which = field
     codes = np.asarray(codes, dtype=np.intp)
-    return chars.take(codes, axis=0), lengths.take(codes)
+    return source.take(codes, axis=0), which.take(codes)
 
 
 def join(literals, fields) -> str:
     """The rows of ``fields`` as one string: each row ``literals[0]``, the
     row's text of the first token, ``literals[1]`` and so on to the last
-    literal.  A field of 1-D lengths is one token, one of 2-D lengths a
+    literal.  A field of 1-D ``which`` is one token, one of 2-D ``which`` a
     token per column; there is one literal more than there are tokens."""
     rows = len(fields[0][1])
-    blocks = [(chars, lengths) if lengths.ndim == 2 else (chars[:, None], lengths[:, None])
-              for chars, lengths in fields]
-    pre, template, starts = _literal_slots(literals, max(chars.shape[2] for chars, _ in blocks))
-    text = np.empty((rows, *template.shape), dtype=np.uint8)
-    text[:] = template
-    ends = np.full(text.shape[:2], pre)
+    if literals[0]:  # a token of no text carries the first literal
+        fields = [(np.empty((rows, 0), np.uint8), np.zeros(rows, np.intp)), *fields]
+    else:
+        literals = literals[1:]
+    shapes = tuple((source.shape[-1], which.shape[1] if which.ndim == 2 else 1)
+                   for source, which in fields)
+    slot, tails, first, table, keep, lengths = _line_plan(literals, shapes)
+    # Each token's slot: its value's source bytes, then its literal's.
+    line = np.empty((rows, len(first), slot), dtype=np.uint8)
+    tokens = np.empty((rows, len(first)), dtype=np.intp)
     token = 0
-    for chars, lengths in blocks:
-        tokens = slice(token, token + lengths.shape[1])
-        text[:, tokens, pre:pre + chars.shape[2]] = chars
-        ends[:, tokens] += lengths
-        token = tokens.stop
-    keep = _keep_table(template.shape[1]).take(starts + ends, axis=0)
-    return text[keep].tobytes().decode("ascii")
+    for (source, which), (size, columns), tail in zip(fields, shapes, tails):
+        line[:, token:token + columns, :size] = source.reshape(rows, columns, size)
+        line[:, token:token + columns, size:size + tail.shape[1]] = tail
+        np.add(which.reshape(rows, columns), first[token:token + columns],
+               out=tokens[:, token:token + columns])
+        token += columns
+    text = _gather(line.ravel(), tokens.ravel(), slot, table, keep, lengths)
+    del line, tokens
+    return str(text, "ascii")
+
+
+def _gather(line, tokens, slot, table, keep, lengths):
+    """The bytes of the text of ``tokens``, each token a row of ``table``
+    and a slot of ``slot`` bytes in ``line``, one after the other.  The
+    index of up to :data:`_GATHER` tokens at a time is each one's layout row
+    plus its slot's first byte, kept where the text or the literal is."""
+    text = np.empty(lengths.take(tokens).sum(), dtype=np.uint8)
+    index = np.empty((min(_GATHER, len(tokens)), table.shape[1]), dtype=np.intp)
+    starts = _slot_starts(slot, table.shape[1])
+    done = 0
+    for a in range(0, len(tokens), _GATHER):
+        part = index[:len(tokens) - a]
+        table.take(tokens[a:a + _GATHER], axis=0, out=part, mode="clip")
+        part += starts[:len(part)]
+        part = part[keep.take(tokens[a:a + _GATHER], axis=0, mode="clip")]
+        line[a * slot:].take(part, out=text[done:done + len(part)], mode="clip")
+        done += len(part)
+    return text
 
 
 @lru_cache(maxsize=16)
-def _literal_slots(literals, text_width):
-    """Each token in a slot of one width: its literal right-aligned in the
-    first ``pre`` bytes, then up to ``text_width`` bytes of text.  Gives
-    ``pre``, the read-only template of the slots with their literals, and
-    each literal's first byte times ``width + 1``, for :func:`_keep_table`."""
-    pre = max(map(len, literals))
-    width = pre + text_width
-    template = np.zeros((len(literals), width), dtype=np.uint8)
-    for row, literal in zip(template, literals):
-        row[pre - len(literal):pre] = np.frombuffer(literal.encode("ascii"), np.uint8)
-    starts = (pre - np.array(list(map(len, literals)))) * (width + 1)
-    template.flags.writeable = starts.flags.writeable = False
-    return pre, template, starts
+def _line_plan(literals, shapes):
+    """How :func:`join` lays out a line of tokens of fields of the given
+    ``(source width, columns)``, each token followed by its literal.
+
+    Every token of the line takes a slot of one width: its value's source
+    bytes, then the literal after it.  Gives the slot's width; per field
+    the bytes of its tokens' literals; per token the first row of its
+    layouts in the tables of :func:`_gather_rows`; then those tables.  All
+    read-only."""
+    blocks, tails, token_blocks = {}, [], []
+    for size, columns in shapes:
+        tail = [text.encode("ascii") for text in literals[len(token_blocks):][:columns]]
+        tails.append(np.zeros((columns, max(map(len, tail))), dtype=np.uint8))
+        for column, text in enumerate(tail):
+            tails[-1][column, :len(text)] = np.frombuffer(text, np.uint8)
+            token_blocks.append(blocks.setdefault((size, len(text)), len(blocks)))
+    starts, *tables = _gather_rows(tuple(blocks), _TEXT_MAX + max(map(len, literals)))
+    first = starts.take(token_blocks)
+    for array in (*tails, first):
+        array.flags.writeable = False
+    slot = max(size + tail.shape[1] for (size, _), tail in zip(shapes, tails))
+    return slot, tails, first, *tables
 
 
-@lru_cache(maxsize=16)
-def _keep_table(width):
-    """Read-only; row ``start * (width + 1) + end`` keeps bytes start to
-    end - 1 of a slot of ``width`` bytes."""
-    place = np.arange(width + 1)
-    used = (place[:-1] >= place[:, None, None]) & (place[:-1] < place[:, None])
-    used.flags.writeable = False
-    return used.reshape(-1, width)
+@lru_cache(maxsize=8)
+def _gather_rows(blocks, width):
+    """For each ``(source width, literal length)`` of ``blocks`` in turn,
+    the layouts that fit in the source (all of them in a float's, else the
+    first n bytes up to its width): the first row of each block; then per
+    row the positions in a slot of its text's bytes and then of the
+    literal after them, padded to ``width``; which of them a line keeps;
+    and how many.  Read-only."""
+    positions, counts = _layouts()
+    tables, lengths = [], []
+    for size, room in blocks:
+        rows = len(counts) if size >= _SOURCE else min(size, _TEXT_MAX) + 1
+        table = np.zeros((rows, width), dtype=np.intp)
+        table[:, :_TEXT_MAX] = positions[:rows]
+        after = np.arange(room)
+        table[np.arange(rows)[:, None], counts[:rows, None] + after] = size + after
+        tables.append(table)
+        lengths.append(counts[:rows] + room)
+    starts = np.cumsum([0, *map(len, lengths[:-1])])
+    table, lengths = np.concatenate(tables), np.concatenate(lengths).astype(np.uint8)
+    keep = lengths[:, None] > np.arange(width)
+    for array in (starts, table, keep, lengths):
+        array.flags.writeable = False
+    return starts, table, keep, lengths
 
 
-def write_rows(fh, header: str, rows: int, step: int, fields) -> None:
-    """Write the CSV line ``header``, then ``rows`` rows, ``step`` rows per
-    write.  ``fields(a, b)`` gives the fields of rows a to b - 1, one token
-    per column of ``header``; the tokens of a row are comma-separated."""
+@lru_cache(maxsize=4)
+def _slot_starts(slot, width):
+    """Read-only; row i holds ``width`` copies of the first byte of slot i,
+    for :data:`_GATHER` slots of ``slot`` bytes."""
+    starts = np.repeat(np.arange(0, _GATHER * slot, slot), width).reshape(_GATHER, width)
+    starts.flags.writeable = False
+    return starts
+
+
+def write_rows(fh, header: str, rows: int, fields) -> None:
+    """Write the CSV line ``header``, then ``rows`` rows, as many whole rows
+    per write as make :data:`VALUES_PER_WRITE` values, at least one.
+    ``fields(a, b)`` gives the fields of rows a to b - 1, one token per
+    column of ``header``; the tokens of a row are comma-separated."""
     fh.write(header + "\n")
-    literals = ("", *[","] * header.count(","), "\n")
+    tokens = header.count(",") + 1
+    step = max(1, VALUES_PER_WRITE // tokens)
+    literals = ("", *[","] * (tokens - 1), "\n")
     for a in range(0, rows, step):
         fh.write(join(literals, fields(a, min(a + step, rows))))

@@ -277,8 +277,6 @@ def sweep(
     return SweepResult(omega=w, value=value, magnitude=magnitude, stable=magnitude < 1.0)
 
 
-# Sweep rows formatted per write, four floats each.
-_CSV_CHUNK = 4096
 _CSV_STABLE = _text.texts(("false", "true"))
 
 
@@ -289,4 +287,4 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
         floats = np.column_stack((result.omega[a:b], value.real, value.imag, result.magnitude[a:b]))
         return _text.floats(floats), _text.pick(_CSV_STABLE, result.stable[a:b])
 
-    _text.write_rows(fh, "omega,re,im,magnitude,stable", len(result.omega), _CSV_CHUNK, fields)
+    _text.write_rows(fh, "omega,re,im,magnitude,stable", len(result.omega), fields)

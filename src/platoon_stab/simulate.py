@@ -87,9 +87,6 @@ _PIECE = 32
 # n = 48, 400 steps, a fresh process ran no faster than row by row.
 _SCAN_WIDTH = 80
 
-# Values formatted per write by the CSV writers, in whole rows.
-_CSV_VALUES = 4096
-
 
 class DivergenceError(ArithmeticError):
     """The integration produced a non-finite state."""
@@ -514,8 +511,7 @@ def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport
 def _write_csv(fh, header: str, rows: int, table) -> None:
     """Emit ``header``, then the ``rows`` rows of ``table(a, b)`` (rows a
     to b-1 as a 2-D float array) a chunk at a time, floats in repr form."""
-    step = max(1, _CSV_VALUES // (header.count(",") + 1))
-    _text.write_rows(fh, header, rows, step, lambda a, b: [_text.floats(table(a, b))])
+    _text.write_rows(fh, header, rows, lambda a, b: [_text.floats(table(a, b))])
 
 
 def write_chain_csv(series: ChainSeries, fh) -> None:

@@ -23,8 +23,12 @@ from platoon_stab import (
     transfer_function,
     write_sweep_csv,
 )
-from platoon_stab.frequency import _CSV_CHUNK, _q_roots, _stable_band
+from platoon_stab import _text
+from platoon_stab.frequency import _q_roots, _stable_band
 from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, make_spec, random_params
+
+# Sweep rows per write: five tokens a row.
+_CSV_CHUNK = _text.VALUES_PER_WRITE // 5
 
 
 @pytest.fixture

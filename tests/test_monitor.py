@@ -36,8 +36,10 @@ from platoon_stab import (
     parse_trace_lines,
     run_monitor,
     Strategy,
+    StateSeries,
     SweepResult,
     write_chain_csv,
+    write_state_csv,
     write_sweep_csv,
     write_trace,
     write_trace_file,
@@ -869,6 +871,26 @@ def test_writer_peak_memory_is_flat_in_the_rows():
                       writer_peak(write_chain_csv, chain)])
     for small, large in zip(*peaks):
         assert large <= small + 2 ** 18 and large < 8 * 2 ** 20, peaks
+
+
+def test_writer_peaks_stay_under_their_ceilings(monkeypatch):
+    # What each writer holds while it writes, on its warm tables: the CSV
+    # writers at n = 16, about 16384 values a chunk, at most 3 MiB on 1e5
+    # rows; the trace writer in one process, 512 events a chunk, at most
+    # 1.68 MiB on 2000 events.
+    values = np.random.default_rng(11).standard_normal((100_000, 33))
+    monkeypatch.setattr(monitor, "_processes", lambda size: 1)
+    writes = [
+        (write_chain_csv, ChainSeries(t=values[:, 0], z=values[:, 1:17], zdot=values[:, 17:]), 3.0),
+        (write_state_csv, StateSeries(t=values[:, 0], x=values[:, 1:17], v=values[:, 17:]), 3.0),
+        (write_sweep_csv, SweepResult(omega=values[:, 0], value=values[:, 1] + 1j * values[:, 2],
+                                      magnitude=values[:, 3], stable=values[:, 3] < 1.0), 3.0),
+        (write_trace, generate_trace(11, 2000, make_spec()), 1.68),
+    ]
+    for write, data, ceiling in writes:
+        write(data, NullSink())  # builds the cached tables this writer needs
+        peak = writer_peak(write, data)
+        assert peak <= ceiling * 2 ** 20, (write.__name__, peak)
 
 
 @pytest.mark.parametrize("change", ["grows", "shrinks"])

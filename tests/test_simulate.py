@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from platoon_stab import simulate
+from platoon_stab import _text, simulate
 from platoon_stab import (
     ChainSeries,
     ControllerSpec,
@@ -813,10 +813,10 @@ class TestChunkedCsvWriters:
            st.sampled_from([None, -1, 0, 1]))
     def test_special_values_match_row_writers(self, seed, n, writer, edge):
         # One row, or a row before, on or after the first chunk edge of one
-        # writer: a chunk is _CSV_VALUES // columns rows, n + 1 columns of
+        # writer: a chunk is VALUES_PER_WRITE // columns rows, n + 1 columns of
         # chain and 2n + 1 of state.
         columns = n + 1 if writer == "chain" else 2 * n + 1
-        rows = 1 if edge is None else simulate._CSV_VALUES // columns + edge
+        rows = 1 if edge is None else _text.VALUES_PER_WRITE // columns + edge
         rng = np.random.default_rng(seed)
         values = rng.choice(_SPECIAL, size=(rows, 4 * n + 1))
         values[rng.random(values.shape) < 0.3] = rng.standard_normal() * 1e-10
@@ -830,10 +830,10 @@ class TestChunkedCsvWriters:
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("edge", [-1, 0, 1, "twice"])
 def test_csv_writers_match_row_writers_at_chunk_edges(n, edge):
-    # A chunk is _CSV_VALUES // columns rows: 2n + 1 columns of state, n + 1 of chain.
+    # A chunk is VALUES_PER_WRITE // columns rows: 2n + 1 columns of state, n + 1 of chain.
     rows = {}
     for columns in (n + 1, 2 * n + 1):
-        step = simulate._CSV_VALUES // columns
+        step = _text.VALUES_PER_WRITE // columns
         rows[columns] = 2 * step + 1 if edge == "twice" else step + edge
     values = np.random.default_rng(n).standard_normal((max(rows.values()), 4 * n + 1))
     chain_rows, state_rows = values[:rows[n + 1]], values[:rows[2 * n + 1]]

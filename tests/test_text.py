@@ -14,8 +14,7 @@ LARGEST = 1.7976931348623157e308
 
 
 def texts(field):
-    chars, lengths = field
-    return [bytes(row[:n]).decode("ascii") for row, n in zip(chars, lengths)]
+    return _text.join(("", "\n"), [field]).split("\n")[:-1]
 
 
 def assert_repr(values):
@@ -108,6 +107,52 @@ def test_join_lays_out_rows_between_literals():
               _text.floats([0.5, 1e300])]
     assert _text.join(("<", "|", ",", ">\n"), fields) == "<1|yes,0.5>\n<-22|no,1e+300>\n"
     assert _text.join(("", "\n"), [_text.ints([])]) == ""
+
+
+PICKS = ("", "no", "yes", '"bidirectional"')
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, SMALLEST_NORMAL, LARGEST,
+                  float("inf"), float("-inf"), float("nan"), 1e16, -1e-5, 0.5]
+LITERALS = st.one_of(st.sampled_from(["", ",", "\n", ',"ct":', "}\n", '{"i":']),
+                     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=9))
+
+
+def field_values(kind, shape, rng):
+    """A field of one kind, the function that gives a value's text, and the values."""
+    if kind == "int":
+        values = rng.integers(-2 ** 63, 2 ** 63, shape, dtype=np.int64, endpoint=False)
+        values.flat[::3] = rng.integers(-1000, 1000, values.flat[::3].shape)
+        return _text.ints(values), str, values
+    if kind == "pick":
+        codes = rng.integers(0, len(PICKS), shape)
+        return _text.pick(_text.texts(PICKS), codes), PICKS.__getitem__, codes
+    values = rng.integers(0, 2 ** 64, shape, dtype=np.uint64, endpoint=False).view(np.float64)
+    scale = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    values = np.where(rng.random(shape) < 0.4, scale, values)
+    values = np.where(rng.random(shape) < 0.2, rng.choice(SPECIAL_FLOATS, shape), values)
+    text = float.__repr__ if kind == "repr" else json.dumps
+    return _text.floats(values, text), lambda v: text(float(v)), values
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["int", "pick", "repr", "json"]), st.sampled_from([0, 1, 3])),
+                min_size=1, max_size=4),
+       st.data())
+def test_join_matches_a_row_by_row_join(kinds, data):
+    """Rows of mixed fields between literals of 0 to 9 bytes, from no rows
+    to just past two of the gather's blocks of tokens."""
+    tokens = sum(columns or 1 for _, columns in kinds)
+    literals = tuple(data.draw(LITERALS) for _ in range(tokens + 1))
+    rows = data.draw(st.integers(0, 2 * _text._GATHER // tokens + 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fields, columns = [], []
+    for kind, width in kinds:
+        field, text, values = field_values(kind, (rows, width) if width else (rows,), rng)
+        fields.append(field)
+        columns += [[text(v) for v in column] for column in (values.T if width else [values])]
+    expected = "".join(
+        literals[0] + "".join(texts[row] + literal for texts, literal in zip(columns, literals[1:]))
+        for row in range(rows))
+    assert _text.join(literals, fields) == expected
 
 
 def test_power_of_ten_table_brackets_each_power():
