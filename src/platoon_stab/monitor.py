@@ -18,13 +18,19 @@ have a fixed size, whatever the length of the trace.
 
 Traces are stored column-wise (one numpy array per field) so the scan is
 a handful of vectorised passes; :class:`Event` objects are materialised
-only on demand.  The per-event predicates :func:`check_p1` and
-:func:`check_p2` agree with the vectorised scan by construction: the
-conjuncts, the coefficient map, ``Q`` and P2 are each written once, as
-arithmetic that runs on floats and arrays alike.  P2's arithmetic, and the
-generator's stable band, are ``frequency``'s (:func:`_attenuates`,
-:func:`_stable_band`), which alone picks the time units that keep them in
-range.
+only on demand.  A block is cleared with whole-column reductions where
+they decide: P1 holds throughout when each conjunct's column has its
+minimum above the bound and its maximum below inf, a block of one
+controller combination runs its model's formulas once on the columns,
+and Q is searched for nan rows only when its sum is nan.  Per-event P1
+masks, and coefficients grouped by model, are built only for the blocks
+that these tests cannot clear.  The per-event predicates
+:func:`check_p1` and :func:`check_p2` agree with the vectorised scan by
+construction: the conjuncts, the coefficient map, ``Q`` and P2 are each
+written once, as arithmetic that runs on floats and arrays alike.  P2's
+arithmetic, and the generator's stable band, are ``frequency``'s
+(:func:`_attenuates`, :func:`_stable_band`), which alone picks the time
+units that keep them in range.
 
 Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
 
@@ -130,11 +136,12 @@ _ENUMS = {key: tuple(kind) for key, kind in _SCHEMA.items() if isinstance(kind, 
 _CODES = {key: {e.value: code for code, e in enumerate(members)} for key, members in _ENUMS.items()}
 _DTYPES = tuple({int: np.int64, float: np.float64}.get(_SCHEMA[key], np.int8) for key in _COLUMNS)
 
-# Position in model._MODELS of the model of each controller combination,
-# indexed by the combination's position in the product of the enums; -1
-# where none exists.
+# Position in model._MODELS, and in _FORMULAS, of the model of each
+# controller combination, indexed by the combination's position in the
+# product of the enums; -1 where none exists.
 _MODEL_OF = np.array([list(_MODELS).index(key) if (key := _model_key(*combo)) in _MODELS else -1
                       for combo in product(*_ENUMS.values())], dtype=np.int8)
+_FORMULAS = tuple(_MODELS.values())
 
 
 def _codes(spec: ControllerSpec) -> list[int]:
@@ -198,7 +205,8 @@ class Trace:
 
     Indexing and iteration yield :class:`Event` objects; the bulk arrays
     stay private to this module.  Event indices are the positions
-    0..len-1.
+    0..len-1.  Every column holds one value per event: columns of unequal
+    length raise ValueError naming the odd one out.
     """
 
     __slots__ = ("source", *_COLUMNS)
@@ -206,6 +214,11 @@ class Trace:
     def __init__(self, source, *columns):
         if len(columns) != len(_COLUMNS):
             raise TypeError(f"Trace takes a source and {len(_COLUMNS)} columns, got {len(columns)}")
+        lengths = list(map(len, columns))
+        if lengths.count(lengths[0]) != len(lengths):
+            size = max(lengths, key=lengths.count)
+            key, length = next((key, n) for key, n in zip(_COLUMNS, lengths) if n != size)
+            raise ValueError(f"column {key!r} has {length} events, most columns {size}")
         for name, value in zip(self.__slots__, (source, *columns)):
             setattr(self, name, value)
 
@@ -265,16 +278,25 @@ def check_p2(event: Event) -> bool:
     return bool(_attenuates(model, event.omega)[0])
 
 
-def _vector_coefficients(trace: Trace) -> np.ndarray:
+def _vector_coefficients(trace: Trace):
     """Rows ``a0, a1, b0, b1`` per event from the model table: nan where the
-    combination has no model, inf or nan where a formula is undefined."""
+    combination has no model, inf or nan where a formula is undefined.
+
+    A trace whose enum columns are each constant holds one combination: its
+    model's formulas run once, on the whole columns.  Otherwise the events
+    are grouped by model."""
+    codes = [getattr(trace, key) for key in _ENUMS]
+    one = len(trace) > 0 and all(column.min() == column.max() for column in codes)
     combination = 0  # its position in the product of the enums
-    for key, members in _ENUMS.items():
-        combination = combination * len(members) + getattr(trace, key)
+    for column, members in zip(codes, _ENUMS.values()):
+        combination = combination * len(members) + (int(column[0]) if one else column)
     which = _MODEL_OF[combination]
+    if one and which >= 0:
+        with np.errstate(all="ignore"):
+            return _FORMULAS[which](trace)
     coefficients = np.full((4, len(trace)), np.nan)
     with np.errstate(all="ignore"):
-        for index, formulas in enumerate(_MODELS.values()):
+        for index, formulas in enumerate(_FORMULAS):
             rows = np.flatnonzero(which == index)
             if not rows.size:
                 continue
@@ -287,10 +309,20 @@ def _vector_coefficients(trace: Trace) -> np.ndarray:
 
 
 def _vector_masks(trace: Trace):
+    """The P1 and P2 masks of every event.
+
+    P1 holds for the whole trace when each conjunct's column has its
+    ``min()`` above the bound and its ``max()`` below inf; both propagate
+    nan, so a nan fails this test.  Only a trace that fails it is checked
+    event by event.  P2 takes the coefficients of
+    :func:`_vector_coefficients`, one model's formulas on whole columns
+    where the trace holds one controller combination."""
     p1 = np.ones(len(trace), dtype=bool)
-    for name, bound in _CONJUNCTS:
-        column = getattr(trace, name)
-        p1 &= (column > bound) & (column < np.inf)
+    conjuncts = [(getattr(trace, name), bound) for name, bound in _CONJUNCTS]
+    if len(trace) and not all(bound < column.min() and column.max() < np.inf
+                              for column, bound in conjuncts):
+        for column, bound in conjuncts:
+            p1 &= (column > bound) & (column < np.inf)
     return p1, _attenuates(ErrorModel(*_vector_coefficients(trace)), trace.w)
 
 

@@ -134,15 +134,22 @@ def reference_masks(trace):
 @st.composite
 def in_range_traces(draw):
     """Traces over all twelve controller combinations whose arithmetic
-    cannot overflow, with zero and negative parameters and frequencies."""
+    cannot overflow, with zero and negative parameters and frequencies.
+    Half of them hold one combination for every event, the one with no
+    model included, and half have only valid platoons: the scan's
+    whole-column paths for the model and for P1."""
     size = draw(st.integers(1, 40))
     edge = st.sampled_from((0.0, -0.0, -1.0))
-    param = st.one_of(st.floats(1e-3, 1e4), edge)
+    valid = draw(st.booleans())
+    param = st.floats(1e-3, 1e4) if valid else st.one_of(st.floats(1e-3, 1e4), edge)
     floats = draw(st.lists(param, min_size=9 * size, max_size=9 * size))
     w = draw(st.lists(st.one_of(st.floats(1e-3, 1e4), edge), min_size=size, max_size=size))
-    combos = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
-                           min_size=size, max_size=size))
-    n = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+    combo = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2))
+    if draw(st.booleans()):
+        combos = [draw(combo)] * size
+    else:
+        combos = draw(st.lists(combo, min_size=size, max_size=size))
+    n = draw(st.lists(st.integers(2 if valid else 0, 20), min_size=size, max_size=size))
     ct, cf, st_ = np.array(combos, dtype=np.int8).T
     return Trace("hypothesis", ct, cf, st_, np.array(n, dtype=np.int64),
                  *np.array(floats).reshape(9, size), np.array(w))
@@ -151,6 +158,8 @@ def in_range_traces(draw):
 class TestScanMasks:
     @settings(max_examples=40, deadline=None)
     @given(in_range_traces())
+    @example(Trace.from_events([event(i, make_spec(AUT, BI, VTH), w)  # no model: P2 false
+                                for i, w in enumerate((0.5, 3.0, 100.0))]))
     def test_masks_match_hand_written_formulas(self, trace):
         p1, p2 = _vector_masks(trace)
         expected_p1, expected_p2 = reference_masks(trace)
@@ -683,6 +692,18 @@ class TestTraceLayout:
     def test_wrong_column_count_is_a_type_error(self, count):
         with pytest.raises(TypeError):
             Trace("memory", *(np.empty(0) for _ in range(count)))
+
+    @pytest.mark.parametrize("name", ["ct", "m", "w"])
+    @pytest.mark.parametrize("size", [0, 1, 3, 11])
+    def test_columns_of_unequal_length_are_refused(self, name, size):
+        # A short column would otherwise pass the scan's whole-column checks
+        # on its own values and fail later, in indexing or broadcasting.
+        trace = generate_trace(1, 10, make_spec())
+        columns = [getattr(trace, key) for key in _COLUMNS]
+        at = _COLUMNS.index(name)
+        columns[at] = np.resize(columns[at], size)
+        with pytest.raises(ValueError, match=f"column '{name}' has {size} events"):
+            Trace("memory", *columns)
 
     def test_empty_traces_have_the_column_dtypes(self):
         dtypes = [np.dtype(np.int8)] * 3 + [np.dtype(np.int64)] + [np.dtype(np.float64)] * 10
