@@ -23,6 +23,7 @@ from .model import (
     _CLASSIC,
     ControllerSpec,
     ControllerType,
+    _decode,
     _model_key,
     controller_spec_from_dict,
     error_model,
@@ -51,9 +52,9 @@ from .monitor import generate_trace, parse_trace, run_monitor, write_trace
 def _load_spec(path) -> ControllerSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = _decode(fh.read())
         except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}: {exc}") from None
     return controller_spec_from_dict(obj)
 
 

@@ -15,7 +15,9 @@ combination applies is decided by :func:`error_model`.
 from __future__ import annotations
 
 import enum
+import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -102,6 +104,30 @@ def _check_value(kind, value, prefix: str):
     if not math.isfinite(value):
         raise ValueError(f"{prefix}must be finite")
     return value
+
+
+def _decode(text: str):
+    """The JSON value of ``text``: the one decode of spec files and of the
+    trace reader's per-line pass, ``json.loads`` with two structure rules
+    that RFC 8259 lets a receiver make.  An object that repeats a name is
+    refused, naming it, and so is a value nested deeper than the decoder's
+    recursion allows.  ``NaN`` and ``Infinity`` decode to floats, which
+    :func:`_check_value` refuses as it does every non-finite number.
+    Raises ValueError ``invalid JSON (<reason>)``."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_names)
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deep)") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
+
+
+def _unique_names(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(name for name, _ in pairs)
+        raise ValueError(f"duplicate key {next(name for name in counts if counts[name] > 1)!r}")
+    return obj
 
 
 def _check_object(obj, keys, name: str, prefix: str) -> None:

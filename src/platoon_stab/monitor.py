@@ -46,9 +46,11 @@ non_autonomous), ``cf`` (unidirectional|bidirectional) and ``st``
 an integer in [0, 2^63-1]; ``m``, ``k``, ``c``, ``h``, ``ch``, ``vd``,
 ``h0``, ``ca``, ``cd`` and ``w`` are finite floats.  A spec file's
 fields admit the same values: one function, ``model._check_value``,
-checks both.  Malformed lines abort parsing with the offending line
-number (``line N: invalid UTF-8`` for a line that is not UTF-8); the
-monitor refuses such traces rather than skipping lines.
+checks both, and one function, ``model._decode``, decodes both, refusing
+a repeated name and nesting too deep to decode.  Malformed lines abort
+parsing with the offending line number (``line N: invalid UTF-8`` for a
+line that is not UTF-8); the monitor refuses such traces rather than
+skipping lines.
 
 Files are read and written a chunk of events at a time.  The writer turns
 a chunk's ten float columns into text in one array call, its ints and
@@ -117,6 +119,7 @@ from .model import (
     UnsupportedControllerError,
     _check_object,
     _check_value,
+    _decode,
     _model_key,
     _raw_error_model,
     error_model,
@@ -206,7 +209,10 @@ class Trace:
     Indexing and iteration yield :class:`Event` objects; the bulk arrays
     stay private to this module.  Event indices are the positions
     0..len-1.  Every column holds one value per event: columns of unequal
-    length raise ValueError naming the odd one out.
+    length raise ValueError naming the odd one out.  A row whose parameter
+    is nan or infinite, which :func:`run_monitor` reports as a P1 failure,
+    cannot become an Event: indexing it raises ValueError naming the event
+    and the field, as ``event 2: m must be finite``.
     """
 
     __slots__ = ("source", *_COLUMNS)
@@ -236,7 +242,11 @@ class Trace:
         row = [getattr(self, key)[i].item() for key in _COLUMNS]
         members = [values[code] for values, code in zip(_ENUMS.values(), row)]
         *params, omega = row[len(members):]
-        return Event(index=i, spec=ControllerSpec(*members, PlatoonParams(*params)), omega=omega)
+        try:
+            params = PlatoonParams(*params)
+        except ValueError as exc:
+            raise ValueError(f"event {i}: {exc}") from None
+        return Event(index=i, spec=ControllerSpec(*members, params), omega=omega)
 
     def __iter__(self):
         for i in range(len(self)):
@@ -455,14 +465,9 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     return trace
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite constant {name} not allowed")
-
-
 # Trace files are read this many events at a time, and written half as
 # many: ten floats an event make about 5k values per call of the formatter.
 _CHUNK = 1024
-_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 # A file of at least twice _SPLIT lines is parsed in line ranges at once, a
 # range per usable CPU and at least _SPLIT lines each.  Two ranges of 2048
 # lines about break even with one process: the fork, the child's exit and
@@ -648,14 +653,21 @@ def _parse_chunk(block, offset):
     # valid event holds no bracket, so rows of one event each are lines of
     # one event each.  Joined by commas alone, an event split over two lines
     # next to two events on one line would pass as well-formed.
-    rows = _decode(f"[[{'],['.join(block)}]]")
+    text = f"[[{'],['.join(block)}]]"
+    # A colon follows each name of an object.  So a chunk of len(_SCHEMA)
+    # colons a line, whose events below each decode to len(_SCHEMA) keys,
+    # repeats no name (json.loads would keep the last value).  Any other
+    # chunk goes to the per-line pass, which names a repeated key.
+    if text.count(":") != len(_SCHEMA) * size:
+        return None
+    rows = json.loads(text)
     if len(rows) != size or set(map(len, rows)) != {1}:
         return None
     events = list(chain.from_iterable(rows))
     if set(map(type, events)) != {dict} or set(map(len, events)) != {len(_SCHEMA)}:
         return None
     i, *values = zip(*map(itemgetter(*_SCHEMA), events))
-    del rows, events
+    del text, rows, events
     if set(map(type, i)) != {int} or i != tuple(range(offset, offset + size)):
         return None
     columns = []
@@ -697,10 +709,7 @@ def _check_line(line, count):
     line = line.rstrip("\n")
     if not line.strip():
         raise ValueError("empty line")
-    try:
-        obj = _decode(line)
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON ({exc})") from None
+    obj = _decode(line)
     _check_object(obj, _SCHEMA, "event", "")
     idx = obj["i"]
     if type(idx) is not int:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import platoon_stab
 from platoon_stab import controller_spec_to_dict, error_model, frequency_response, transfer_function
-from platoon_stab import cli
+from platoon_stab import cli, monitor
 from platoon_stab.cli import main
 from platoon_stab.monitor import _CHUNK
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec
@@ -478,6 +479,69 @@ class TestMonitorAndGenTrace:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
         strict_json(out.splitlines()[0])
+
+
+# Far beyond sys.getrecursionlimit(), whatever the stack depth at the decode.
+DEEP = 5000
+
+
+class TestStructureRules:
+    """A value nested too deep to decode, and a repeated name, are refused
+    in a trace line and in a spec file: exit 2, one error line."""
+
+    @pytest.fixture
+    def monitor_with(self, spec_file, tmp_path, monkeypatch, capsys):
+        """Run monitor on a generated trace of ``length`` lines whose line
+        ``lineno`` has its ``"w":<value>`` replaced by ``"w":<text>``, in
+        one process and in two ranges; return the one exit code and stderr."""
+        def run(length, lineno, text):
+            trace = tmp_path / "trace.jsonl"
+            main(["gen-trace", "--seed", "1", "--len", str(length),
+                  "--spec", spec_file(make_spec()), "--out", str(trace)])
+            lines = trace.read_text().splitlines(True)
+            lines[lineno - 1] = re.sub(r'"w":[^}]+', '"w":' + text, lines[lineno - 1])
+            trace.write_text("".join(lines))
+            outcomes = []
+            for cpus in (1, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(monitor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                  raising=False)
+                    bounds = monitor._ranges(length)
+                    outcomes.append((main(["monitor", "--trace", str(trace)]),
+                                     capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            code, captured = outcomes[0]
+            assert captured.out == ""
+            return code, captured.err, len(bounds) - 1
+        return run
+
+    @pytest.mark.parametrize("length,lineno,ranges", [(3, 2, 1), (5000, 3001, 2)])
+    def test_a_line_nested_too_deep_exits_2_naming_it(self, monitor_with, length, lineno, ranges):
+        code, err, split = monitor_with(length, lineno, "[" * DEEP + "]" * DEEP)
+        assert (code, err) == (2, f"error: line {lineno}: invalid JSON (nested too deep)\n")
+        assert split == ranges
+
+    @pytest.mark.parametrize("length,lineno,ranges", [(3, 1, 1), (_CHUNK + 5, _CHUNK + 1, 1),
+                                                      (5000, 3001, 2)])
+    def test_a_repeated_key_exits_2_naming_it(self, monitor_with, length, lineno, ranges):
+        code, err, split = monitor_with(length, lineno, '3.0,"w":4.0')
+        assert (code, err) == (2, f"error: line {lineno}: invalid JSON (duplicate key 'w')\n")
+        assert split == ranges
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ('"m": 1000.0', '"m": ' + "[" * DEEP + "]" * DEEP, "nested too deep"),
+        ('"n": 10', '"n": 10, "n": 1', "duplicate key 'n'"),
+    ], ids=["nested", "duplicate"])
+    @pytest.mark.parametrize("command", [["analyze"], ["gen-trace", "--seed", "1", "--len", "3"]],
+                             ids=["analyze", "gen-trace"])
+    def test_a_spec_file_exits_2_naming_the_fault(self, spec_file, capsys, old, new, reason,
+                                                   command):
+        path = Path(spec_file(make_spec()))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert main([*command, "--spec", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: invalid JSON ({reason})\n")
 
 
 @pytest.mark.parametrize("error,message", [

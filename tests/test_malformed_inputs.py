@@ -1,0 +1,188 @@
+"""Every malformed input exits 2 and names its line.
+
+One property over bytes derived from a valid trace file and a valid spec
+file, in two tests, one for each input.  The mutations follow the catalogue of N. Seriot, "Parsing JSON is a
+Minefield" (2016): deep nesting, duplicate and missing names, a byte order
+mark, NUL bytes, lone surrogates, CR and CRLF line ends, long numbers and
+huge exponents, the ``NaN`` and ``Infinity`` tokens, and truncation.  Each
+mutation is written here by hand and says whether it makes its line
+malformed, so the expected outcome does not come from the reader under
+test.  ``cli.main`` runs in this process.
+"""
+
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from platoon_stab import controller_spec_to_dict, generate_trace, monitor, write_trace
+from platoon_stab.cli import main
+from platoon_stab.model import _PARAM_KINDS, _SPEC_ENUMS
+from platoon_stab.monitor import _CHUNK, _SCHEMA
+from conftest import NON, UNI, CS, make_spec
+
+# Two chunks, so that a split parse reads them in two ranges.
+LINES = _CHUNK + 40
+DEEP = 5000  # far beyond sys.getrecursionlimit()
+FLOATS = [key for key, kind in _SCHEMA.items() if kind is float]
+
+
+def _value(key, text):
+    """Replace the value of ``key``, a string or a number, by
+    ``text(value, at)``."""
+    def mutate(data, at):
+        pattern = rb'("%s": ?)([^,}]+)' % key.encode()
+        return re.sub(pattern, lambda m: m[1] + text(m[2], at), data, count=1)
+    return mutate
+
+
+def _drop(key):
+    """Remove the pair of ``key`` and the comma that joins it."""
+    def mutate(data, at):
+        pair = rb'"%s": ?[^,}]+' % key.encode()
+        return re.sub(pair + rb", ?|, ?" + pair, b"", data, count=1)
+    return mutate
+
+
+def _insert(byte, span):
+    """Insert ``byte`` at a position drawn in ``span(data)``."""
+    def mutate(data, at):
+        lo, hi = span(data)
+        at = lo + at % (hi - lo)
+        return data[:at] + byte + data[at:]
+    return mutate
+
+
+def _long(value, at):
+    """The same number with 400 more digits: zeros at the mantissa's end."""
+    mantissa, e, exponent = value.partition(b"e")
+    return mantissa + (b"" if b"." in mantissa else b".") + b"0" * 400 + e + exponent
+
+
+# The mutations of one key: name -> (function of the text and a drawn int,
+# whether the result is malformed).  Each text, a trace line or a spec
+# file, ends with its closing brace and a newline.
+def mutations(key):
+    return {
+        "nested-array": (_value(key, lambda v, at: b"[" * DEEP + b"]" * DEEP), True),
+        "nested-object": (_value(key, lambda v, at: b'{"a":' * DEEP + b"0" + b"}" * DEEP), True),
+        "duplicate-key": (_value(key, lambda v, at: v + b',"%s":' % key.encode() + v), True),
+        "missing-key": (_drop(key), True),
+        "bom": (lambda data, at: b"\xef\xbb\xbf" + data, True),
+        "nul": (_insert(b"\x00", lambda data: (0, len(data))), True),
+        "surrogate-bytes": (_value(key, lambda v, at: b'"\xed\xa0\x80"'), True),
+        "surrogate-escape": (_value(key, lambda v, at: b'"\\ud800"'), True),
+        "cr-in-string": (_value(key, lambda v, at: b'"auto\rnomous"'), True),
+        "huge-exponent": (_value(key, lambda v, at: b"-1e999999999999"[at % 2:]), True),
+        "long-integer": (_value(key, lambda v, at: b"9" * (401, 5000)[at % 2]), True),
+        "token": (_value(key, lambda v, at: (b"NaN", b"Infinity", b"-Infinity")[at % 3]), True),
+        "truncated": (lambda data, at: data[:1 + at % (len(data) - 2)], True),
+        # Only a trace line ends at a line end, so only a trace line is
+        # malformed by a CR inside it, or not by one at its end.
+        "cr-inside": (_insert(b"\r", lambda data: (0, len(data) - 1)), True),
+        "cr-ending": (lambda data, at: data[:-1] + (b"\r", b"\r\n")[at % 2], False),
+        # Valid numbers: float keys only, as "i" and "n" take integers.
+        "long-float": (_value(key if key in FLOATS else "w", _long), False),
+        "tiny-exponent": (_value(key if key in FLOATS else "w", lambda v, at: b"1e-999999"), False),
+    }
+
+
+TRACE_ONLY = {"cr-inside", "cr-ending", "long-float", "tiny-exponent"}
+NAMES = sorted(mutations("w"))
+SPEC_NAMES = sorted(set(NAMES) - TRACE_ONLY)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The lines of a valid trace, a valid spec file, and a directory."""
+    trace = generate_trace(5, LINES, make_spec(NON, UNI, CS), [(3, "P2"), (_CHUNK + 2, "P1")])
+    text = io.StringIO()
+    write_trace(trace, text)
+    spec = json.dumps(controller_spec_to_dict(make_spec())).encode() + b"\n"
+    return text.getvalue().encode().splitlines(True), spec, tmp_path_factory.mktemp("fuzz")
+
+
+def run(*argv):
+    """The exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+EDGES = st.sampled_from([1, 2, _CHUNK, _CHUNK + 1, LINES]) | st.integers(1, LINES)
+MUTATION = st.tuples(st.sampled_from(NAMES), st.sampled_from(list(_SCHEMA)), st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(changes=st.dictionaries(EDGES, MUTATION, min_size=1, max_size=3))
+@example(changes={_CHUNK + 1: ("nested-array", "w", 0)})
+@example(changes={_CHUNK: ("duplicate-key", "w", 0)})
+@example(changes={1: ("cr-ending", "m", 1), LINES: ("token", "m", 0)})
+@example(changes={2: ("truncated", "ct", 9), _CHUNK + 1: ("bom", "i", 0)})
+def test_a_mutated_trace_exits_0_2_or_4_naming_its_first_bad_line(files, changes):
+    lines, _, folder = files
+    lines = list(lines)
+    bad = []
+    for lineno, (name, key, at) in sorted(changes.items()):
+        if lineno > len(lines):  # cut off by a truncation above
+            break
+        mutate, malformed = mutations(key)[name]
+        lines[lineno - 1] = mutate(lines[lineno - 1], at)
+        if malformed:
+            bad.append(lineno)
+        if name == "truncated":
+            del lines[lineno:]
+    path = folder / "trace.jsonl"
+    path.write_bytes(b"".join(lines))
+    outcomes = []
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitor, "_SPLIT", _CHUNK // 2)
+            patch.setattr(monitor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                          raising=False)
+            code, out, err = run("monitor", "--trace", str(path))
+        verdict = out and json.loads(out)
+        if verdict:
+            del verdict["seconds"]
+        outcomes.append((code, verdict, err))
+    assert outcomes[0] == outcomes[1]
+    code, verdict, err = outcomes[0]
+    if bad:
+        assert (code, verdict) == (2, "")
+        assert re.fullmatch(rf"error: line {min(bad)}: [^\n]+\n", err), err
+    else:
+        assert code in (0, 4) and verdict["events"] == len(lines)
+        assert err == ""
+
+
+SPEC_KEYS = [*_SPEC_ENUMS, *_PARAM_KINDS]
+COMMANDS = [
+    ["analyze"],
+    ["sweep", "--omega-min", "1", "--omega-max", "2", "--points", "3", "--out"],
+    ["simulate", "--n", "2", "--omega", "3", "--duration", "1", "--report"],
+    ["gen-trace", "--seed", "1", "--len", "3", "--out"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SPEC_NAMES), key=st.sampled_from(SPEC_KEYS), at=st.integers(0, 2**16))
+@example(name="nested-array", key="m", at=0)
+@example(name="duplicate-key", key="n", at=0)
+def test_every_command_on_a_mutated_spec_exits_2_with_one_error_line(files, name, key, at):
+    _, spec, folder = files
+    mutate, malformed = mutations(key)[name]
+    assert malformed
+    path = folder / "spec.json"
+    path.write_bytes(mutate(spec, at))
+    out = folder / "out"
+    for command in COMMANDS:
+        if command[-1].startswith("--"):
+            command = [*command, str(out)]
+        code, stdout, err = run(*command, "--spec", str(path))
+        assert (code, stdout) == (2, ""), (command, err)
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+        assert not out.exists()

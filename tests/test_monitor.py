@@ -29,6 +29,7 @@ from platoon_stab import (
     stability_constraint,
     Trace,
     TraceParseError,
+    Violation,
     check_p1,
     check_p2,
     generate_trace,
@@ -459,7 +460,7 @@ class TestTraceIO:
          "'n' must be an integer"),
         ('{"i":0,"ct":"autonomous","cf":"unidirectional","st":"constant_spacing",'
          '"n":2,"m":NaN,"k":1.0,"c":1.0,"h":1.0,"ch":1.0,"vd":1.0,"h0":1.0,"ca":1.0,"cd":1.0,"w":3.0}',
-         "invalid JSON"),
+         "'m' must be finite"),
         ('{"i":0,"ct":"autonomous","cf":"unidirectional","st":"constant_spacing",'
          '"n":2,"m":1e999,"k":1.0,"c":1.0,"h":1.0,"ch":1.0,"vd":1.0,"h0":1.0,"ca":1.0,"cd":1.0,"w":3.0}',
          "'m' must be finite"),
@@ -507,6 +508,21 @@ class TestTraceIO:
         for bad in (1.0, np.float64(1.0), "0"):
             with pytest.raises(TypeError, match="^trace indices must be integers$"):
                 trace[bad]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", monitor._PARAM_KEYS)
+    def test_a_non_finite_row_names_its_event(self, const_spacing_spec, name, value):
+        # run_monitor reports the row as a P1 failure at index 2; as an
+        # Event it cannot exist, and the error names the event.
+        trace = generate_trace(1, 5, const_spacing_spec)
+        getattr(trace, name)[2] = value
+        assert run_monitor(trace).first_violation == Violation(2, "P1", f"0 < {name} violated")
+        message = f"^event 2: {name} must be finite$"
+        with pytest.raises(ValueError, match=message):
+            trace[2]
+        with pytest.raises(ValueError, match=message):
+            list(trace)
+        assert trace[1].index == 1
 
 
 # -- Chunked trace I/O against per-event references -------------------------
@@ -645,7 +661,7 @@ SHARED_FIELDS = [(("controller_type",), "ct"), (("configuration",), "cf"), (("st
                  *((("params", key), key) for key in monitor._COLUMNS[3:-1])]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.floats() | st.text()
     | st.sampled_from([e.value for enum in (ControllerType, Configuration, Strategy) for e in enum]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=4)
@@ -670,6 +686,8 @@ def reason(call, prefix):
 @example(field=SHARED_FIELDS[4], value=10**400)
 @example(field=SHARED_FIELDS[4], value=True)
 @example(field=SHARED_FIELDS[1], value="autonomous")
+@example(field=SHARED_FIELDS[4], value=math.nan)
+@example(field=SHARED_FIELDS[0], value=math.inf)
 def test_spec_files_and_trace_lines_admit_the_same_values(field, value):
     (*path, key), trace_key = field
     value = json.loads(json.dumps(value))
