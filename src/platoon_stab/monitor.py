@@ -372,8 +372,13 @@ def run_monitor(trace: Trace) -> Verdict:
         elif not omega > 0.0:
             first = Violation(idx, "P2", "0 < omega violated")
         else:
-            first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating band "
-                                         "(Q(omega^2) <= 0)")
+            try:  # P1 holds, so the event is valid; its combination may have no model
+                _raw_error_model(trace[idx].spec)
+            except UnsupportedControllerError as exc:
+                first = Violation(idx, "P2", str(exc))
+            else:
+                first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating "
+                                             "band (Q(omega^2) <= 0)")
     return Verdict(
         passed=first is None,
         first_violation=first,

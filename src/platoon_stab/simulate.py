@@ -102,7 +102,10 @@ class SimConfig:
 
     ``amplitude == 0`` means zero input.  ``discard`` is the leading
     fraction of the run dropped before steady-state measurements; the
-    default keeps the final 30%.
+    default keeps the final 30%.  The input fields are checked where the
+    run uses them: an input that is not finite, such as a nan amplitude or
+    a phase ``omega * t`` beyond the float range, is a ValueError naming
+    its time (see :func:`_integrate_linear`).
     """
 
     dt: float               # step size [s]
@@ -122,13 +125,6 @@ class SimConfig:
             raise ValueError("duration must be at least 100*dt")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration/dt overflows the step count")
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
-            raise ValueError("input descriptor must be finite")
-        # The phase at the last grid time, as the simulators step it.
-        if not math.isfinite(self.omega * (self.steps * self.dt)):
-            raise ValueError("omega * duration overflows the input phase")
-        if not math.isfinite(self.amplitude * self.omega):
-            raise ValueError("amplitude * omega overflows the input rate")
         if self.omega < 0.0:
             raise ValueError("omega must be >= 0")
         if not 0.0 <= self.discard < 1.0:
@@ -217,7 +213,8 @@ def tabulated_input(t, z, zdot) -> Callable:
     the end intervals.  The returned function takes a float or an array
     of times.  Raises ValueError unless ``t``, ``z`` and ``zdot`` are 1-D
     of one length, at least two, and the times are finite and strictly
-    increasing.
+    increasing.  A sample that is not finite is refused by the run that
+    reads it, at the first time the interpolant is not finite.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -356,8 +353,12 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
     ``(len(t), p)``; it sees every time of the half-step grid exactly once,
     a block at a time.  Columns ``input_cols`` of the state are not
     integrated: they record the input itself at each grid time, and A and
-    B must neither read nor drive them.  Raises :class:`DivergenceError`
-    at the first grid time whose row is not finite.
+    B must neither read nor drive them.
+
+    At the first grid time whose row is not finite, raises ValueError
+    naming the time of the first input row up to it that is not finite,
+    else :class:`DivergenceError`.  Every input row reaches the state
+    (0 * nan is nan), so this is the one check on the inputs.
     """
     h, steps = cfg.dt, cfg.steps
     size, p = B.shape
@@ -395,6 +396,9 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
                     break
             else:
                 k = k0 + 1 + int(np.argmin(finite))
+                bad = ~np.isfinite(u[:2 * (k - k0) + 1]).all(axis=1)
+                if bad.any():
+                    raise ValueError(f"input at t = {t[np.argmax(bad)]:.6g} s is not finite")
                 raise DivergenceError(f"non-finite state at t = {k * h:.6g} s")
     return np.arange(steps + 1) * h, out
 
@@ -425,6 +429,8 @@ def simulate_chain(
     All integrated channels start from rest (zero initial conditions).
     ``input_fn`` overrides the configured sinusoid; it maps a 1-D array of
     times in [0, duration] to the arrays ``(z_1, z_1')`` at those times.
+    An input value that is not finite raises ValueError naming its time;
+    :class:`DivergenceError` is kept for a state that overflows on its own.
     """
     if not isinstance(n, int) or n <= 1:
         raise ValueError("n must be an integer > 1")
@@ -461,7 +467,8 @@ def simulate_state_space(
     a1 = b1 = c/m) on positions, with the leader integrated as well.
 
     ``leader_force`` is u(t) in newtons, called with one float at a time,
-    once per half-step time.  The run starts at the equilibrium: every
+    once per half-step time; a force that is not finite raises ValueError
+    naming its time.  The run starts at the equilibrium: every
     vehicle at rest at its desired spacing.  The state-space form exists
     only for this controller; the other models are simulated through
     :func:`simulate_chain`.

@@ -270,7 +270,15 @@ class TestSimulate:
     def test_overflowing_input_phase_is_a_validation_error(self, spec_file, tmp_path, capsys):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "1e300",
                      "--dt", "1e300", "--duration", "1e302", "--out", str(tmp_path / "t.csv")]) == 2
-        assert "omega * duration overflows" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: input at t = 5e+299 s is not finite\n"
+
+    @pytest.mark.parametrize("amp", ["nan", "inf", "1e308"])  # 1e308: the rate amp * omega is inf
+    def test_an_input_that_is_not_finite_is_named(self, spec_file, tmp_path, capsys, amp):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
+                     "--amp", amp, "--duration", "150", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: input at t = 0 s is not finite\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("omega,duration,message", [("inf", "150", "--omega must be finite"),
                                                         ("3", "inf", "duration must be finite")])
@@ -338,6 +346,20 @@ class TestMonitorAndGenTrace:
         trace.write_text(json.dumps(line | {"w": 1e200}) + "\n")
         assert main(["monitor", "--trace", str(trace)]) == 0
         assert strict_json(capsys.readouterr().out)["outcome"] == "pass"
+
+    def test_a_combination_without_a_model_exits_4_naming_it(self, spec_file, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(["gen-trace", "--seed", "1", "--len", "1",
+              "--spec", spec_file(make_spec()), "--out", str(trace)])
+        line = strict_json(trace.read_text())
+        trace.write_text(json.dumps(line | {"cf": BI.value, "st": VTH.value, "w": 3.0}) + "\n")
+        assert main(["monitor", "--trace", str(trace)]) == 4
+        verdict = strict_json(capsys.readouterr().out)
+        assert verdict["first_violation"] == {
+            "index": 0, "predicate": "P2",
+            "reason": "no model for an autonomous bidirectional controller with variable "
+                      "time headway"}
+        assert (verdict["p1_failures"], verdict["p2_failures"]) == (0, 1)
 
     def test_truncated_line_exits_2_naming_it(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -430,6 +452,13 @@ class TestMonitorAndGenTrace:
                      "--violate", "5:P9"]) == 2
         assert main(["gen-trace", "--seed", "1", "--len", "10", "--spec", spec,
                      "--violate", "nope"]) == 2
+
+    def test_a_violate_index_that_is_not_an_integer_is_named(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--seed", "1", "--len", "10", "--spec", spec_file(make_spec()),
+                     "--violate", "x:P1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --violate index must be an integer, got 'x'\n"
+        assert not out.exists()
 
     def test_gen_trace_refuses_a_negative_seed(self, spec_file, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
@@ -659,3 +688,25 @@ def test_python_dash_m_runs_the_cli(spec_file):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert strict_json(done.stdout)["selected_model"]
+
+
+@pytest.mark.parametrize("command,code", [("analyze", 0), ("monitor", 4)])
+def test_python_dash_m_gives_the_output_and_exit_code_of_main(spec_file, tmp_path, capsys,
+                                                              command, code):
+    spec = spec_file(make_spec())
+    trace = str(tmp_path / "trace.jsonl")
+    assert main(["gen-trace", "--seed", "7", "--len", "20", "--spec", spec,
+                 "--violate", "5:P2", "--out", trace]) == 0
+    argv = {"analyze": ["analyze", "--spec", spec], "monitor": ["monitor", "--trace", trace]}[command]
+    capsys.readouterr()
+    assert main(argv) == code
+    expected = capsys.readouterr().out
+    src = str(Path(platoon_stab.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "platoon_stab", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (code, "")
+    if command == "monitor":  # all but the scan's wall-clock time
+        done.stdout, expected = (re.sub(r'"seconds": \S+', "", out)
+                                 for out in (done.stdout, expected))
+    assert done.stdout == expected

@@ -29,6 +29,7 @@ from platoon_stab import (
     stability_constraint,
     Trace,
     TraceParseError,
+    UnsupportedControllerError,
     Violation,
     check_p1,
     check_p2,
@@ -216,6 +217,17 @@ class TestRunMonitor:
         assert verdict.first_violation.index == 417
         assert verdict.first_violation.predicate == "P2"
         assert "0 < omega" in verdict.first_violation.reason
+
+    def test_a_combination_without_a_model_is_named_in_the_reason(self, const_spacing_spec):
+        # It has no Q to blame: the reason is the error the model layer gives.
+        no_model = make_spec(AUT, BI, VTH)
+        events = [Event(0, const_spacing_spec, 3.0),
+                  *(event(i, no_model, w) for i, w in enumerate((0.5, 3.0, 100.0), 1))]
+        verdict = run_monitor(Trace.from_events(events))
+        with pytest.raises(UnsupportedControllerError) as excinfo:
+            error_model(no_model)
+        assert verdict.first_violation == Violation(1, "P2", str(excinfo.value))
+        assert (verdict.p1_failures, verdict.p2_failures) == (0, 3)
 
     def test_p1_reported_before_p2_on_the_same_event(self, const_spacing_spec):
         bad = Event(1, make_spec(m=0.0), -1.0)  # fails both predicates
@@ -1059,6 +1071,37 @@ class TestSplitParse:
         assert len(forks) == 2
         if name != "crlf-ending":
             assert serial.startswith(f"TraceParseError: line {min(self.PLACES[place])}: ")
+
+    # Corruptions of lines N and N + 1 that keep the chunk's colon count, so
+    # that the chunk decodes and then fails one of _parse_chunk's structure
+    # checks: a row that is not one value, or an event without every key.
+    STRUCTURE = {
+        "two-events-on-a-line": (lambda a, b: (a[:-1] + b"," + b, b"7\n"),
+                                 "invalid JSON (Extra data: "),
+        "object-w-and-missing-cd": (lambda a, b: (re.sub(rb'"w":[^}]+', b'"w":{"x":1}', a),
+                                                  re.sub(rb',"cd":[^,]+', b"", b)),
+                                    "'w' must be a number"),
+    }
+
+    @pytest.mark.parametrize("lineno", [2, 3000])
+    @pytest.mark.parametrize("name", sorted(STRUCTURE))
+    def test_a_chunk_that_fails_a_structure_check_is_named_line_by_line(
+            self, split_trace, tmp_path, monkeypatch, name, lineno):
+        lines = [line.encode() for line in split_trace[1]]
+        corrupt, message = self.STRUCTURE[name]
+        lines[lineno - 1:lineno + 1] = corrupt(*lines[lineno - 1:lineno + 1])
+        start = (lineno - 1) // _CHUNK * _CHUNK
+        block = [line.decode()[:-1] for line in lines[start:start + _CHUNK]]
+        assert "".join(block).count(":") == len(monitor._SCHEMA) * len(block)
+        assert monitor._parse_chunk(block, start) is None
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"".join(lines))
+        with monkeypatch.context() as patch:
+            force_split(patch, cpus=1)
+            serial = parsed_file_or_error(path)
+        force_split(monkeypatch)
+        assert parsed_file_or_error(path) == serial
+        assert serial.startswith(f"TraceParseError: line {lineno}: {message}")
 
     def test_an_error_in_the_first_range_leaves_no_child(self, split_trace, tmp_path, monkeypatch):
         lines = list(split_trace[1])

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -56,14 +57,18 @@ class TestSimConfig:
             SimConfig(dt=0.01, duration=10.0, discard=-0.1)
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, duration=10.0, omega=-1.0)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.01, duration=10.0, amplitude=math.nan)
+        # The run, not the config, refuses an input that is not finite.
+        with pytest.raises(ValueError, match=r"^input at t = 0 s is not finite$"):
+            simulate_chain(_README_MODEL, 2, SimConfig(dt=0.01, duration=10.0, amplitude=math.nan))
 
     def test_rejects_an_overflowing_input_phase_or_rate(self):
-        with pytest.raises(ValueError, match=r"omega \* duration"):
-            SimConfig(dt=1e300, duration=1e302, amplitude=1.0, omega=1e300)
-        with pytest.raises(ValueError, match=r"amplitude \* omega"):
-            SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e10)
+        # Refused by the run, at the first input time where each overflows.
+        cfg = SimConfig(dt=1e300, duration=1e302, amplitude=1.0, omega=1e300)
+        with pytest.raises(ValueError, match=r"^input at t = 5e\+299 s is not finite$"):
+            simulate_chain(_README_MODEL, 2, cfg)
+        cfg = SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e10)
+        with pytest.raises(ValueError, match=r"^input at t = 0 s is not finite$"):
+            simulate_chain(_README_MODEL, 2, cfg)
         SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e7)
 
     def test_default_dt_heuristic(self):
@@ -379,6 +384,80 @@ class TestSineInput:
         val, dval = sine_input(0.0, 3.0)(np.linspace(0.0, 10.0, 11))
         assert np.array_equal(val, np.zeros(11)) and np.array_equal(dval, np.zeros(11))
         assert sine_input(0.0, 3.0)(1.5) == (0.0, 0.0)
+
+
+# 2000 steps of 2**-7 s, two blocks: every grid and half-step time is exact.
+_DT = 2.0 ** -7
+_INPUT_CFG = SimConfig(dt=_DT, duration=2000 * _DT)
+_README_MODEL = ErrorModel(a0=2.0, a1=0.4, b0=2.0, b1=0.4)
+# The first time an input is not finite: the start, then a grid time and a
+# half-step time in the second block.
+_WHEN = {"start": 0.0, "grid-time": 1500 * _DT, "half-step": 1500.5 * _DT}
+
+
+def _run_with_bad_input(source, value, when):
+    """Run with an input that is finite before ``when`` and ``value`` at it."""
+    if source == "input_fn":
+        return simulate_chain(_README_MODEL, 3, _INPUT_CFG,
+                              lambda t: (np.where(t >= when, value, np.sin(t)), np.cos(t)))
+    if source == "leader_force":
+        return simulate_state_space(make_params(n=3), _INPUT_CFG,
+                                    lambda s: value if s >= when else math.sin(s))
+    # Samples on either side of `when`, the one before it closer than half a
+    # step, so that no query time before `when` reads the bad sample.
+    t = np.array(sorted({0.0, max(when - _DT / 4, 0.0), when, _INPUT_CFG.duration}))
+    z, zdot = np.sin(t), np.cos(t)
+    (z if source == "tabulated z" else zdot)[np.searchsorted(t, when)] = value
+    return simulate_chain(_README_MODEL, 3, _INPUT_CFG, tabulated_input(t, z, zdot))
+
+
+def _run_with_bad_sinusoid(source, amplitude, omega):
+    if source == "SimConfig":
+        cfg = SimConfig(dt=_DT, duration=_INPUT_CFG.duration, amplitude=amplitude, omega=omega)
+        return simulate_chain(_README_MODEL, 3, cfg)
+    return simulate_chain(_README_MODEL, 3, _INPUT_CFG, sine_input(amplitude, omega))
+
+
+def _refused_at(run, when):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            run()
+    assert str(excinfo.value) == f"input at t = {when:.6g} s is not finite"
+
+
+class TestNonFiniteInputs:
+    """One rule for every input source: a run whose input is not finite is a
+    ValueError naming the first such time, never a DivergenceError."""
+
+    @pytest.mark.parametrize("when", sorted(_WHEN))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("source", ["input_fn", "leader_force", "tabulated z",
+                                        "tabulated zdot"])
+    def test_a_bad_value_is_named_at_its_time(self, source, value, when):
+        _refused_at(lambda: _run_with_bad_input(source, value, _WHEN[when]), _WHEN[when])
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("source", ["SimConfig", "sine_input"])
+    def test_a_bad_sinusoid_amplitude_is_named_at_the_start(self, source, amplitude):
+        _refused_at(lambda: _run_with_bad_sinusoid(source, amplitude, 3.0), 0.0)
+
+    # A sinusoid of finite amplitude and frequency is not finite after t = 0
+    # only where its phase leaves the float range: there sin and cos are nan.
+    @pytest.mark.parametrize("when", ["grid-time", "half-step"])
+    @pytest.mark.parametrize("source", ["SimConfig", "sine_input"])
+    def test_a_sinusoid_phase_beyond_the_float_range_is_named_at_its_time(self, source, when):
+        omega = sys.float_info.max / _WHEN[when] * (1.0 + 1e-10)
+        assert math.isfinite(omega * (_WHEN[when] - _DT / 2))
+        _refused_at(lambda: _run_with_bad_sinusoid(source, 1e-300, omega), _WHEN[when])
+
+    def test_a_divergence_before_a_bad_input_is_still_a_divergence(self):
+        # The runaway state overflows at 168.45 s; the input turns nan at
+        # 170 s, later in the same block.
+        cfg = SimConfig(dt=0.05, duration=500.0)
+        with pytest.raises(DivergenceError, match=r"^non-finite state at t = 168\.45 s$"):
+            simulate_chain(_RUNAWAY, 3, cfg,
+                           lambda t: (np.where(t >= 170.0, np.nan, np.sin(t)), np.cos(t)))
 
 
 def row_loop(x, M):
