@@ -44,6 +44,7 @@ from .simulate import (
     attenuation_report,
     default_dt,
     simulate_chain,
+    sine_input,
     write_chain_csv,
 )
 from .monitor import generate_trace, parse_trace, run_monitor, write_trace
@@ -156,16 +157,10 @@ def cmd_simulate(args) -> int:
             dt = float(args.dt)
         except ValueError:
             raise ValueError(f"--dt must be a number or 'auto', got {args.dt!r}") from None
-    cfg = SimConfig(
-        dt=dt,
-        duration=args.duration,
-        amplitude=args.amp,
-        omega=args.omega,
-        discard=args.discard,
-    )
+    cfg = SimConfig(dt=dt, duration=args.duration, discard=args.discard)
     if args.amp == 0.0:
         raise DegenerateInputError("--amp 0 gives no input to attenuate")
-    series = simulate_chain(model, args.n, cfg)
+    series = simulate_chain(model, args.n, cfg, sine_input(args.amp, args.omega))
     report = attenuation_report(series, cfg)
     with _open_out(args.out, sys.stdout) as fh:
         write_chain_csv(series, fh)

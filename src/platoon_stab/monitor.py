@@ -184,9 +184,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Monitor outcome: pass iff both failure counters are zero."""
+    """Monitor outcome: pass iff no event failed, so there is no first
+    violation and both failure counters are zero."""
 
-    passed: bool
     first_violation: Violation | None
     events: int
     p1_failures: int
@@ -194,13 +194,15 @@ class Verdict:
     seconds: float
 
     @property
+    def passed(self) -> bool:
+        return self.first_violation is None
+
+    @property
     def outcome(self) -> str:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        fields = asdict(self)
-        del fields["passed"]
-        return {"outcome": self.outcome, **fields}
+        return {"outcome": self.outcome, **asdict(self)}
 
 
 class Trace:
@@ -380,7 +382,6 @@ def run_monitor(trace: Trace) -> Verdict:
                 first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating "
                                              "band (Q(omega^2) <= 0)")
     return Verdict(
-        passed=first is None,
         first_violation=first,
         events=size,
         p1_failures=p1_failures,

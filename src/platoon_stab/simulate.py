@@ -44,7 +44,7 @@ output buffer, so a run holds little more memory than its output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,21 +98,18 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step run settings plus the sinusoidal input description.
+    """Fixed-step run settings: the grid and the report window.
 
-    ``amplitude == 0`` means zero input.  ``discard`` is the leading
-    fraction of the run dropped before steady-state measurements; the
-    default keeps the final 30%.  The input fields are checked where the
-    run uses them: an input that is not finite, such as a nan amplitude or
-    a phase ``omega * t`` beyond the float range, is a ValueError naming
-    its time (see :func:`_integrate_linear`).
+    ``discard`` is the leading fraction of the run dropped before
+    steady-state measurements; the default keeps the final 30%.  The
+    input is not part of the config: :func:`simulate_chain` takes it as a
+    function, and an input value that is not finite is a ValueError
+    naming its time (see :func:`_integrate_linear`).
     """
 
     dt: float               # step size [s]
     duration: float         # total simulated time [s]
-    amplitude: float = 0.0  # input amplitude [m]
-    omega: float = 0.0      # input angular frequency [rad/s]
-    discard: float = 0.7    # transient fraction discarded by reports
+    discard: float = field(default=0.7, kw_only=True)  # transient fraction dropped
 
     def __post_init__(self):
         if not math.isfinite(self.dt):
@@ -125,8 +122,6 @@ class SimConfig:
             raise ValueError("duration must be at least 100*dt")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration/dt overflows the step count")
-        if self.omega < 0.0:
-            raise ValueError("omega must be >= 0")
         if not 0.0 <= self.discard < 1.0:
             raise ValueError("discard fraction must be in [0, 1)")
 
@@ -358,11 +353,16 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
     At the first grid time whose row is not finite, raises ValueError
     naming the time of the first input row up to it that is not finite,
     else :class:`DivergenceError`.  Every input row reaches the state
-    (0 * nan is nan), so this is the one check on the inputs.
+    (0 * nan is nan), so this is the one check on the inputs.  A grid too
+    large for its output buffer raises MemoryError naming its step count.
     """
     h, steps = cfg.dt, cfg.steps
     size, p = B.shape
-    out = np.zeros((steps + 1, size))
+    try:
+        out = np.zeros((steps + 1, size))
+    except (ValueError, MemoryError):
+        raise MemoryError(f"a run of {steps:.6g} steps of {size} states "
+                          "is too large to allocate") from None
     width = size + 3 * p
     with np.errstate(all="ignore"):
         step = _rk4_step(A, B, h, np.eye(size, width),
@@ -427,15 +427,16 @@ def simulate_chain(
     for i = 2..n with z_1 as the input channel.
 
     All integrated channels start from rest (zero initial conditions).
-    ``input_fn`` overrides the configured sinusoid; it maps a 1-D array of
-    times in [0, duration] to the arrays ``(z_1, z_1')`` at those times.
+    ``input_fn`` maps a 1-D array of times in [0, duration] to the arrays
+    ``(z_1, z_1')`` at those times, as :func:`sine_input` and
+    :func:`tabulated_input` build it; without one the input is zero.
     An input value that is not finite raises ValueError naming its time;
     :class:`DivergenceError` is kept for a state that overflows on its own.
     """
     if not isinstance(n, int) or n <= 1:
         raise ValueError("n must be an integer > 1")
     if input_fn is None:
-        input_fn = sine_input(cfg.amplitude, cfg.omega)
+        input_fn = sine_input(0.0, 0.0)
     # z_1 and z_1' are the input, so the columns of A that read them move
     # into B.
     A = _cascade(model, n)

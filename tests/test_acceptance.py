@@ -24,6 +24,7 @@ from platoon_stab import (
     run_monitor,
     simulate_chain,
     simulate_state_space,
+    sine_input,
     stability_constraint,
     tabulated_input,
     transfer_function,
@@ -79,9 +80,9 @@ def test_criterion_2_time_domain_gain_oracle():
     for combo in SUPPORTED_COMBOS:
         model = error_model(make_spec(*combo))
         for omega in frequencies:
-            cfg = SimConfig(dt=default_dt(omega, model.a0), duration=120.0,
-                            amplitude=1.0, omega=omega, discard=0.7)
-            ratio = attenuation_report(simulate_chain(model, 2, cfg), cfg).ratios[0]
+            cfg = SimConfig(dt=default_dt(omega, model.a0), duration=120.0, discard=0.7)
+            series = simulate_chain(model, 2, cfg, sine_input(1.0, omega))
+            ratio = attenuation_report(series, cfg).ratios[0]
             expected = gain_at(model, omega)
             rel_err = abs(ratio - expected) / expected
             if rel_err > 0.01:
@@ -223,9 +224,8 @@ def test_criterion_8_attenuation_down_a_ten_vehicle_chain():
     model = error_model(make_spec())
     failures = []
     for omega, expect_stable in ((3.0, True), (1.0, False)):
-        cfg = SimConfig(dt=default_dt(omega, model.a0), duration=400.0,
-                        amplitude=1.0, omega=omega, discard=0.8)
-        report = attenuation_report(simulate_chain(model, 10, cfg), cfg)
+        cfg = SimConfig(dt=default_dt(omega, model.a0), duration=400.0, discard=0.8)
+        report = attenuation_report(simulate_chain(model, 10, cfg, sine_input(1.0, omega)), cfg)
         expected = gain_at(model, omega)
         if len(report.ratios) != 9:
             failures.append((omega, "ratio count"))

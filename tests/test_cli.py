@@ -272,6 +272,18 @@ class TestSimulate:
                      "--dt", "1e300", "--duration", "1e302", "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == "error: input at t = 5e+299 s is not finite\n"
 
+    # --dt auto takes 200 steps per input period: numpy refuses the buffer's
+    # shape at 1e300 and its 679 PiB at 1e12.  --n 10 gives 20 states.
+    @pytest.mark.parametrize("omega,steps", [("1e300", "4.77465e+303"), ("1e12", "4.77465e+15")])
+    def test_a_run_too_large_to_allocate_names_its_step_count(self, spec_file, tmp_path, capsys,
+                                                              omega, steps):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "10", "--omega", omega,
+                     "--duration", "150", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a run of {steps} steps of 20 states is too large to allocate\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("amp", ["nan", "inf", "1e308"])  # 1e308: the rate amp * omega is inf
     def test_an_input_that_is_not_finite_is_named(self, spec_file, tmp_path, capsys, amp):
         out = tmp_path / "t.csv"

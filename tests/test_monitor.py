@@ -308,6 +308,16 @@ class TestRunMonitor:
                             "p1_failures", "p2_failures", "seconds"}
         json.dumps(obj)  # serialisable
 
+    def test_passed_is_decided_by_the_first_violation(self, const_spacing_spec):
+        # Not a stored field: the verdict JSON keeps its keys in their order.
+        for plan, passed in (([], True), ([(4, "P1")], False)):
+            verdict = run_monitor(generate_trace(1, 10, const_spacing_spec, plan))
+            assert verdict.passed is passed is (verdict.first_violation is None)
+            assert verdict.outcome == ("pass" if passed else "fail")
+            assert list(verdict.to_dict()) == ["outcome", "first_violation", "events",
+                                               "p1_failures", "p2_failures", "seconds"]
+        assert "passed" not in vars(verdict)
+
 
 # A positive finite double, log-uniform from 5e-324 to 1.5e308.
 _ANY_POSITIVE = st.floats(-1074.0, math.log2(1.5e308)).map(lambda x: 2.0 ** x)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -55,21 +56,27 @@ class TestSimConfig:
             SimConfig(dt=0.01, duration=10.0, discard=1.0)
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, duration=10.0, discard=-0.1)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.01, duration=10.0, omega=-1.0)
         # The run, not the config, refuses an input that is not finite.
         with pytest.raises(ValueError, match=r"^input at t = 0 s is not finite$"):
-            simulate_chain(_README_MODEL, 2, SimConfig(dt=0.01, duration=10.0, amplitude=math.nan))
+            simulate_chain(_README_MODEL, 2, SimConfig(dt=0.01, duration=10.0),
+                           sine_input(math.nan, 0.0))
 
     def test_rejects_an_overflowing_input_phase_or_rate(self):
         # Refused by the run, at the first input time where each overflows.
-        cfg = SimConfig(dt=1e300, duration=1e302, amplitude=1.0, omega=1e300)
+        cfg = SimConfig(dt=1e300, duration=1e302)
         with pytest.raises(ValueError, match=r"^input at t = 5e\+299 s is not finite$"):
-            simulate_chain(_README_MODEL, 2, cfg)
-        cfg = SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e10)
+            simulate_chain(_README_MODEL, 2, cfg, sine_input(1.0, 1e300))
+        cfg = SimConfig(dt=1e-3, duration=1.0)
         with pytest.raises(ValueError, match=r"^input at t = 0 s is not finite$"):
-            simulate_chain(_README_MODEL, 2, cfg)
-        SimConfig(dt=1e-3, duration=1.0, amplitude=1e300, omega=1e7)
+            simulate_chain(_README_MODEL, 2, cfg, sine_input(1e300, 1e10))
+
+    def test_holds_the_grid_and_the_report_window_only(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["dt", "duration", "discard"]
+        assert SimConfig(0.01, 10.0, discard=0.8).discard == 0.8
+        with pytest.raises(TypeError):
+            SimConfig(0.01, 10.0, 0.8)  # discard is keyword-only
+        with pytest.raises(TypeError):
+            SimConfig(dt=0.01, duration=10.0, amplitude=1.0)
 
     def test_default_dt_heuristic(self):
         # 200 samples per period against resolving the natural frequency.
@@ -94,6 +101,14 @@ class TestChainSimulator:
         with pytest.raises(ValueError):
             simulate_chain(const_spacing_model, 1, SimConfig(dt=0.01, duration=10.0))
 
+    def test_a_grid_too_large_to_allocate_names_its_step_count(self, const_spacing_model):
+        # numpy refuses the shape itself: more rows than an array can index.
+        cfg = SimConfig(dt=1e-300, duration=1e3)
+        with pytest.raises(MemoryError) as excinfo:
+            simulate_chain(const_spacing_model, 2, cfg, sine_input(1.0, 3.0))
+        assert str(excinfo.value) == "a run of 1e+303 steps of 4 states is too large to allocate"
+        assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__
+
     def test_zero_input_stays_exactly_at_rest(self, const_spacing_model):
         cfg = SimConfig(dt=0.01, duration=5.0)
         series = simulate_chain(const_spacing_model, 4, cfg)
@@ -101,18 +116,16 @@ class TestChainSimulator:
         assert np.all(series.zdot == 0.0)
 
     def test_steady_state_gain_matches_frequency_response_when_stable(self, const_spacing_model):
-        cfg = SimConfig(dt=default_dt(3.0, const_spacing_model.a0), duration=120.0,
-                        amplitude=1.0, omega=3.0)
-        series = simulate_chain(const_spacing_model, 3, cfg)
+        cfg = SimConfig(dt=default_dt(3.0, const_spacing_model.a0), duration=120.0)
+        series = simulate_chain(const_spacing_model, 3, cfg, sine_input(1.0, 3.0))
         report = attenuation_report(series, cfg)
         expected = gain_at(const_spacing_model, 3.0)
         assert report.ratios[0] == pytest.approx(expected, rel=0.01)
         assert report.all_attenuating
 
     def test_steady_state_gain_matches_frequency_response_when_amplifying(self, const_spacing_model):
-        cfg = SimConfig(dt=default_dt(1.0, const_spacing_model.a0), duration=120.0,
-                        amplitude=1.0, omega=1.0)
-        series = simulate_chain(const_spacing_model, 3, cfg)
+        cfg = SimConfig(dt=default_dt(1.0, const_spacing_model.a0), duration=120.0)
+        series = simulate_chain(const_spacing_model, 3, cfg, sine_input(1.0, 1.0))
         report = attenuation_report(series, cfg)
         expected = gain_at(const_spacing_model, 1.0)  # ~1.894
         assert report.ratios[0] == pytest.approx(expected, rel=0.01)
@@ -120,8 +133,8 @@ class TestChainSimulator:
         assert report.ratios[0] > 1.0
 
     def test_time_grid_and_input_column(self, const_spacing_model):
-        cfg = SimConfig(dt=0.02, duration=10.0, amplitude=0.5, omega=2.0)
-        series = simulate_chain(const_spacing_model, 2, cfg)
+        cfg = SimConfig(dt=0.02, duration=10.0)
+        series = simulate_chain(const_spacing_model, 2, cfg, sine_input(0.5, 2.0))
         assert len(series.t) == 501
         assert series.t[0] == 0.0
         assert series.t[-1] == pytest.approx(10.0)
@@ -132,11 +145,11 @@ class TestChainSimulator:
         # Negative-damping model: the state grows without bound.  The
         # overflow on the way must not leak numpy warnings.
         runaway = ErrorModel(a0=-5.0, a1=-3.0, b0=1.0, b1=1.0)
-        cfg = SimConfig(dt=0.05, duration=500.0, amplitude=1.0, omega=1.0)
+        cfg = SimConfig(dt=0.05, duration=500.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as excinfo:
-                simulate_chain(runaway, 3, cfg)
+                simulate_chain(runaway, 3, cfg, sine_input(1.0, 1.0))
         match = re.fullmatch(r"non-finite state at t = (\S+) s", str(excinfo.value))
         assert match is not None
         t = float(match.group(1))
@@ -145,10 +158,10 @@ class TestChainSimulator:
         assert f"{k * cfg.dt:.6g}" == match.group(1)
 
     def test_series_are_views_of_one_buffer_within_a_memory_bound(self, const_spacing_model):
-        cfg = SimConfig(dt=0.01, duration=96.0, amplitude=1.0, omega=3.0)
+        cfg = SimConfig(dt=0.01, duration=96.0)
         tracemalloc.start()
         try:
-            series = simulate_chain(const_spacing_model, 16, cfg)
+            series = simulate_chain(const_spacing_model, 16, cfg, sine_input(1.0, 3.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -161,8 +174,8 @@ class TestChainSimulator:
         # finite differences on the sampled trajectory; halving dt should
         # shrink it by about 2^4.
         def residual(dt):
-            cfg = SimConfig(dt=dt, duration=20.0, amplitude=1.0, omega=1.5)
-            series = simulate_chain(const_spacing_model, 2, cfg)
+            cfg = SimConfig(dt=dt, duration=20.0)
+            series = simulate_chain(const_spacing_model, 2, cfg, sine_input(1.0, 1.5))
             z1 = series.z[:, 0]
             z2 = series.z[:, 1]
 
@@ -184,8 +197,8 @@ class TestChainSimulator:
         assert 10.0 < ratio < 24.0
 
     def test_chain_csv_layout(self, const_spacing_model):
-        cfg = SimConfig(dt=0.05, duration=5.0, amplitude=1.0, omega=1.0)
-        series = simulate_chain(const_spacing_model, 3, cfg)
+        cfg = SimConfig(dt=0.05, duration=5.0)
+        series = simulate_chain(const_spacing_model, 3, cfg, sine_input(1.0, 1.0))
         buf = io.StringIO()
         write_chain_csv(series, buf)
         lines = buf.getvalue().splitlines()
@@ -278,9 +291,8 @@ class TestStateSpaceSimulator:
 
 class TestAttenuationReport:
     def test_ten_vehicle_chain_ratios_track_the_gain(self, const_spacing_model):
-        cfg = SimConfig(dt=default_dt(3.0, const_spacing_model.a0), duration=400.0,
-                        amplitude=1.0, omega=3.0, discard=0.8)
-        series = simulate_chain(const_spacing_model, 10, cfg)
+        cfg = SimConfig(dt=default_dt(3.0, const_spacing_model.a0), duration=400.0, discard=0.8)
+        series = simulate_chain(const_spacing_model, 10, cfg, sine_input(1.0, 3.0))
         report = attenuation_report(series, cfg)
         expected = gain_at(const_spacing_model, 3.0)
         assert len(report.ratios) == 9
@@ -289,9 +301,8 @@ class TestAttenuationReport:
             assert ratio == pytest.approx(expected, rel=0.02)
 
     def test_amplifying_frequency_flags_failure(self, const_spacing_model):
-        cfg = SimConfig(dt=default_dt(1.0, const_spacing_model.a0), duration=200.0,
-                        amplitude=1.0, omega=1.0, discard=0.8)
-        series = simulate_chain(const_spacing_model, 4, cfg)
+        cfg = SimConfig(dt=default_dt(1.0, const_spacing_model.a0), duration=200.0, discard=0.8)
+        series = simulate_chain(const_spacing_model, 4, cfg, sine_input(1.0, 1.0))
         report = attenuation_report(series, cfg)
         assert not report.all_attenuating
         assert all(r > 1.0 for r in report.ratios)
@@ -303,8 +314,9 @@ class TestAttenuationReport:
             attenuation_report(series, cfg)
 
     def test_report_serialises(self, const_spacing_model):
-        cfg = SimConfig(dt=0.01, duration=60.0, amplitude=1.0, omega=3.0)
-        report = attenuation_report(simulate_chain(const_spacing_model, 3, cfg), cfg)
+        cfg = SimConfig(dt=0.01, duration=60.0)
+        series = simulate_chain(const_spacing_model, 3, cfg, sine_input(1.0, 3.0))
+        report = attenuation_report(series, cfg)
         obj = report.to_dict()
         assert set(obj) == {"amplitudes", "ratios", "all_attenuating"}
         assert len(obj["amplitudes"]) == 3
@@ -411,13 +423,6 @@ def _run_with_bad_input(source, value, when):
     return simulate_chain(_README_MODEL, 3, _INPUT_CFG, tabulated_input(t, z, zdot))
 
 
-def _run_with_bad_sinusoid(source, amplitude, omega):
-    if source == "SimConfig":
-        cfg = SimConfig(dt=_DT, duration=_INPUT_CFG.duration, amplitude=amplitude, omega=omega)
-        return simulate_chain(_README_MODEL, 3, cfg)
-    return simulate_chain(_README_MODEL, 3, _INPUT_CFG, sine_input(amplitude, omega))
-
-
 def _refused_at(run, when):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -438,18 +443,18 @@ class TestNonFiniteInputs:
         _refused_at(lambda: _run_with_bad_input(source, value, _WHEN[when]), _WHEN[when])
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("source", ["SimConfig", "sine_input"])
-    def test_a_bad_sinusoid_amplitude_is_named_at_the_start(self, source, amplitude):
-        _refused_at(lambda: _run_with_bad_sinusoid(source, amplitude, 3.0), 0.0)
+    def test_a_bad_sinusoid_amplitude_is_named_at_the_start(self, amplitude):
+        _refused_at(lambda: simulate_chain(_README_MODEL, 3, _INPUT_CFG,
+                                           sine_input(amplitude, 3.0)), 0.0)
 
     # A sinusoid of finite amplitude and frequency is not finite after t = 0
     # only where its phase leaves the float range: there sin and cos are nan.
     @pytest.mark.parametrize("when", ["grid-time", "half-step"])
-    @pytest.mark.parametrize("source", ["SimConfig", "sine_input"])
-    def test_a_sinusoid_phase_beyond_the_float_range_is_named_at_its_time(self, source, when):
+    def test_a_sinusoid_phase_beyond_the_float_range_is_named_at_its_time(self, when):
         omega = sys.float_info.max / _WHEN[when] * (1.0 + 1e-10)
         assert math.isfinite(omega * (_WHEN[when] - _DT / 2))
-        _refused_at(lambda: _run_with_bad_sinusoid(source, 1e-300, omega), _WHEN[when])
+        _refused_at(lambda: simulate_chain(_README_MODEL, 3, _INPUT_CFG,
+                                           sine_input(1e-300, omega)), _WHEN[when])
 
     def test_a_divergence_before_a_bad_input_is_still_a_divergence(self):
         # The runaway state overflows at 168.45 s; the input turns nan at
@@ -517,34 +522,34 @@ class TestBlockedScan:
     @pytest.mark.parametrize("model,dt", [(_RUNAWAY, 0.05), (_RUNAWAY, 0.2),
                                           (ErrorModel(a0=4.0, a1=2.0, b0=1.0, b1=1.0), 4.0)])
     def test_divergence_is_reported_at_the_row_loops_time(self, monkeypatch, n, model, dt):
-        cfg = SimConfig(dt=dt, duration=4000.0 * dt, amplitude=1.0, omega=0.3)
+        cfg = SimConfig(dt=dt, duration=4000.0 * dt)
         messages = []
         for width in (simulate._SCAN_WIDTH, 0):  # 0: every run steps row by row
             monkeypatch.setattr(simulate, "_SCAN_WIDTH", width)
             with pytest.raises(DivergenceError) as excinfo:
-                simulate_chain(model, n, cfg)
+                simulate_chain(model, n, cfg, sine_input(1.0, 0.3))
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
     def test_runaway_diverges_at_the_time_the_row_loop_reported(self):
-        cfg = SimConfig(dt=0.05, duration=500.0, amplitude=1.0, omega=1.0)
+        cfg = SimConfig(dt=0.05, duration=500.0)
         with pytest.raises(DivergenceError, match=r"^non-finite state at t = 168\.45 s$"):
-            simulate_chain(_RUNAWAY, 3, cfg)
+            simulate_chain(_RUNAWAY, 3, cfg, sine_input(1.0, 1.0))
 
     def test_states_wider_than_the_bound_step_row_by_row(self, monkeypatch):
         def refuse(M):
             raise AssertionError(f"powers built for width {len(M)}")
 
         monkeypatch.setattr(simulate, "_powers", refuse)
-        cfg = SimConfig(dt=0.01, duration=1.0, amplitude=1.0, omega=2.0)
+        cfg = SimConfig(dt=0.01, duration=1.0)
         model = ErrorModel(a0=2.0, a1=3.0, b0=2.0, b1=3.0)
-        simulate_chain(model, simulate._SCAN_WIDTH // 2 + 1, cfg)
+        simulate_chain(model, simulate._SCAN_WIDTH // 2 + 1, cfg, sine_input(1.0, 2.0))
         with pytest.raises(AssertionError, match="powers built"):
-            simulate_chain(model, simulate._SCAN_WIDTH // 2, cfg)
+            simulate_chain(model, simulate._SCAN_WIDTH // 2, cfg, sine_input(1.0, 2.0))
 
     def test_a_block_the_scan_leaves_non_finite_is_stepped_again(self, monkeypatch):
         model = ErrorModel(a0=2.0, a1=3.0, b0=2.0, b1=3.0)
-        cfg = SimConfig(dt=0.01, duration=6.0, amplitude=1.0, omega=2.0)  # 600 steps
+        cfg = SimConfig(dt=0.01, duration=6.0)  # 600 steps
         scan = simulate._recur
 
         def poisoned(x, M, powers=None):
@@ -553,9 +558,9 @@ class TestBlockedScan:
                 x[-1] = np.nan
 
         monkeypatch.setattr(simulate, "_recur", poisoned)
-        series = simulate_chain(model, 5, cfg)
+        series = simulate_chain(model, 5, cfg, sine_input(1.0, 2.0))
         monkeypatch.setattr(simulate, "_SCAN_WIDTH", 0)
-        rows = simulate_chain(model, 5, cfg)
+        rows = simulate_chain(model, 5, cfg, sine_input(1.0, 2.0))
         assert np.array_equal(series.z, rows.z) and np.array_equal(series.zdot, rows.zdot)
 
 
@@ -874,8 +879,8 @@ _SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300
 
 class TestChunkedCsvWriters:
     def test_chain_csv_matches_row_writer_across_chunks(self, const_spacing_model):
-        cfg = SimConfig(dt=0.01, duration=90.0, amplitude=-1.0, omega=3.0)
-        series = simulate_chain(const_spacing_model, 4, cfg)  # 9001 rows, 11 chunks of 819
+        cfg = SimConfig(dt=0.01, duration=90.0)  # 9001 rows, 11 chunks of 819
+        series = simulate_chain(const_spacing_model, 4, cfg, sine_input(-1.0, 3.0))
         assert not series.z.flags.c_contiguous
         text = written(write_chain_csv, series)
         assert text == written(reference_chain_csv, series)
