@@ -5,9 +5,9 @@ output is always valid JSON or valid CSV, never mixed on one stream:
 CSV goes to --out (or stdout), side reports go to their own file or
 stderr.
 
-Exit codes: 0 success/pass, 1 I/O error, 2 validation or parse error or a
-run too large to allocate, 3 numeric divergence, 4 monitor detected a
-violation.
+Exit codes: 0 success/pass, 1 I/O error, 2 validation or parse error or
+an allocation too large (of a run, a sweep or a trace), 3 numeric
+divergence, 4 monitor detected a violation.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .model import ErrorModel
+from .model import ErrorModel, _allocating
 
 class SingularityError(ArithmeticError):
     """The transfer-function denominator vanishes at the requested point."""
@@ -270,12 +270,10 @@ def sweep(
         raise ValueError("omega range must be increasing")
     if points < 2:
         raise ValueError("at least 2 sweep points required")
-    if spacing == "log":
-        w = np.geomspace(omega_min, omega_max, points)
-    elif spacing == "linear":
-        w = np.linspace(omega_min, omega_max, points)
-    else:
+    if spacing not in ("log", "linear"):
         raise ValueError("spacing must be 'log' or 'linear'")
+    with _allocating("a sweep", points, "points"):
+        w = (np.geomspace if spacing == "log" else np.linspace)(omega_min, omega_max, points)
     value, magnitude = _response(model, w)
     return SweepResult(omega=w, value=value, magnitude=magnitude, stable=magnitude < 1.0)
 

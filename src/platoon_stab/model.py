@@ -18,6 +18,7 @@ import enum
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -140,6 +141,21 @@ def _check_object(obj, keys, name: str, prefix: str) -> None:
     if unknown or missing:
         raise ValueError(prefix + (f"unknown key {unknown[0]!r}" if unknown
                                    else f"missing key {missing[0]!r}"))
+
+
+@contextmanager
+def _allocating(what: str, count: int, unit: str):
+    """Where numpy refuses an array that the block makes, as too large for
+    its index range (ValueError, or OverflowError for a count beyond it) or
+    for the memory there is (MemoryError), raise MemoryError: ``what`` of
+    ``count`` ``unit`` is too large to allocate, the count in ``.6g`` form,
+    or in full beyond the float range.  The one message of a run, a sweep
+    or a trace that cannot be held."""
+    try:
+        yield
+    except (ValueError, OverflowError, MemoryError):
+        text = f"{count:.6g}" if count < 1e308 else str(count)
+        raise MemoryError(f"{what} of {text} {unit} is too large to allocate") from None
 
 
 # Validity conjuncts ``bound < field``, checked in this order; the first

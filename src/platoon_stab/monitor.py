@@ -66,24 +66,28 @@ straight into columns of that length, so beyond the columns it holds one
 chunk.  A stream that cannot be read twice, such as a pipe, is parsed
 chunk by chunk in this process and the chunks are joined at the end.
 
-A file of at least ``2 * _SPLIT`` lines, or a trace of as many events, is
-read or written by one process per usable CPU, at most ``_RANGES`` and
-each with at least ``_SPLIT`` lines; by this process alone where it
-cannot fork or runs a second thread.  The parse splits the file into line
-ranges: this process parses the first, a forked child each of the others,
-and each child's columns come back through a pipe, read straight into the
-caller's columns.  Every range, here or in a child, is parsed by one
-function, :func:`_parse_range`.  The writer deals its chunks out in turn:
-chunk j goes to process j mod k, this process the first.  Each child
-sends the text of its chunks through a pipe, one chunk at a time, and this
-process writes every chunk in order, so no process holds much more than
-one chunk of text.  A child that fails in any way leaves its range or its
-remaining chunks to this process, so every error is raised here, as in
-one process, and the bytes written never depend on the children.  Reader
-and writer start and end their children through the same two functions,
-:func:`_fork` and :func:`_children`: a child's memory is its own and does
-not count in the caller's peak RSS, and no child outlives the call,
-whether it returns or raises.
+A file of at least ``2 * _SPLIT`` lines (6144), or a trace of as many
+events, is read or written by one process per usable CPU, at most
+``_RANGES`` and each with at least ``_SPLIT`` lines; by this process alone
+below that size, where a second process costs more than it saves, and
+where it cannot fork or runs a second thread.  The parse splits the file
+into line ranges: this process parses the first, a forked child each of
+the others.  Every range, here or in a child, is parsed by one function,
+:func:`_parse_range`.  The writer deals its chunks out in turn: chunk j
+goes to process j mod k, this process the first.  Every child answers by
+one protocol: :func:`_fork` sends each block the child makes through a
+pipe, its size in bytes as ASCII digits and a newline, then its bytes, and
+:func:`_next_block` reads each block back, a parse child's column rows
+straight into the caller's columns and a write child's chunk text as
+bytes, which this process writes in order.  That one function finds a
+block that is short, missing or of another size than the rows it fills,
+and a child that sent one leaves its range or its remaining chunks to this
+process, so every error is raised here, as in one process, and the bytes
+written never depend on the children.  No process holds much more than one
+chunk of text.  Reader and writer start and end their children through
+the same two functions, :func:`_fork` and :func:`_children`: a child's
+memory is its own and does not count in the caller's peak RSS, and no
+child outlives the call, whether it returns or raises.
 """
 
 from __future__ import annotations
@@ -98,7 +102,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import EnumMeta
-from functools import partial
 from itertools import chain, islice, product
 from operator import itemgetter
 from types import SimpleNamespace
@@ -117,6 +120,7 @@ from .model import (
     ErrorModel,
     PlatoonParams,
     UnsupportedControllerError,
+    _allocating,
     _check_object,
     _check_value,
     _decode,
@@ -427,7 +431,8 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
 
     rng = np.random.default_rng(seed)
     blocks = range(0, length, _DRAW_BLOCK)
-    cols = [np.empty(length) for _ in _PARAM_KEYS]
+    with _allocating("a trace", length, "events"):
+        cols = [np.empty(length) for _ in _PARAM_KEYS]
     for a in blocks:
         factors = rng.uniform(*_JITTER, size=(min(_DRAW_BLOCK, length - a), len(_PARAM_KEYS)))
         for col, factor, name in zip(cols, factors.T, _PARAM_KEYS):
@@ -475,12 +480,17 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
 # many: ten floats an event make about 5k values per call of the formatter.
 _CHUNK = 1024
 # A file of at least twice _SPLIT lines is parsed in line ranges at once, a
-# range per usable CPU and at least _SPLIT lines each.  Two ranges of 2048
-# lines about break even with one process: the fork, the child's exit and
-# the columns sent back cost what the second CPU saves.  At 3072 lines each
-# the monitor takes 0.75-0.8 of its serial time.  At most _RANGES ranges,
-# so that a many-core host forks a few children.
-_SPLIT = 2048
+# range per usable CPU and at least _SPLIT lines each, and a trace of as
+# many events is written by as many processes.  Below that the fork, the
+# child's exit and the blocks sent back cost what the second CPU saves.
+# Medians of 90 rounds on two CPUs (six batches of 15, one process holding
+# 20 MB, one and two processes alternating), us a line, write and parse, one
+# process against two: 4096 lines 4.45/4.80 and 8.33/8.31; 5120 lines
+# 4.47/4.53 and 8.48/8.40; 6144 lines 4.47/4.26 and 7.79/7.80; 8192 lines
+# 4.52/3.96 and 7.95/7.22.  The gain moves with the load on the host's
+# other CPU: a batch's ratio at 8192 lines ran from 0.62 to 1.35.  At most
+# _RANGES ranges, so that a many-core host forks a few children.
+_SPLIT = 3072
 _RANGES = 4
 
 
@@ -512,7 +522,7 @@ def parse_trace(path) -> Trace:
                 children.append(_fork_range(path, (stat.st_dev, stat.st_ino), columns, a, b, size))
             done = 0  # the lines of fh read so far
             for (a, b), child in zip(ranges, [None, *children]):
-                if child is None or not _receive(child[1], columns, a, b):
+                if any(_next_block(child and child[1], column[a:b]) is None for column in columns):
                     _parse_range(fh, done, columns, a, b, size, path)
                     done = b
     return Trace(str(path), *columns)
@@ -572,12 +582,15 @@ def _children():
             os.waitpid(pid, 0)
 
 
-def _fork(job):
-    """Fork a child that runs ``job(out)``, ``out`` the write end of a pipe
-    as a binary file.  Returns the child's pid and the pipe's read end, or
-    None when no child can start.  The child ends through ``os._exit``,
-    whether ``job`` returns or raises, so it runs no exit handlers and
-    flushes no inherited buffer, such as that of the caller's output."""
+def _fork(blocks):
+    """Fork a child that sends each block of ``blocks``, an iterable of
+    bytes-like objects that the child alone consumes (a generator runs its
+    body there), through a pipe: the block's size in bytes as ASCII digits
+    and a newline, then its bytes; :func:`_next_block` reads them back.
+    Returns the child's pid and the pipe's read end, or None when no child
+    can start.  The child ends through ``os._exit``, whether ``blocks``
+    runs out or raises, so it runs no exit handlers and flushes no
+    inherited buffer, such as that of the caller's output."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -591,36 +604,51 @@ def _fork(job):
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as out:
-            job(out)
+            for block in blocks:
+                out.write(b"%d\n" % memoryview(block).nbytes)
+                out.write(block)
     finally:
         os._exit(0)
 
 
+def _next_block(pipe, into=None):
+    """The next block from a child's pipe (:func:`_fork`): its bytes, or,
+    given ``into``, that buffer once the block is read straight into it.
+    None when there is no pipe, or the child sent less than a whole block,
+    or a block whose size is not ``into``'s: the one check of a child's
+    answer.  A child that sent less has closed its pipe, so later calls on
+    it return None too; after a block of another size the caller reads the
+    pipe no more."""
+    if pipe is None:
+        return None
+    head = pipe.readline()
+    if not head.endswith(b"\n"):
+        return None
+    size = int(head)
+    if into is None:
+        block = pipe.read(size)
+        return block if len(block) == size else None
+    return into if pipe.readinto(into) == size else None  # reads into.nbytes at most
+
+
 def _fork_range(path, identity, columns, a, b, size):
     """Fork a child (:func:`_fork`) that parses lines ``a`` to ``b - 1`` of
-    the file into its copy of the columns and writes their bytes to its
-    pipe.
+    the file into its copy of the columns and sends those rows of each
+    column as a block.
 
     A forked child shares the parent's file offset, so the child opens the
     file again and parses the range with :func:`_parse_range` from line 0.
     It sends nothing unless it is the same file (``identity`` is its device
     and inode) and the whole range parsed.
     """
-    def send(out):
+    def blocks():
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             stat = os.fstat(fh.fileno())
             if (stat.st_dev, stat.st_ino) == identity:
                 _parse_range(fh, 0, columns, a, b, size, path)
-                for column in columns:
-                    out.write(column[a:b])
+                yield from (column[a:b] for column in columns)
 
-    return _fork(send)
-
-
-def _receive(pipe, columns, a, b) -> bool:
-    """Read a child's rows ``a`` to ``b - 1`` of each column from its pipe,
-    straight into the columns; False when it sent fewer bytes."""
-    return all(pipe.readinto(column[a:b]) == column[a:b].nbytes for column in columns)
+    return _fork(blocks())
 
 
 def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
@@ -741,19 +769,21 @@ def write_trace(trace: Trace, fh) -> None:
 
     Chunk j of ``_CHUNK // 2`` events is formatted by process j mod k
     (:func:`_processes`), this process the first and a forked child each
-    of the others, which sends its chunks through a pipe
-    (:func:`_send_chunks`).  Every chunk is written to ``fh`` in order, a
-    child's once all of it has arrived; a child that stops early, for
-    whatever reason, leaves the rest of its chunks to this process.
+    of the others, which sends the text of each of its chunks as a block
+    (:func:`_fork`).  Every chunk is written to ``fh`` in order, a child's
+    once all of it has arrived; a child that stops early, for whatever
+    reason, leaves the rest of its chunks to this process.
     """
     starts = range(0, len(trace), _CHUNK // 2)
     count = _processes(len(trace))
     with _children() as children:
         for i in range(1, count):
-            children.append(_fork(partial(_send_chunks, trace, starts[i::count])))
+            children.append(_fork(_chunk_text(trace, start).encode("ascii")
+                                  for start in starts[i::count]))
         pipes = [None, *(child and child[1] for child in children)]
         for j, start in enumerate(starts):
-            fh.write(_next_block(pipes[j % count]) or _chunk_text(trace, start))
+            block = _next_block(pipes[j % count])
+            fh.write(_chunk_text(trace, start) if block is None else block.decode("ascii"))
 
 
 def _chunk_text(trace, start) -> str:
@@ -766,30 +796,6 @@ def _chunk_text(trace, start) -> str:
     floats = np.column_stack([getattr(part, key) for key in _FLOATS])
     fields = [texts[key] for key in _SCHEMA if key not in _FLOATS]
     return _text.join(_LITERALS, [*fields, _text.floats(floats, json.dumps)])
-
-
-def _send_chunks(trace, starts, out):
-    """In a child of :func:`write_trace`: send the text of the chunk at
-    each of ``starts``, in order, as a block: its length in ASCII digits
-    and a newline, then the ASCII text."""
-    for start in starts:
-        text = _chunk_text(trace, start).encode("ascii")
-        out.write(b"%d\n" % len(text))
-        out.write(text)
-
-
-def _next_block(pipe):
-    """The text of the next block from a child's pipe, or None when there
-    is no pipe or the child sent less than a whole block.  A child that
-    sent less has closed its pipe, so later calls on it return None too."""
-    if pipe is None:
-        return None
-    head = pipe.readline()
-    if not head.endswith(b"\n"):
-        return None
-    size = int(head)
-    text = pipe.read(size)
-    return text.decode("ascii") if len(text) == size else None
 
 
 def write_trace_file(trace: Trace, path) -> None:

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from . import _text
-from .model import _CLASSIC, _MODELS, ErrorModel, PlatoonParams, validate_platoon
+from .model import _CLASSIC, _MODELS, ErrorModel, PlatoonParams, _allocating, validate_platoon
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
 _AMPLITUDE_FLOOR = 1e-12
@@ -358,11 +358,8 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
     """
     h, steps = cfg.dt, cfg.steps
     size, p = B.shape
-    try:
+    with _allocating("a run", steps, f"steps of {size} states"):
         out = np.zeros((steps + 1, size))
-    except (ValueError, MemoryError):
-        raise MemoryError(f"a run of {steps:.6g} steps of {size} states "
-                          "is too large to allocate") from None
     width = size + 3 * p
     with np.errstate(all="ignore"):
         step = _rk4_step(A, B, h, np.eye(size, width),

@@ -200,6 +200,20 @@ class TestSweep:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [float(cells[3]) for cells in rows] == pytest.approx([1e150, 1 / 3], rel=1e-12)
 
+    # numpy refuses the grid's 728 TiB at 1e14 points, and a count beyond the
+    # float range, which the message gives in full.
+    @pytest.mark.parametrize("points,count", [("100000000000000", "1e+14"),
+                                              ("1" + "0" * 400, "1" + "0" * 400)],
+                             ids=["1e14", "1e400"])
+    def test_a_sweep_too_large_to_allocate_names_its_point_count(self, spec_file, tmp_path, capsys,
+                                                                 points, count):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", spec_file(make_spec()), "--omega-min", "0.1",
+                     "--omega-max", "10", "--points", points, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a sweep of {count} points is too large to allocate\n")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_stable_run_writes_trajectory_and_report(self, spec_file, tmp_path, capsys):
@@ -514,6 +528,21 @@ class TestMonitorAndGenTrace:
                                             "band leaves the float range"]
         assert not out.exists()
 
+    # numpy refuses a column's shape at 1e20 events and its 7.28 TiB at 1e12;
+    # a count beyond the float range is given in full.
+    @pytest.mark.parametrize("length,count", [("100000000000000000000", "1e+20"),
+                                              ("1000000000000", "1e+12"),
+                                              ("1" + "0" * 400, "1" + "0" * 400)],
+                             ids=["1e20", "1e12", "1e400"])
+    def test_a_trace_too_large_to_allocate_names_its_event_count(self, spec_file, tmp_path, capsys,
+                                                                 length, count):
+        out = tmp_path / "t.jsonl"
+        assert main(["gen-trace", "--seed", "1", "--len", length, "--spec", spec_file(make_spec()),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a trace of {count} events is too large to allocate\n")
+        assert not out.exists()
+
     def test_gen_trace_stdout(self, spec_file, capsys):
         assert main(["gen-trace", "--seed", "3", "--len", "5",
                      "--spec", spec_file(make_spec())]) == 0
@@ -534,7 +563,8 @@ class TestStructureRules:
     def monitor_with(self, spec_file, tmp_path, monkeypatch, capsys):
         """Run monitor on a generated trace of ``length`` lines whose line
         ``lineno`` has its ``"w":<value>`` replaced by ``"w":<text>``, in
-        one process and in two ranges; return the one exit code and stderr."""
+        one process and, from 4096 lines, in two ranges; return the one
+        exit code and stderr."""
         def run(length, lineno, text):
             trace = tmp_path / "trace.jsonl"
             main(["gen-trace", "--seed", "1", "--len", str(length),
@@ -545,6 +575,7 @@ class TestStructureRules:
             outcomes = []
             for cpus in (1, 2):
                 with monkeypatch.context() as patch:
+                    patch.setattr(monitor, "_SPLIT", 2 * _CHUNK)
                     patch.setattr(monitor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                   raising=False)
                     bounds = monitor._ranges(length)

@@ -1247,8 +1247,7 @@ class TestSplitWrite:
     STOPS = {"fork-refused": range(13),
              "raises-on-first": [0, 1, 3, 4, 6, 7, 9, 10, 12],
              "raises-on-middle": [0, 3, 6, 7, 9, 10, 12],
-             "killed": [0, 3, 4, 6, 7, 9, 10, 12],
-             "short-block": [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]}
+             "killed": [0, 3, 4, 6, 7, 9, 10, 12]}
 
     @pytest.mark.parametrize("case", sorted(STOPS))
     def test_a_child_that_stops_leaves_its_chunks_here(self, write_sample, monkeypatch, case):
@@ -1266,17 +1265,10 @@ class TestSplitWrite:
                 raise RuntimeError("a child fails")
             return chunk_text(trace, start)
 
-        def short(trace, starts, out):  # a whole block, then half of one
-            for start, keep in zip(starts, (1.0, 0.5)):
-                text = chunk_text(trace, start).encode()
-                out.write(b"%d\n%s" % (len(text), text[:int(keep * len(text))]))
-
         def refused():
             raise OSError("out of processes")
 
         monkeypatch.setattr(monitor, "_chunk_text", stopping)
-        if case == "short-block":
-            monkeypatch.setattr(monitor, "_send_chunks", short)
         if case == "fork-refused":
             monkeypatch.setattr(monitor.os, "fork", refused)
         assert written(write_sample) == expected
@@ -1311,6 +1303,93 @@ class TestSplitWrite:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert text == expected
+
+
+def frame(block):
+    """A block as _fork sends it: its size in ASCII digits, a newline, its bytes."""
+    return b"%d\n%s" % (len(block), block)
+
+
+# The bytes a faulty child of the reader or the writer sends, from the
+# blocks its job yields: a reader child's column slices, a writer child's
+# chunk texts.  A misframed block's header is 8 bytes over its size.  The
+# reader knows each block's size, so its misframed child goes on to send
+# the rest of its blocks; the writer does not, so its misframed child
+# stops, as every other faulty child does, and the block comes up short.
+FAULTS = {
+    "half-block": lambda blocks, side: frame(blocks[0]) + frame(blocks[1])[:-(len(blocks[1]) // 2)],
+    "header-only": lambda blocks, side: b"%d\n" % len(blocks[0]),
+    "misframed": lambda blocks, side: b"%d\n%s" % (len(blocks[0]) + 8, blocks[0]) + b"".join(
+        map(frame, blocks[1:] if side == "reader" else [])),
+}
+
+
+def faulty_fork(side, fault):
+    """A stand-in for monitor._fork whose child makes its blocks, as the
+    real one does, and sends the bytes ``FAULTS[fault]`` makes of them."""
+    def fork(blocks):
+        read_fd, write_fd = os.pipe()
+        if pid := os.fork():
+            os.close(write_fd)
+            return pid, open(read_fd, "rb")
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                out.write(FAULTS[fault]([memoryview(block).tobytes() for block in blocks], side))
+        finally:
+            os._exit(0)
+
+    return fork
+
+
+# The writer's chunks that stay here when both children of a three-process
+# write of write_sample are faulty: child 1 has chunks 1, 4, 7 and 10, child
+# 2 chunks 2, 5, 8 and 11, and only a half-block child sends its first.
+FAULT_CHUNKS_HERE = {"half-block": [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+                     "header-only": list(range(13)), "misframed": list(range(13))}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("side", ["reader", "writer"])
+def test_a_child_that_breaks_the_protocol_leaves_its_share_here(
+        split_trace, write_sample, tmp_path, monkeypatch, side, fault):
+    """Reader and writer children send their blocks by one protocol, so one
+    check finds a short, missing or misframed block on either side."""
+    if side == "reader":
+        trace, lines = split_trace
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(lines))
+        force_split(monkeypatch)
+        chunk_calls = counting(monkeypatch, "_chunks")
+        monkeypatch.setattr(monitor, "_fork", faulty_fork(side, fault))
+        assert columns(parse_trace(path)) == columns(trace)
+        assert [call[1:] for call in chunk_calls] == [(0,), (2 * _CHUNK,), (4 * _CHUNK,)]
+    else:
+        expected = serial_written(write_sample)
+        force_split(monkeypatch, split=_CHUNK // 2, cpus=3)
+        here = counting(monkeypatch, "_chunk_text")
+        monkeypatch.setattr(monitor, "_fork", faulty_fork(side, fault))
+        assert written(write_sample) == expected
+        assert [start // (_CHUNK // 2) for _, start in here] == FAULT_CHUNKS_HERE[fault]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("lines,forks", [(2 * monitor._SPLIT - 1, 0), (2 * monitor._SPLIT, 1)])
+def test_two_cpus_fork_from_twice_split_lines(tmp_path, monkeypatch, lines, forks):
+    """The real split rule on two usable CPUs: the write of a trace and the
+    parse of its file fork a child each from 2 * _SPLIT lines, not below."""
+    trace = generate_trace(47, lines, make_spec())
+    expected = serial_written(trace)
+    monkeypatch.setattr(monitor.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fork_calls = counting(monkeypatch, "_fork")
+    path = tmp_path / "trace.jsonl"
+    write_trace_file(trace, path)
+    assert len(fork_calls) == forks
+    assert path.read_bytes() == expected.encode()
+    parsed = parse_trace(path)
+    assert len(fork_calls) == 2 * forks
+    assert columns(parsed) == columns(trace)
 
 
 class TestChunkBoundariesUnderSplit(TestChunkBoundaries):
