@@ -11,11 +11,14 @@ Two entry points cross-check the frequency-domain analysis numerically:
   the same cascade equations.
 
 Both are the linear system ``x' = A x + B u`` and share one integrator,
-the classical fixed-step 4th-order Runge-Kutta scheme.  Fixed stepping
-keeps runs reproducible; the dynamics are linear and mild, so adaptive
-control would buy nothing.  Positions are expressed in a frame with the
-desired inter-vehicle spacing subtracted out, so the equilibrium is the
-all-zero state and spacing errors are plain differences.
+the classical fixed-step 4th-order Runge-Kutta scheme; the dynamics are
+linear and mild, so adaptive control would buy nothing.  Re-runs on one
+host are byte-identical, but the trajectory's last bits can differ
+between BLAS kernels, which the CPU selects: the scan's matrix products
+go through BLAS, and each kernel sums in its own order.  Positions are
+expressed in a frame with the desired inter-vehicle spacing subtracted
+out, so the equilibrium is the all-zero state and spacing errors are
+plain differences.
 
 On a linear system one RK4 step is exactly
 ``x(t+h) = R(hA) x(t) + N0 u(t) + Nh u(t+h/2) + N1 u(t+h)``, with ``R``
@@ -25,20 +28,24 @@ the grid in blocks: the input is evaluated once on a block's half-step
 times, the forcing terms are formed for that block only and written
 straight into the output buffer, and the first-order recurrence
 ``x_k = x_{k-1} M + f_k`` is then solved in place by a blocked scan
-(Kogge & Stone 1973; Blelloch 1990).  From the powers of ``M``, built
-once per run, one matrix product per 32 sub-blocks of 8 steps gives each
-sub-block its sum from a zero start; the state is carried from sub-block
-to sub-block by the same scan one level up, on the sub-block ends with
-``M**8`` in place of ``M``; and 7 products per 32 sub-blocks fill the
-steps in between: a block of 1024 steps takes about 115 numpy calls, not
-1024.  No product spans more than 32 sub-blocks, so up to n = 16 each
-stays below the size at which OpenBLAS starts threads.  Steps go one
-vector-matrix product at a time where the scan does not fit: the few
-steps at a block's end, every step where a power of ``M`` is not finite
-or the state is wider than ``_SCAN_WIDTH``, and a block that the scan
-left non-finite, stepped again so that a divergence is reported at the
-time of the one-step recurrence.  The returned series are views of the
-output buffer, so a run holds little more memory than its output.
+(Kogge & Stone 1973; Blelloch 1990).  Its powers of ``M`` are built once
+per run, in zero, one or two levels: the second level is those of
+``M**8``, and a level whose powers are not finite is left out with every
+level above it.  One rule holds at every level, on its matrix ``P``
+(``M``, then ``M**8``): one matrix product per 32 sub-blocks of 8 steps
+gives each sub-block its sum from a zero start; the sub-block ends then
+satisfy the same recurrence with ``P**8`` in place of ``P``, and the same
+function solves it, with the next level's powers where there is one and
+more than 16 sub-blocks, else one step at a time; and 7 products per 32
+sub-blocks fill the steps in between.  A block of 1024 steps takes 56
+matrix products, not 1024.  No product spans more than 32 sub-blocks, so
+up to n = 16 each stays below the size at which OpenBLAS starts threads.
+Steps go one vector-matrix product at a time where the scan does not
+fit: the few steps at a block's end, every step where a power of ``M`` is
+not finite or the state is wider than ``_SCAN_WIDTH``, and a block that
+the scan left non-finite, stepped again so that a divergence is reported
+at the time of the one-step recurrence.  The returned series are views
+of the output buffer, so a run holds little more memory than its output.
 """
 
 from __future__ import annotations
@@ -253,14 +260,20 @@ def default_dt(omega: float, a0: float, a1: float = 0.0) -> float:
     """Step heuristic: >=200 samples per input period, resolve the natural
     frequency sqrt(a0), and keep ``h*|lambda| <= 1``, inside RK4's stability
     region, for the roots lambda of ``s^2 + a1*s + a0``: the eigenvalues of a
-    chain, whose state matrix is block triangular with these 2x2 blocks."""
+    chain, whose state matrix is block triangular with these 2x2 blocks.
+    The step is the reciprocal of the fastest of these rates, inf where
+    they are all 0 (as where ``a0 = k/m`` underflows), and is then capped
+    by the input period."""
     root, half = math.sqrt(a0), 0.5 * a1
     # The largest |lambda|: half + sqrt(half^2 - a0) when the roots are real,
-    # factored so that half^2 cannot overflow, else sqrt(a0).
-    fastest = max(root, half + math.sqrt(max(half - root, 0.0)) * math.sqrt(half + root))
-    dt = min(1.0 / (20.0 * root), 1.0 / fastest)
+    # factored so that half^2 cannot overflow, else sqrt(a0), which
+    # 20 * sqrt(a0) covers.
+    fastest = max(20.0 * root, half + math.sqrt(max(half - root, 0.0)) * math.sqrt(half + root))
+    dt = 1.0 / fastest if fastest > 0.0 else math.inf
     if omega > 0.0:
-        return min(2.0 * math.pi / (200.0 * omega), dt)
+        # 2 pi / (200 omega), both terms divided by 256 (the same bits),
+        # so that no finite omega overflows 200 omega into a zero step.
+        return min(math.pi / 128.0 / (0.78125 * omega), dt)
     return dt
 
 
@@ -275,29 +288,24 @@ def _rk4_step(A, B, h, x, u0, uh, u1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stacked(M):
-    """``(M**_SCAN, [M**(_SCAN-1); ...; M**0])``, the second stacked into
-    one ``(_SCAN * size, size)`` matrix; None if a power is not finite."""
-    size = len(M)
-    stack = np.empty((_SCAN, size, size))
-    stack[-1] = np.eye(size)
-    for j in range(_SCAN - 2, -1, -1):
-        np.matmul(stack[j + 1], M, out=stack[j])
-    top = stack[0] @ M
-    if not (np.isfinite(stack).all() and np.isfinite(top).all()):
-        return None
-    return top, stack.reshape(-1, size)
-
-
 def _powers(M):
-    """The powers of each level of the scan: ``(_stacked(M),)``, followed
-    by ``_stacked(M**_SCAN)`` when its powers are finite; None if those of
-    ``M`` are not."""
-    level = _stacked(M)
-    if level is None:
-        return None
-    upper = _stacked(level[0])
-    return (level,) if upper is None else (level, upper)
+    """The powers of each level of the scan, at most two levels: a level is
+    ``(P**_SCAN, [P**(_SCAN-1); ...; P**0])``, the second stacked into one
+    ``(_SCAN * size, size)`` matrix, with ``P = M`` for the first level and
+    ``P = M**_SCAN`` for the second.  The levels stop at the first whose
+    powers are not finite, so this gives one level, two, or None."""
+    size = len(M)
+    levels = []
+    for _ in range(2):
+        stack = np.empty((_SCAN, size, size))
+        stack[-1] = np.eye(size)
+        for j in range(_SCAN - 2, -1, -1):
+            np.matmul(stack[j + 1], M, out=stack[j])
+        M = stack[0] @ M
+        if not (np.isfinite(stack).all() and np.isfinite(M).all()):
+            break
+        levels.append((M, stack.reshape(-1, size)))
+    return tuple(levels) or None
 
 
 def _recur(x, M, powers=None):
@@ -307,16 +315,16 @@ def _recur(x, M, powers=None):
     With ``powers`` from :func:`_powers`, whole sub-blocks of ``_SCAN``
     rows go by the blocked scan.  One product per ``_PIECE`` sub-blocks
     gives each sub-block's sum from a zero start, in its last row.  Those
-    rows then satisfy the same recurrence with ``M**_SCAN`` in place of
-    ``M``, so with a second level of powers and more than ``2 * _SCAN``
-    sub-blocks they are solved by this function one level up, on a
-    contiguous copy; otherwise a loop carries the state from one
-    sub-block's last row to the next.  ``_SCAN - 1`` products per
+    ends then satisfy the same recurrence with ``M**_SCAN`` in place of
+    ``M``, and this function solves it on a contiguous copy of them: with
+    the next level's powers when there is one and there are more than
+    ``2 * _SCAN`` sub-blocks, else with none.  ``_SCAN - 1`` products per
     ``_PIECE`` sub-blocks then fill the rows in between.  The rows left
-    over, and every row without ``powers``, take one product each.
+    over, and every row without powers (None, or no level left), take one
+    product each.
     """
     done = 0
-    if powers is not None:
+    if powers:
         (top, stack), upper = powers[0], powers[1:]
         size = len(M)
         done = (len(x) - 1) // _SCAN * _SCAN
@@ -324,13 +332,9 @@ def _recur(x, M, powers=None):
         for a, b in pieces:
             x[a + _SCAN:b + 1:_SCAN] = x[a + 1:b + 1].reshape(-1, _SCAN * size) @ stack
         ends = x[:done + 1:_SCAN]
-        if upper and len(ends) > 2 * _SCAN + 1:
-            carried = ends.copy()
-            _recur(carried, top, upper)
-            ends[1:] = carried[1:]
-        else:
-            for prev, row in zip(ends[:-1], ends[1:]):
-                row += prev @ top
+        carried = ends.copy()
+        _recur(carried, top, upper if len(ends) > 2 * _SCAN + 1 else None)
+        ends[1:] = carried[1:]
         for a, b in pieces:
             y = x[a:b].reshape(-1, _SCAN, size)
             for j in range(1, _SCAN):

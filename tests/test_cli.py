@@ -313,6 +313,20 @@ class TestSimulate:
                      "--duration", duration, "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # a0 = k/m and a1 = c/m underflow to 0: the auto step is the input
+    # period's, and channel 2 is then never driven.  A raised error would
+    # escape main().
+    @pytest.mark.parametrize("n,code,err", [
+        ("2", 0, ""), ("3", 2, "error: reference amplitude 0.0 of channel 2 is below 1e-12\n")],
+        ids=["n2", "n3"])
+    def test_a_model_whose_rates_underflow_takes_the_input_period_step(
+            self, spec_file, tmp_path, capsys, n, code, err):
+        spec = spec_file(make_spec(m=1e300, k=1e-300, c=1e-300))
+        assert main(["simulate", "--spec", spec, "--n", n, "--omega", "3", "--duration", "150",
+                     "--dt", "auto", "--out", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.json")]) == code
+        assert capsys.readouterr() == ("", err)
+
     def test_a_step_that_is_not_a_number_is_named(self, spec_file, tmp_path, capsys):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
                      "--duration", "150", "--dt", "abc", "--out", str(tmp_path / "t.csv")]) == 2

@@ -84,6 +84,32 @@ class TestSimConfig:
         assert default_dt(0.01, 2.0) == pytest.approx(1.0 / (20.0 * math.sqrt(2.0)))
         assert default_dt(0.0, 4.0) == pytest.approx(1.0 / 40.0)
 
+    # Where a0 = k/m underflows to 0 (m = 1e300, k = c = 1e-300), the
+    # reference divides by zero; 2 pi / (200 w) overflows to a zero step
+    # from w = 9e305 on.
+    @example(3.0, 0.0, 0.0)
+    @example(3.0, 0.0, 1e-300)
+    @example(0.0, 0.0, 0.0)
+    @example(1e306, 2.0, 0.4)
+    @example(sys.float_info.max, 0.0, 0.0)
+    @given(*[st.floats(0.0, sys.float_info.max)] * 3)
+    def test_default_dt_is_a_positive_step_or_inf_for_every_finite_rate(self, w, a0, a1):
+        def reference(omega, a0, a1):  # the min of reciprocals it replaced
+            root, half = math.sqrt(a0), 0.5 * a1
+            fastest = max(root, half + math.sqrt(max(half - root, 0.0)) * math.sqrt(half + root))
+            dt = min(1.0 / (20.0 * root), 1.0 / fastest)
+            if omega > 0.0:
+                return min(2.0 * math.pi / (200.0 * omega), dt)
+            return dt
+
+        dt = default_dt(w, a0, a1)
+        assert dt > 0.0
+        try:
+            expected = reference(w, a0, a1)
+        except ZeroDivisionError:
+            return
+        assert dt == expected or (expected == 0.0 and 200.0 * w == math.inf)
+
     @pytest.mark.parametrize("a0,a1", [(1.0, 202.0), (2.0, 0.5), (4.0, 4.0), (1e-6, 1e6),
                                        (1.0, 1e300), (1e300, 1.0)])
     def test_default_dt_keeps_both_roots_in_the_rk4_stability_region(self, a0, a1):
@@ -587,13 +613,16 @@ class TestBlockedScan:
         scan, calls = simulate._recur, []
 
         def spy(x, M, powers=None):
-            calls.append(len(x))
+            calls.append((len(x), len(powers or ())))
             scan(x, M, powers)
 
         monkeypatch.setattr(simulate, "_recur", spy)
         scanned = x.copy()
         simulate._recur(scanned, M, powers)
-        assert calls == [rows + 1, rows // _L + 1][:levels]
+        # Each level's sub-block ends reach _recur again, with the next
+        # level's powers, or with none above the last level used.
+        ends = [rows + 1, rows // _L + 1, rows // _L ** 2 + 1][:levels + 1]
+        assert calls == list(zip(ends, [2, 1][:levels] + [0]))
         # As in test_scan_matches_the_row_loop, with one more level: the
         # second solves the sub-block ends' recurrence by the same scan with
         # M**L in place of M, whose powers are products of M's and whose
