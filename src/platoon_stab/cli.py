@@ -80,7 +80,7 @@ def _interval_json(intervals):
 
 def _condition_text(spec: ControllerSpec, constraint, intervals) -> str:
     if _model_key(spec.controller_type, spec.configuration, spec.strategy) == _CLASSIC:
-        threshold = -constraint.alpha
+        threshold = 0.0 - constraint.alpha  # +0.0 where alpha underflowed to 0.0
         return (
             f"stable iff omega^2 > 2k/m = {threshold:g} "
             f"(omega > {math.sqrt(threshold):g} rad/s)"

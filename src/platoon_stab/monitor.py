@@ -52,15 +52,16 @@ parsing with the offending line number (``line N: invalid UTF-8`` for a
 line that is not UTF-8); the monitor refuses such traces rather than
 skipping lines.
 
-Files are read and written a chunk of events at a time.  The writer turns
-a chunk's ten float columns into text in one array call, its ints and
-enums in one call each, and lays out the lines in one more (see
-``_text``); its bytes are those of one ``json.dumps`` per event, floats in
-``repr`` form and non-finite ones as ``NaN`` and ``Infinity``.  The reader
-decodes a chunk's lines in one call and checks them column by column.  A
-chunk that fails a check is parsed again line by line by
-:func:`_validate_lines`, the one source of error messages, so the first bad
-line is named exactly as a line-by-line reader would name it.
+Files are read ``_CHUNK`` lines and written ``_WRITE_CHUNK`` events at a
+time.  The writer turns a chunk's ten float columns into text in one array
+call, its ints and enums in one call each, and lays out the lines in one
+more (see ``_text``); its bytes are those of one ``json.dumps`` per event,
+floats in ``repr`` form and non-finite ones as ``NaN`` and ``Infinity``.
+The reader decodes a chunk's lines in one call and checks them column by
+column; a chunk is small enough that its decode does not wake the cyclic
+garbage collector.  A chunk that fails a check is parsed again line by
+line by :func:`_validate_lines`, the one source of error messages, so the
+first bad line is named exactly as a line-by-line reader would name it.
 :func:`parse_trace` counts a file's lines first and parses each chunk
 straight into columns of that length, so beyond the columns it holds one
 chunk.  A stream that cannot be read twice, such as a pipe, is parsed
@@ -476,9 +477,19 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     return trace
 
 
-# Trace files are read this many events at a time, and written half as
-# many: ten floats an event make about 5k values per call of the formatter.
-_CHUNK = 1024
+# Trace files are read this many lines at a time.  A decoded chunk holds two
+# objects a line that the cyclic garbage collector tracks (the row's list
+# and its tuple of values; dicts of numbers and strings are not tracked),
+# so 256 lines stay below CPython's first collection threshold of 700.  A
+# 5e4-line parse in one process runs these collections of each generation
+# and holds this tracemalloc peak beyond the columns, by lines a chunk: 1024
+# lines 179, 16, 1 and 2.12 MiB; 512 lines 92, 8, 0 and 1.07 MiB; 256 lines
+# 1, 0, 0 and 0.55 MiB.  128 lines run none, but make twice the per-chunk
+# calls.
+_CHUNK = 256
+# Trace files are written this many events at a time: ten floats an event
+# make about 5k values per call of the formatter.
+_WRITE_CHUNK = 512
 # A file of at least twice _SPLIT lines is parsed in line ranges at once, a
 # range per usable CPU and at least _SPLIT lines each, and a trace of as
 # many events is written by as many processes.  Below that the fork, the
@@ -767,14 +778,14 @@ def write_trace(trace: Trace, fh) -> None:
     """Write the line-delimited JSON form; identical traces give identical
     bytes.
 
-    Chunk j of ``_CHUNK // 2`` events is formatted by process j mod k
+    Chunk j of ``_WRITE_CHUNK`` events is formatted by process j mod k
     (:func:`_processes`), this process the first and a forked child each
     of the others, which sends the text of each of its chunks as a block
     (:func:`_fork`).  Every chunk is written to ``fh`` in order, a child's
     once all of it has arrived; a child that stops early, for whatever
     reason, leaves the rest of its chunks to this process.
     """
-    starts = range(0, len(trace), _CHUNK // 2)
+    starts = range(0, len(trace), _WRITE_CHUNK)
     count = _processes(len(trace))
     with _children() as children:
         for i in range(1, count):
@@ -787,8 +798,8 @@ def write_trace(trace: Trace, fh) -> None:
 
 
 def _chunk_text(trace, start) -> str:
-    """The lines of the ``_CHUNK // 2`` events of the trace from ``start``."""
-    part = trace._rows(start, start + _CHUNK // 2)
+    """The lines of the ``_WRITE_CHUNK`` events of the trace from ``start``."""
+    part = trace._rows(start, start + _WRITE_CHUNK)
     index = np.arange(start, start + len(part))
     ints = _text.ints(np.stack([index, *(getattr(part, key) for key in _INTS)]))
     texts = dict(zip(["i", *_INTS], zip(*ints)))

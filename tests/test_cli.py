@@ -68,6 +68,13 @@ class TestAnalyze:
         assert report["constraint"] == {"alpha": -4.0, "beta": 0.0}
         assert "note" not in report
 
+    def test_threshold_that_underflows_prints_as_zero(self, spec_file, capsys):
+        # 2k/m = 2e-600 underflows to 0.0; its threshold is +0, never -0.
+        code = main(["analyze", "--spec", spec_file(make_spec(m=1e300, k=1e-300, c=1e-300))])
+        assert code == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["stability_condition"] == "stable iff omega^2 > 2k/m = 0 (omega > 0 rad/s)"
+
     def test_non_autonomous_selection_is_noted(self, spec_file, capsys):
         code = main(["analyze", "--spec", spec_file(make_spec(NON, BI, VTH))])
         assert code == 0
@@ -431,7 +438,7 @@ class TestMonitorAndGenTrace:
         err = capsys.readouterr().err
         assert f"line 4: {message}" in err
 
-    @pytest.mark.parametrize("lineno", [3, 4501])  # in the first and in the second chunk
+    @pytest.mark.parametrize("lineno", [3, 4501])  # in the first chunk and in a later one
     def test_invalid_utf8_exits_2_naming_the_line(self, spec_file, tmp_path, capsys, lineno):
         trace = tmp_path / "trace.jsonl"
         main(["gen-trace", "--seed", "1", "--len", "5000",
@@ -457,7 +464,8 @@ class TestMonitorAndGenTrace:
 
     def test_trace_on_a_pipe_gives_the_verdict_of_the_file(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        main(["gen-trace", "--seed", "4", "--len", str(2 * _CHUNK + 5), "--violate", "1500:P2",
+        main(["gen-trace", "--seed", "4", "--len", str(2 * _CHUNK + 5),
+              "--violate", f"{3 * _CHUNK // 2}:P2",
               "--spec", spec_file(make_spec()), "--out", str(trace)])
         assert main(["monitor", "--trace", str(trace)]) == 4
         expected = strict_json(capsys.readouterr().out)
@@ -577,7 +585,7 @@ class TestStructureRules:
     def monitor_with(self, spec_file, tmp_path, monkeypatch, capsys):
         """Run monitor on a generated trace of ``length`` lines whose line
         ``lineno`` has its ``"w":<value>`` replaced by ``"w":<text>``, in
-        one process and, from 4096 lines, in two ranges; return the one
+        one process and, from 4 * _CHUNK lines, in two ranges; return the one
         exit code and stderr."""
         def run(length, lineno, text):
             trace = tmp_path / "trace.jsonl"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -46,7 +47,7 @@ from platoon_stab import (
     write_trace,
     write_trace_file,
 )
-from platoon_stab.monitor import _BLOCK, _CHUNK, _validate_lines, _vector_masks
+from platoon_stab.monitor import _BLOCK, _CHUNK, _WRITE_CHUNK, _validate_lines, _vector_masks
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_spec, random_params
 
 
@@ -641,7 +642,8 @@ class TestChunkedTraceIO:
 
     def test_writer_matches_across_chunks(self):
         template = make_spec(AUT, BI, VS)
-        trace = generate_trace(17, 3 * 4096 + 5, template, [(4095, "P1"), (4096, "P2")])
+        edge = 8 * _WRITE_CHUNK
+        trace = generate_trace(17, 3 * edge + 5, template, [(edge - 1, "P1"), (edge, "P2")])
         assert_same_lines(written(trace), written(trace, reference_write_trace))
 
     @settings(max_examples=40, deadline=None)
@@ -794,11 +796,15 @@ _MUTATIONS = {
 }
 
 
+# A trace of four chunks and two lines.
+BOUNDARY_LINES = 4 * _CHUNK + 2
+
+
 @pytest.fixture(scope="module")
 def boundary_trace():
-    """A trace one event past the second chunk boundary (4098 lines), and
-    the per-line validator's columns for it."""
-    trace = generate_trace(31, 4098, make_spec(NON, UNI, CS), [(4096, "P2")])
+    """A trace two events past the end of its fourth chunk, and the
+    per-line validator's columns for it."""
+    trace = generate_trace(31, BOUNDARY_LINES, make_spec(NON, UNI, CS), [(4 * _CHUNK, "P2")])
     lines = written(trace).splitlines()
     return lines, _validate_lines(lines, 0)
 
@@ -826,14 +832,15 @@ def mutated(boundary_trace, name, lineno):
 class TestChunkBoundaries:
     @pytest.mark.parametrize("name", sorted(_MUTATIONS))
     def test_mutation_matches_per_line_validator(self, boundary_trace, name):
-        for lineno in (1, 4096, 4097, 4098):
+        for lineno in (1, 4 * _CHUNK, 4 * _CHUNK + 1, BOUNDARY_LINES):
             text, expected = mutated(boundary_trace, name, lineno)
             assert parsed_or_error(text) == expected
             if isinstance(expected, str):
                 assert expected.startswith(f"line {lineno}: ")
 
     def test_splice_agrees_with_whole_text_validation(self, boundary_trace):
-        for name, lineno in (("truncated", 4097), ("padded", 4096), ("401-digits", 1)):
+        for name, lineno in (("truncated", 4 * _CHUNK + 1), ("padded", 4 * _CHUNK),
+                             ("401-digits", 1)):
             text, expected = mutated(boundary_trace, name, lineno)
             assert validated_or_error(text) == expected
 
@@ -859,7 +866,7 @@ class TestChunkBoundaries:
         assert parsed_or_error(text) == expected
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 4098))
+    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, BOUNDARY_LINES))
     def test_mutation_anywhere(self, boundary_trace, name, lineno):
         text, expected = mutated(boundary_trace, name, lineno)
         assert parsed_or_error(text) == expected
@@ -896,8 +903,29 @@ def test_parse_memory_beyond_the_columns_is_small_and_flat(tmp_path):
         path = tmp_path / f"{size}.jsonl"
         write_trace_file(trace._rows(0, size), path)
         overheads.append(parse_overhead(path))
-    assert overheads[0] <= 4 * 2 ** 20, overheads
+    assert overheads[0] <= 2 ** 20, overheads
     assert overheads[1] <= overheads[0] + 2 ** 20, overheads
+
+
+def test_a_parse_wakes_the_garbage_collector_at_most_twice(tmp_path, monkeypatch):
+    # A decoded chunk holds about two tracked objects a line, so a chunk of
+    # _CHUNK lines stays below the first generation's threshold: a parse in
+    # one process, at CPython 3.11's thresholds, runs at most two young
+    # collections and no older one.
+    path = tmp_path / "trace.jsonl"
+    write_trace_file(generate_trace(3, 50_000, make_spec()), path)
+    monkeypatch.setattr(monitor, "_processes", lambda size: 1)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    try:
+        gc.collect()
+        before = [stats["collections"] for stats in gc.get_stats()]
+        parse_trace(path)
+        after = [stats["collections"] for stats in gc.get_stats()]
+    finally:
+        gc.set_threshold(*thresholds)
+    runs = [b - a for a, b in zip(before, after)]
+    assert runs[0] <= 2 and runs[1:] == [0, 0], runs
 
 
 class NullSink:
@@ -1005,7 +1033,8 @@ def parsed_file_or_error(path):
 @pytest.fixture(scope="module")
 def split_trace():
     """Lines of a trace of a little over six chunks, with violations."""
-    trace = generate_trace(41, 6 * _CHUNK + 5, make_spec(AUT, BI, CS), [(_CHUNK, "P1"), (4000, "P2")])
+    trace = generate_trace(41, 6 * _CHUNK + 5, make_spec(AUT, BI, CS),
+                           [(_CHUNK, "P1"), (4 * _CHUNK - 96, "P2")])
     return trace, written(trace).splitlines(True)
 
 
@@ -1058,11 +1087,12 @@ class TestSplitParse:
         "cr-inside": lambda line: line.replace(b',"m"', b'\r,"m"'),
         "crlf-ending": lambda line: line[:-1] + b"\r\n",
     }
-    # 1-based lines in a file of three ranges that start at lines 1, 2049
-    # and 4097: in range 0, in a later range, on a range's first line, on
-    # the last line, and in two ranges at once.
-    PLACES = {"range-0": (7,), "later-range": (3000,), "range-start": (2 * _CHUNK + 1,),
-              "last-line": (6 * _CHUNK + 5,), "two-ranges": (4 * _CHUNK + 1, 2 * _CHUNK + 9)}
+    # 1-based lines in a file of three ranges that start at lines 1,
+    # 2 * _CHUNK + 1 and 4 * _CHUNK + 1: in range 0, in a later range, on a
+    # range's first line, on the last line, and in two ranges at once.
+    PLACES = {"range-0": (7,), "later-range": (3 * _CHUNK - 72,),
+              "range-start": (2 * _CHUNK + 1,), "last-line": (6 * _CHUNK + 5,),
+              "two-ranges": (4 * _CHUNK + 1, 2 * _CHUNK + 9)}
 
     @pytest.mark.parametrize("place", sorted(PLACES))
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
@@ -1093,7 +1123,7 @@ class TestSplitParse:
                                     "'w' must be a number"),
     }
 
-    @pytest.mark.parametrize("lineno", [2, 3000])
+    @pytest.mark.parametrize("lineno", [2, 3 * _CHUNK - 72])
     @pytest.mark.parametrize("name", sorted(STRUCTURE))
     def test_a_chunk_that_fails_a_structure_check_is_named_line_by_line(
             self, split_trace, tmp_path, monkeypatch, name, lineno):
@@ -1217,13 +1247,13 @@ class TestSplitWrite:
     """write_trace on several processes: writer chunk j by process j mod k,
     this process the first and a forked child each of the others."""
 
-    STEP = _CHUNK // 2  # events per writer chunk
+    STEP = _WRITE_CHUNK  # events per writer chunk
 
     @settings(max_examples=30, deadline=None)
     @given(length=st.integers(0, 6200), cpus=st.integers(1, 5),
-           split=st.sampled_from([1, _CHUNK // 2, _CHUNK, 2 * _CHUNK]))
+           split=st.sampled_from([1, STEP, 2 * STEP, 4 * STEP]))
     @example(length=6200, cpus=5, split=1)
-    @example(length=2 * _CHUNK, cpus=2, split=_CHUNK)
+    @example(length=4 * STEP, cpus=2, split=2 * STEP)
     @example(length=3, cpus=4, split=1)  # children with no chunk
     def test_bytes_equal_the_one_process_writer(self, write_sample, tmp_path_factory, length,
                                                 cpus, split):
@@ -1366,11 +1396,11 @@ def test_a_child_that_breaks_the_protocol_leaves_its_share_here(
         assert [call[1:] for call in chunk_calls] == [(0,), (2 * _CHUNK,), (4 * _CHUNK,)]
     else:
         expected = serial_written(write_sample)
-        force_split(monkeypatch, split=_CHUNK // 2, cpus=3)
+        force_split(monkeypatch, split=_WRITE_CHUNK, cpus=3)
         here = counting(monkeypatch, "_chunk_text")
         monkeypatch.setattr(monitor, "_fork", faulty_fork(side, fault))
         assert written(write_sample) == expected
-        assert [start // (_CHUNK // 2) for _, start in here] == FAULT_CHUNKS_HERE[fault]
+        assert [start // _WRITE_CHUNK for _, start in here] == FAULT_CHUNKS_HERE[fault]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1394,7 +1424,7 @@ def test_two_cpus_fork_from_twice_split_lines(tmp_path, monkeypatch, lines, fork
 
 class TestChunkBoundariesUnderSplit(TestChunkBoundaries):
     """The chunk-boundary tests again, each text parsed from a file in three
-    ranges, which start at lines 1, 1025 and 3073 of the 4098."""
+    ranges, which start at lines 1, _CHUNK + 1 and 3 * _CHUNK + 1."""
 
     @pytest.fixture(autouse=True, scope="class")
     def split(self, tmp_path_factory):
@@ -1413,7 +1443,7 @@ class TestChunkBoundariesUnderSplit(TestChunkBoundaries):
 
     # Hypothesis runs a test on one class only, so this one is declared again.
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 4098))
+    @given(st.sampled_from(sorted(_MUTATIONS)), st.integers(1, BOUNDARY_LINES))
     @example("truncated", _CHUNK + 1)
     @example("index-gap", 3 * _CHUNK + 1)
     def test_mutation_anywhere(self, boundary_trace, name, lineno):
