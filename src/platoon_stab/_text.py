@@ -13,8 +13,9 @@ step is one array operation over a whole chunk:
   [-4, 16), with ``.0`` on integral values, and ``d.ddde±XX`` otherwise.
   Subnormals, infinities and nan are rare; they take the text of
   ``fallback`` (``float.__repr__`` by default) one value at a time.
-* :func:`ints` gives the text of ``str`` of each int64: numpy's cast of
-  int64 to bytes writes the digits.
+* :func:`ints` gives the text of ``str`` of each int64.  Its digits are
+  those of the magnitude, five groups of four from integer division, and
+  its layout starts at the first nonzero one.
 * :func:`texts` and :func:`pick` give one of a few fixed texts per code.
 * :func:`join` lays out a chunk of rows, each row its fields between
   literal texts, as one string.
@@ -25,9 +26,11 @@ A field is a pair ``(source, which)``: a uint8 array with, along its last
 axis, the bytes each value's text is gathered from, and the layout of each
 value's text.  A layout (:func:`_layouts`) lists the positions in the source
 of the text's bytes.  Layout n, up to :data:`_TEXT_MAX`, is the first n
-bytes, so the text of an int or a pick is the first ``which`` bytes of its
-source.  A float's source holds its digits, its exponent's and the bytes
-``-.0e+``, and its layout picks and orders them.
+bytes, so the text of a pick is the first ``which`` bytes of its source.  A
+float's source holds its digits, its exponent's and the bytes ``-.0e+``,
+and its layout picks and orders them; an int's holds a minus sign and 20
+digits, and its layout takes the sign or not, and the digits from the
+first nonzero one.
 
 :func:`join` copies a chunk's sources into one line buffer, each value's
 source in a slot followed by the bytes of the literal after it.  A layout's
@@ -224,14 +227,14 @@ def _digits():
             np.where(used, 1 + 4 * np.arange(4)[:, None] + used, 1).astype(np.uint8))
 
 
-_P10 = np.array([10 ** i for i in range(17)], dtype=_U64)
+_P10 = np.array([10 ** i for i in range(20)], dtype=_U64)
 
 
-def _quads(d):
-    """Rows of the four groups of four decimal digits of ``d < 10**16``, the
-    most significant first, as uint32."""
-    quads = np.empty((4, len(d)), dtype=np.uint32)
-    for i in reversed(range(4)):
+def _quads(d, count=4):
+    """Rows of the ``count`` groups of four decimal digits of ``d <
+    10**(4 * count)``, the most significant first, as uint32."""
+    quads = np.empty((count, len(d)), dtype=np.uint32)
+    for i in reversed(range(count)):
         q = d // _P10[4]
         quads[i] = d - q * _P10[4]
         d = q
@@ -246,6 +249,11 @@ _HEAD = np.frombuffer(b"-.0\0", np.uint32)[0]  # byte 3 takes the leading digit
 _E_PLUS = np.frombuffer(b"e+\0\0", np.uint32)[0]
 _X_MIN, _X_MAX = -4, 15  # the positional decimal exponents
 _X_LOW = -308  # the least decimal exponent of a normal double
+
+# An int's source: the same 28 bytes, its minus sign byte 0, its magnitude
+# in 20 digits bytes 4 to 23.
+_INT_DIGITS = 20
+_INT_END = 4 + _INT_DIGITS
 
 # The longest text of a value, that of -2.2250738585072014e-308; no int,
 # pick or fallback text is longer.
@@ -269,9 +277,11 @@ def _float_layout(x: int, n: int) -> list[int]:
 # The float layouts: of each positional decimal exponent, of two- and
 # three-digit exponents below and above zero, each with 1 to 17 digits;
 # then all again with a sign.  They follow the _TEXT_MAX + 1 layouts of the
-# first n bytes.
+# first n bytes.  Then the int layouts: of 1 to 20 digits, then again with
+# a sign; _INT_LAYOUT is that of one digit.
 _LAYOUT_XS = (*range(_X_MIN, _X_MAX + 1), -10, 16, -100, 100)
 _SIGNED = len(_LAYOUT_XS) * 17
+_INT_LAYOUT = _TEXT_MAX + 1 + 2 * _SIGNED
 
 
 @cache
@@ -279,7 +289,10 @@ def _layouts():
     """Every layout's source positions, padded to :data:`_TEXT_MAX`, and
     its length."""
     floats = [_float_layout(x, n) for x in _LAYOUT_XS for n in range(1, 18)]
-    layouts = [[*range(n)] for n in range(_TEXT_MAX + 1)] + floats + [[_MINUS, *f] for f in floats]
+    ints = [[*range(_INT_END - n, _INT_END)] for n in range(1, _INT_DIGITS + 1)]
+    layouts = [[*range(n)] for n in range(_TEXT_MAX + 1)]
+    for kind in (floats, ints):
+        layouts += kind + [[_MINUS, *layout] for layout in kind]
     table = np.array([cols + [0] * (_TEXT_MAX - len(cols)) for cols in layouts], dtype=np.int8)
     return table, np.array(list(map(len, layouts)))
 
@@ -340,8 +353,15 @@ def ints(values):
     same shape."""
     shape = np.shape(values)
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    text = values.astype("S20")  # 20 bytes hold -2**63
-    return text.view(np.uint8).reshape(*shape, 20), np.char.str_len(text).reshape(shape)
+    magnitude = np.abs(values).view(_U64)  # abs(-2**63) wraps to -2**63: 2**63 as uint64
+    quads = _quads(magnitude, _INT_DIGITS // 4)
+    source = np.zeros((len(values), 7), dtype=np.uint32)
+    source[:, 0] = _HEAD
+    source[:, 1:6] = _digits()[0].take(quads).T
+    del quads
+    which = np.searchsorted(_P10[1:], magnitude, side="right")  # digits - 1
+    which += _INT_LAYOUT + (values < 0) * _INT_DIGITS
+    return source.view(np.uint8).reshape(*shape, _SOURCE), which.reshape(shape)
 
 
 def texts(strings):
@@ -434,11 +454,11 @@ def _line_plan(literals, shapes):
 @lru_cache(maxsize=8)
 def _gather_rows(blocks, width):
     """For each ``(source width, literal length)`` of ``blocks`` in turn,
-    the layouts that fit in the source (all of them in a float's, else the
-    first n bytes up to its width): the first row of each block; then per
-    row the positions in a slot of its text's bytes and then of the
-    literal after them, padded to ``width``; which of them a line keeps;
-    and how many.  Read-only."""
+    the layouts that fit in the source (all of them in a float's or an
+    int's, else the first n bytes up to its width): the first row of each
+    block; then per row the positions in a slot of its text's bytes and
+    then of the literal after them, padded to ``width``; which of them a
+    line keeps; and how many.  Read-only."""
     positions, counts = _layouts()
     tables, lengths = [], []
     for size, room in blocks:

@@ -244,14 +244,18 @@ _CLASSIC = (_AUT, _UNI, _CS)
 # The coefficient map: ``(a0, a1, b0, b1)`` of each model as a function of
 # an object with the parameter attributes, a PlatoonParams or a monitor
 # Trace (whose columns carry the same names).  Keys as in :func:`_model_key`.
+# A quotient used twice, ``k/m`` or ``c/m``, is divided once and both
+# coefficients are that one value: on a trace, one array, so no caller may
+# write a coefficient array in place.
 _MODELS = {
-    _CLASSIC: lambda p: (p.k / p.m, p.c / p.m, p.k / p.m, p.c / p.m),
-    (_AUT, _UNI, _VS): lambda p: (p.k / p.m, (p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
-    (_AUT, _UNI, _VTH): lambda p: (p.k / p.m, (p.c + p.k * p.h0 + p.k * p.ch * p.vd) / p.m,
-                                   p.k / p.m, (p.c + p.k * p.ch * p.vd) / p.m),
-    (_AUT, _BI, _CS): lambda p: (2 * (p.k / p.m), 2 * (p.c / p.m), p.k / p.m, p.c / p.m),
-    (_AUT, _BI, _VS): lambda p: (2 * (p.k / p.m), (2 * p.c + p.k * p.h) / p.m, p.k / p.m, p.c / p.m),
-    _NON: lambda p: (p.k / p.m, (p.c + p.ca) / p.m, p.k / p.m, p.c / p.m),
+    _CLASSIC: lambda p: ((km := p.k / p.m), (cm := p.c / p.m), km, cm),
+    (_AUT, _UNI, _VS): lambda p: ((km := p.k / p.m), (p.c + p.k * p.h) / p.m, km, p.c / p.m),
+    (_AUT, _UNI, _VTH): lambda p: ((km := p.k / p.m),
+                                   (p.c + p.k * p.h0 + p.k * p.ch * p.vd) / p.m,
+                                   km, (p.c + p.k * p.ch * p.vd) / p.m),
+    (_AUT, _BI, _CS): lambda p: (2 * (km := p.k / p.m), 2 * (cm := p.c / p.m), km, cm),
+    (_AUT, _BI, _VS): lambda p: (2 * (km := p.k / p.m), (2 * p.c + p.k * p.h) / p.m, km, p.c / p.m),
+    _NON: lambda p: ((km := p.k / p.m), (p.c + p.ca) / p.m, km, p.c / p.m),
 }
 
 

@@ -345,8 +345,13 @@ def _vector_masks(trace: Trace):
 
 # The scan and the generator work on this many events at a time, so their
 # temporaries take a fixed amount of memory whatever the trace length.  The
-# scan's block is larger: at 8192 events it is a quarter slower.
-_BLOCK = 32768
+# scan's tracemalloc peak beyond a 1e5-event trace, of one controller
+# combination and of blocks that mix configurations: 0.53 and 0.92 MiB at
+# 8192 events, 1.05 and 1.84 at 16384, 1.85 and 3.66 at 32768.  A block also
+# costs about 60 us of numpy calls whatever its size: on 1e5 to 2e6 events
+# of the batch-analysis scan trace (2-vCPU VM, medians in one process) the
+# scan took 39-48 ns an event at 8192, 33-41 at 16384 and 29-37 at 32768.
+_BLOCK = 16384
 _DRAW_BLOCK = 8192
 # Range of the generator's multiplicative parameter jitter.
 _JITTER = (0.85, 1.15)

@@ -1503,6 +1503,25 @@ class TestBlocks:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 ** 20, peaks
 
+    def test_scan_memory_beyond_a_1e5_event_trace(self):
+        # 1e5 events of one combination, then the same events with the
+        # configuration drawn per event and a P1 failure, so that every
+        # block groups its events by model and builds per-event P1 masks.
+        # 16384-event blocks peak at 1.05 and 1.84 MiB, 32768-event blocks
+        # at 2.35 and 3.66 MiB.
+        one = generate_trace(8, 100_000, make_spec(), [(5, "P1"), (99_999, "P2")])
+        cf = np.random.default_rng(8).integers(0, 2, len(one), dtype=np.int8)
+        mixed = Trace("mixed", *(cf if key == "cf" else getattr(one, key)
+                                 for key in monitor._COLUMNS))
+        for trace, bound in ((one, 1.25 * 2 ** 20), (mixed, 2.25 * 2 ** 20)):
+            tracemalloc.start()
+            try:
+                run_monitor(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (trace.source, peak, bound)
+
     def test_generator_peak_memory_is_close_to_its_columns(self):
         tracemalloc.start()
         try:

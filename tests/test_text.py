@@ -91,6 +91,7 @@ def test_fields_keep_the_shape_of_their_values():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=64))
+@example([-2 ** 63, 0, *(10 ** k + d for k in range(1, 19) for d in (-1, 1))])
 def test_ints_are_str(values):
     assert texts(_text.ints(np.array(values, dtype=np.int64))) == list(map(str, values))
 
