@@ -51,7 +51,6 @@ from .simulate import (
     sine_input,
     tabulated_input,
     write_chain_csv,
-    write_state_csv,
 )
 from .monitor import (
     Event,

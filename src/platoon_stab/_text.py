@@ -329,7 +329,7 @@ def floats(values, fallback=float.__repr__):
     del d
     source = np.empty((len(lead), 7), dtype=np.uint32)
     source[:, 0] = _HEAD
-    source[:, 1:5] = quad_text.take(quads.T)
+    source[:, 1:5] = quad_text.take(quads).T
     source[:, 5] = _E_PLUS
     x += 16
     x -= short  # the decimal exponent of the leading digit; 0 for zeros

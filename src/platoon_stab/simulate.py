@@ -51,7 +51,7 @@ of the output buffer, so a run holds little more memory than its output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -188,11 +188,7 @@ class AttenuationReport:
     all_attenuating: bool
 
     def to_dict(self) -> dict:
-        return {
-            "amplitudes": list(self.amplitudes),
-            "ratios": list(self.ratios),
-            "all_attenuating": self.all_attenuating,
-        }
+        return asdict(self)
 
 
 def sine_input(amplitude: float, omega: float) -> Callable:
@@ -408,8 +404,9 @@ def _cascade(model: ErrorModel, n: int) -> np.ndarray:
     """State matrix of ``z_i'' + a1*z_i' + a0*z_i = b1*z_{i-1}' + b0*z_{i-1}``
     for i = 2..n on the state ``[z_1..z_n, z_1'..z_n']``; the rows of z_1
     and z_1' are zero."""
+    with _allocating("a chain", n, "channels"):
+        A = np.zeros((2 * n, 2 * n))
     i = np.arange(1, n)
-    A = np.zeros((2 * n, 2 * n))
     A[i, n + i] = 1.0
     A[n + i, i] = -model.a0
     A[n + i, n + i] = -model.a1
@@ -517,26 +514,8 @@ def attenuation_report(series: ChainSeries, cfg: SimConfig) -> AttenuationReport
     )
 
 
-def _write_csv(fh, header: str, rows: int, table) -> None:
-    """Emit ``header``, then the ``rows`` rows of ``table(a, b)`` (rows a
-    to b-1 as a 2-D float array) a chunk at a time, floats in repr form."""
-    _text.write_rows(fh, header, rows, lambda a, b: [_text.floats(table(a, b))])
-
-
 def write_chain_csv(series: ChainSeries, fh) -> None:
     """Emit ``t,z_1,...,z_n`` rows, one per accepted step."""
     header = "t," + ",".join(f"z_{i + 1}" for i in range(series.n))
-    _write_csv(fh, header, len(series.t),
-               lambda a, b: np.column_stack((series.t[a:b], series.z[a:b])))
-
-
-def write_state_csv(series: StateSeries, fh) -> None:
-    """Emit ``t,x_1,v_1,...,x_n,v_n`` rows, one per accepted step."""
-    n = series.x.shape[1]
-    header = "t," + ",".join(f"x_{i + 1},v_{i + 1}" for i in range(n))
-
-    def table(a, b):
-        xv = np.stack((series.x[a:b], series.v[a:b]), axis=2).reshape(b - a, 2 * n)
-        return np.column_stack((series.t[a:b], xv))
-
-    _write_csv(fh, header, len(series.t), table)
+    _text.write_rows(fh, header, len(series.t),
+                     lambda a, b: [_text.floats(np.column_stack((series.t[a:b], series.z[a:b])))])

@@ -305,6 +305,17 @@ class TestSimulate:
             "", f"error: a run of {steps} steps of 20 states is too large to allocate\n")
         assert not out.exists()
 
+    # numpy refuses the (2e9 x 2e9) state matrix's 3.2e19 bytes by its size
+    # alone, before it touches any memory.
+    def test_a_chain_too_large_to_allocate_names_its_channel_count(self, spec_file, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "1000000000",
+                     "--omega", "3", "--duration", "150", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a chain of 1e+09 channels is too large to allocate\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("amp", ["nan", "inf", "1e308"])  # 1e308: the rate amp * omega is inf
     def test_an_input_that_is_not_finite_is_named(self, spec_file, tmp_path, capsys, amp):
         out = tmp_path / "t.csv"
@@ -532,6 +543,15 @@ class TestMonitorAndGenTrace:
         assert not out.exists()
         assert main(["gen-trace", "--seed", "1", "--len", "100",
                      "--spec", spec_file(make_spec(n=2**63 - 3)), "--out", str(out)]) == 0
+
+    def test_gen_trace_names_the_event_whose_band_leaves_the_float_range(
+            self, spec_file, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--seed", "1", "--len", "5",
+                     "--spec", spec_file(make_spec(m=1e-300, k=1e10)), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: event 0 draws w = inf: the template's stable "
+                                           "band leaves the float range\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [dict(m=1e-300, k=1e10), dict(m=1.0, k=1e308)],
                              ids=["a0-infinite", "band-overflows"])

@@ -39,10 +39,8 @@ from platoon_stab import (
     parse_trace_lines,
     run_monitor,
     Strategy,
-    StateSeries,
     SweepResult,
     write_chain_csv,
-    write_state_csv,
     write_sweep_csv,
     write_trace,
     write_trace_file,
@@ -367,6 +365,12 @@ class TestGenerator:
         with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
                                                        f"got {seed!r}")):
             generate_trace(seed, 3, const_spacing_spec)
+
+    def test_refuses_a_stable_band_beyond_the_float_range(self):
+        # a0 = k/m = 1e310 overflows, so the first draw of w is inf.
+        with pytest.raises(ValueError, match=re.escape(
+                "event 0 draws w = inf: the template's stable band leaves the float range")):
+            generate_trace(1, 5, make_spec(m=1e-300, k=1e10))
 
     def test_rejects_invalid_or_unsupported_template(self):
         with pytest.raises(ValueError):
@@ -971,7 +975,6 @@ def test_writer_peaks_stay_under_their_ceilings(monkeypatch):
     monkeypatch.setattr(monitor, "_processes", lambda size: 1)
     writes = [
         (write_chain_csv, ChainSeries(t=values[:, 0], z=values[:, 1:17], zdot=values[:, 17:]), 3.0),
-        (write_state_csv, StateSeries(t=values[:, 0], x=values[:, 1:17], v=values[:, 17:]), 3.0),
         (write_sweep_csv, SweepResult(omega=values[:, 0], value=values[:, 1] + 1j * values[:, 2],
                                       magnitude=values[:, 3], stable=values[:, 3] < 1.0), 3.0),
         (write_trace, generate_trace(11, 2000, make_spec()), 1.68),

@@ -19,7 +19,6 @@ from platoon_stab import (
     DivergenceError,
     ErrorModel,
     SimConfig,
-    StateSeries,
     attenuation_report,
     default_dt,
     error_model,
@@ -30,7 +29,6 @@ from platoon_stab import (
     tabulated_input,
     transfer_function,
     write_chain_csv,
-    write_state_csv,
 )
 from conftest import AUT, CS, SUPPORTED_COMBOS, UNI, make_params, make_spec, random_params
 
@@ -303,16 +301,6 @@ class TestStateSpaceSimulator:
             diff = np.abs(chain.z[:, col] - errors[:, col]).max()
             scale = np.abs(errors[:, col]).max()
             assert diff / scale < 1e-6
-
-    def test_state_csv_layout(self, base_params):
-        params = make_params(n=2)
-        cfg = SimConfig(dt=0.05, duration=5.0)
-        series = simulate_state_space(params, cfg, lambda t: 100.0)
-        buf = io.StringIO()
-        write_state_csv(series, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,x_1,v_1,x_2,v_2"
-        assert len(lines) == len(series.t) + 1
 
 
 class TestAttenuationReport:
@@ -802,17 +790,6 @@ def reference_chain_csv(series, fh):
         fh.write(f"{float(series.t[j])!r}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def reference_state_csv(series, fh):
-    n = series.x.shape[1]
-    fh.write("t," + ",".join(f"x_{i + 1},v_{i + 1}" for i in range(n)) + "\n")
-    for j in range(len(series.t)):
-        cells = []
-        for i in range(n):
-            cells.append(repr(float(series.x[j, i])))
-            cells.append(repr(float(series.v[j, i])))
-        fh.write(f"{float(series.t[j])!r}," + ",".join(cells) + "\n")
-
-
 def written(writer, series):
     buf = io.StringIO()
     writer(series, buf)
@@ -915,44 +892,26 @@ class TestChunkedCsvWriters:
         assert text == written(reference_chain_csv, series)
         assert text.splitlines()[1] == "0.0,-0.0,0.0,0.0,0.0"
 
-    def test_state_csv_matches_row_writer_across_chunks(self):
-        cfg = SimConfig(dt=0.01, duration=45.0)
-        series = simulate_state_space(make_params(n=3), cfg, lambda t: 300.0 * math.sin(2.0 * t))
-        assert not series.x.flags.c_contiguous
-        assert written(write_state_csv, series) == written(reference_state_csv, series)
-
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.sampled_from(["chain", "state"]),
-           st.sampled_from([None, -1, 0, 1]))
-    def test_special_values_match_row_writers(self, seed, n, writer, edge):
-        # One row, or a row before, on or after the first chunk edge of one
-        # writer: a chunk is VALUES_PER_WRITE // columns rows, n + 1 columns of
-        # chain and 2n + 1 of state.
-        columns = n + 1 if writer == "chain" else 2 * n + 1
-        rows = 1 if edge is None else _text.VALUES_PER_WRITE // columns + edge
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.sampled_from([None, -1, 0, 1]))
+    def test_special_values_match_row_writers(self, seed, n, edge):
+        # One row, or a row before, on or after the first chunk edge: a chunk
+        # is VALUES_PER_WRITE // (n + 1) rows.
+        rows = 1 if edge is None else _text.VALUES_PER_WRITE // (n + 1) + edge
         rng = np.random.default_rng(seed)
-        values = rng.choice(_SPECIAL, size=(rows, 4 * n + 1))
+        values = rng.choice(_SPECIAL, size=(rows, 2 * n + 1))
         values[rng.random(values.shape) < 0.3] = rng.standard_normal() * 1e-10
-        buf = values[:, :2 * n + 1]  # interleaved views, as the simulators return
-        chain = ChainSeries(t=values[:, 0], z=buf[:, 1:n + 1], zdot=buf[:, n + 1:])
-        state = StateSeries(t=values[:, 0], x=values[:, 1:n + 1], v=values[:, 2 * n + 1:3 * n + 1])
+        # Interleaved views, as the simulator returns.
+        chain = ChainSeries(t=values[:, 0], z=values[:, 1:n + 1], zdot=values[:, n + 1:])
         assert written(write_chain_csv, chain) == written(reference_chain_csv, chain)
-        assert written(write_state_csv, state) == written(reference_state_csv, state)
 
 
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("edge", [-1, 0, 1, "twice"])
 def test_csv_writers_match_row_writers_at_chunk_edges(n, edge):
-    # A chunk is VALUES_PER_WRITE // columns rows: 2n + 1 columns of state, n + 1 of chain.
-    rows = {}
-    for columns in (n + 1, 2 * n + 1):
-        step = _text.VALUES_PER_WRITE // columns
-        rows[columns] = 2 * step + 1 if edge == "twice" else step + edge
-    values = np.random.default_rng(n).standard_normal((max(rows.values()), 4 * n + 1))
-    chain_rows, state_rows = values[:rows[n + 1]], values[:rows[2 * n + 1]]
-    chain = ChainSeries(t=chain_rows[:, 0], z=chain_rows[:, 1:n + 1],
-                        zdot=chain_rows[:, n + 1:2 * n + 1])
-    state = StateSeries(t=state_rows[:, 0], x=state_rows[:, 1:n + 1],
-                        v=state_rows[:, n + 1:2 * n + 1])
+    # A chunk is VALUES_PER_WRITE // (n + 1) rows.
+    step = _text.VALUES_PER_WRITE // (n + 1)
+    rows = 2 * step + 1 if edge == "twice" else step + edge
+    values = np.random.default_rng(n).standard_normal((rows, 2 * n + 1))
+    chain = ChainSeries(t=values[:, 0], z=values[:, 1:n + 1], zdot=values[:, n + 1:])
     assert written(write_chain_csv, chain) == written(reference_chain_csv, chain)
-    assert written(write_state_csv, state) == written(reference_state_csv, state)
