@@ -168,19 +168,20 @@ def _w_scaled(model: ErrorModel, w):
 
 
 def _attenuates(model: ErrorModel, w):
-    """P2, ``w > 0 and Q(w^2) > 0``, of a model and frequency, floats or
-    arrays alike, as an array.  Q is evaluated again on the frequency unit
-    of :func:`_w_scaled` where it is nan.  With finite coefficients such a
-    row has a w or a rate of 1 or more, which that unit never scales up.
-    The rows are searched only when the sum of Q is nan: one nan row makes
-    it nan, and a sum that overflows to inf - inf costs a search that finds
-    nothing."""
+    """P2, ``w > 0 and Q(w^2) > 0``, of a model of coefficient arrays and
+    an array of frequencies, one row per event: the monitor's scan, and
+    its ``check_p2`` on one-element arrays.  Q is evaluated again on the
+    frequency unit of :func:`_w_scaled` where it is nan.  With finite
+    coefficients such a row has a w or a rate of 1 or more, which that unit
+    never scales up.  The rows are searched only when the sum of Q is nan:
+    one nan row makes it nan, and a sum that overflows to inf - inf costs a
+    search that finds nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.atleast_1d(stability_constraint(model).q(w * w))
+        q = stability_constraint(model).q(w * w)
         if np.isnan(q.sum()):
             redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
-            part = ErrorModel(*(np.atleast_1d(c)[redo] for c in vars(model).values()))
-            part, w_redo = _w_scaled(part, np.atleast_1d(w)[redo])
+            part = ErrorModel(*(c[redo] for c in vars(model).values()))
+            part, w_redo = _w_scaled(part, w[redo])
             q[redo] = stability_constraint(part).q(w_redo * w_redo)
         return (w > 0.0) & (q > 0.0)
 

@@ -242,8 +242,9 @@ _CS, _VS, _VTH = Strategy.CONSTANT_SPACING, Strategy.VARIABLE_SPACING, Strategy.
 _CLASSIC = (_AUT, _UNI, _CS)
 
 # The coefficient map: ``(a0, a1, b0, b1)`` of each model as a function of
-# an object with the parameter attributes, a PlatoonParams or a monitor
-# Trace (whose columns carry the same names).  Keys as in :func:`_model_key`.
+# an object with the parameter attributes: a PlatoonParams for error_model,
+# or the monitor's columns of the same names for its P2 (a trace's, or one
+# event's as one-element columns).  Keys as in :func:`_model_key`.
 # A quotient used twice, ``k/m`` or ``c/m``, is divided once and both
 # coefficients are that one value: on a trace, one array, so no caller may
 # write a coefficient array in place.
@@ -266,16 +267,9 @@ def _model_key(ct: ControllerType, cf: Configuration, st: Strategy):
     return ct if ct is _NON else (ct, cf, st)
 
 
-def _raw_error_model(spec: ControllerSpec) -> ErrorModel:
-    # Coefficient formulas without validity checking; division by a zero
-    # mass propagates as ZeroDivisionError to the caller.
-    coefficients = _MODELS.get(_model_key(spec.controller_type, spec.configuration, spec.strategy))
-    if coefficients is None:
-        raise UnsupportedControllerError(
-            "no model for an autonomous bidirectional controller with "
-            "variable time headway"
-        )
-    return ErrorModel(*coefficients(spec.params))
+# The reason of the one combination with no model, as error_model raises it
+# and as the monitor reports an event of that combination.
+_NO_MODEL = "no model for an autonomous bidirectional controller with variable time headway"
 
 
 def error_model(spec: ControllerSpec) -> ErrorModel:
@@ -285,11 +279,17 @@ def error_model(spec: ControllerSpec) -> ErrorModel:
     Non-autonomous controllers always use the leader-velocity feedback
     model regardless of configuration and strategy.  Raises
     :class:`InvalidPlatoonError` for invalid platoons and
-    :class:`UnsupportedControllerError` for the one combination with no
-    model (autonomous, bidirectional, var_time_headway).
+    :class:`UnsupportedControllerError` (:data:`_NO_MODEL`) for the one
+    combination with no model (autonomous, bidirectional,
+    var_time_headway).  The monitor's P2 takes its coefficients from the
+    same map, without the validity check, through its own model table
+    (``monitor._MODEL_OF``).
     """
     validate_platoon(spec.params)
-    return _raw_error_model(spec)
+    coefficients = _MODELS.get(_model_key(spec.controller_type, spec.configuration, spec.strategy))
+    if coefficients is None:
+        raise UnsupportedControllerError(_NO_MODEL)
+    return ErrorModel(*coefficients(spec.params))
 
 
 def model_label(spec: ControllerSpec) -> str:

@@ -24,13 +24,16 @@ minimum above the bound and its maximum below inf, a block of one
 controller combination runs its model's formulas once on the columns,
 and Q is searched for nan rows only when its sum is nan.  Per-event P1
 masks, and coefficients grouped by model, are built only for the blocks
-that these tests cannot clear.  The per-event predicates
-:func:`check_p1` and :func:`check_p2` agree with the vectorised scan by
-construction: the conjuncts, the coefficient map, ``Q`` and P2 are each
-written once, as arithmetic that runs on floats and arrays alike.  P2's
-arithmetic, and the generator's stable band, are ``frequency``'s
-(:func:`_attenuates`, :func:`_stable_band`), which alone picks the time
-units that keep them in range.
+that these tests cannot clear.  The per-event predicate :func:`check_p1`
+agrees with the vectorised scan by construction: the conjuncts are
+written once, as arithmetic that runs on floats and arrays alike.
+:func:`check_p2` is the scan's P2 on one event, its columns one element
+long, so P2 picks its model one way, through the scan's table
+``_MODEL_OF``; so does the reason :func:`run_monitor` gives for an event
+whose combination has no model.  P2's arithmetic, and the generator's
+stable band, are ``frequency``'s (:func:`_attenuates`,
+:func:`_stable_band`), which alone picks the time units that keep them in
+range.
 
 Trace file format: line-delimited JSON, UTF-8, LF, one event per line:
 
@@ -115,18 +118,17 @@ from .model import (
     _FLOAT_FIELDS as _PARAM_KEYS,
     _INT64_MAX,
     _MODELS,
+    _NO_MODEL,
     _PARAM_KINDS,
     _SPEC_ENUMS,
     ControllerSpec,
     ErrorModel,
     PlatoonParams,
-    UnsupportedControllerError,
     _allocating,
     _check_object,
     _check_value,
     _decode,
     _model_key,
-    _raw_error_model,
     error_model,
     failed_conjunct,
     is_valid_platoon,
@@ -216,10 +218,12 @@ class Trace:
     Indexing and iteration yield :class:`Event` objects; the bulk arrays
     stay private to this module.  Event indices are the positions
     0..len-1.  Every column holds one value per event: columns of unequal
-    length raise ValueError naming the odd one out.  A row whose parameter
-    is nan or infinite, which :func:`run_monitor` reports as a P1 failure,
-    cannot become an Event: indexing it raises ValueError naming the event
-    and the field, as ``event 2: m must be finite``.
+    length raise ValueError naming the odd one out.  An enum column holds
+    positions in its enum: any other code raises ValueError naming the
+    column, the code and the first event that holds it.  A row whose
+    parameter is nan or infinite, which :func:`run_monitor` reports as a P1
+    failure, cannot become an Event: indexing it raises ValueError naming
+    the event and the field, as ``event 2: m must be finite``.
     """
 
     __slots__ = ("source", *_COLUMNS)
@@ -232,6 +236,11 @@ class Trace:
             size = max(lengths, key=lengths.count)
             key, length = next((key, n) for key, n in zip(_COLUMNS, lengths) if n != size)
             raise ValueError(f"column {key!r} has {length} events, most columns {size}")
+        for (key, members), column in zip(_ENUMS.items(), columns):  # the first columns
+            if len(column) and not (0 <= column.min() and column.max() < len(members)):
+                at = int(np.argmax((column < 0) | (column >= len(members))))
+                raise ValueError(f"column {key!r} holds code {int(column[at])} at event {at}, "
+                                 f"not one of 0 to {len(members) - 1}")
         for name, value in zip(self.__slots__, (source, *columns)):
             setattr(self, name, value)
 
@@ -261,16 +270,25 @@ class Trace:
 
     def _rows(self, a: int, b: int) -> "Trace":
         """Events ``a`` to ``b - 1`` as a trace of column views, no copies;
-        event ``a`` is at position 0 of the view."""
-        return Trace(self.source, *(getattr(self, key)[a:b] for key in _COLUMNS))
+        event ``a`` is at position 0 of the view.  Views of checked columns
+        are not checked again."""
+        view = object.__new__(Trace)
+        view.source = self.source
+        for key in _COLUMNS:
+            setattr(view, key, getattr(self, key)[a:b])
+        return view
 
     @classmethod
     def from_events(cls, events, source: str = "memory") -> "Trace":
-        """Build a trace from Event objects; indices must be 0..len-1."""
+        """Build a trace from Event objects; indices must be 0..len-1, and
+        each ``n`` must fit the int64 column (a negative one, which P1
+        reports, does)."""
         rows = []
         for pos, e in enumerate(events):
             if e.index != pos:
                 raise ValueError(f"event index {e.index} at position {pos}; indices must be contiguous")
+            if not -_INT64_MAX - 1 <= e.spec.params.n <= _INT64_MAX:
+                raise ValueError(f"event {pos}: n = {e.spec.params.n} does not fit an int64 column")
             params = [getattr(e.spec.params, key) for key in _PARAM_KINDS]
             rows.append((*_codes(e.spec), *params, e.omega))
         return cls(source, *_typed(rows))
@@ -284,34 +302,45 @@ def check_p1(event: Event) -> bool:
 def check_p2(event: Event) -> bool:
     """Predicate P2: ``w > 0`` and ``Q(w^2) > 0`` for the event's model.
 
+    The scan's own P2 on one event: :func:`_vector_coefficients` and
+    ``_attenuates`` on its enum codes, float parameters and frequency as
+    one-element columns.  ``n`` enters no coefficient, so it is not read.
     Coefficients are evaluated without a validity gate (an invalid platoon
     already fails P1); when they are undefined (zero mass, or a controller
     combination with no model) P2 is false.
     """
-    try:
-        model = _raw_error_model(event.spec)
-    except (ZeroDivisionError, UnsupportedControllerError):
-        return False
-    return bool(_attenuates(model, event.omega)[0])
+    codes = {key: np.array([code], np.int8) for key, code in zip(_ENUMS, _codes(event.spec))}
+    params = {name: np.array([getattr(event.spec.params, name)]) for name in _PARAM_KEYS}
+    model = ErrorModel(*_vector_coefficients(SimpleNamespace(**codes, **params)))
+    return bool(_attenuates(model, np.array([event.omega], np.float64))[0])
 
 
-def _vector_coefficients(trace: Trace):
-    """Rows ``a0, a1, b0, b1`` per event from the model table: nan where the
-    combination has no model, inf or nan where a formula is undefined.
+def _combination(codes):
+    """The position of a controller combination in the product of the
+    enums, the index of :data:`_MODEL_OF`, from its enum codes: ints, or
+    columns of codes."""
+    combination = 0
+    for code, members in zip(codes, _ENUMS.values()):
+        combination = combination * len(members) + code
+    return combination
 
-    A trace whose enum columns are each constant holds one combination: its
+
+def _vector_coefficients(columns):
+    """Rows ``a0, a1, b0, b1`` per event of a trace, or of any object with
+    its enum and float parameter columns, from the model table: nan where
+    the combination has no model, inf or nan where a formula is undefined.
+
+    Columns whose enum codes are each constant hold one combination: its
     model's formulas run once, on the whole columns.  Otherwise the events
     are grouped by model."""
-    codes = [getattr(trace, key) for key in _ENUMS]
-    one = len(trace) > 0 and all(column.min() == column.max() for column in codes)
-    combination = 0  # its position in the product of the enums
-    for column, members in zip(codes, _ENUMS.values()):
-        combination = combination * len(members) + (int(column[0]) if one else column)
-    which = _MODEL_OF[combination]
+    codes = [getattr(columns, key) for key in _ENUMS]
+    size = len(codes[0])
+    one = size > 0 and all(column.min() == column.max() for column in codes)
+    which = _MODEL_OF[_combination([int(column[0]) for column in codes] if one else codes)]
     if one and which >= 0:
         with np.errstate(all="ignore"):
-            return _FORMULAS[which](trace)
-    coefficients = np.full((4, len(trace)), np.nan)
+            return _FORMULAS[which](columns)
+    coefficients = np.full((4, size), np.nan)
     with np.errstate(all="ignore"):
         for index, formulas in enumerate(_FORMULAS):
             rows = np.flatnonzero(which == index)
@@ -319,7 +348,7 @@ def _vector_coefficients(trace: Trace):
                 continue
             if rows[-1] - rows[0] + 1 == rows.size:  # one run of events: views, no copies
                 rows = slice(rows[0], rows[-1] + 1)
-            part = SimpleNamespace(**{name: getattr(trace, name)[rows] for name in _PARAM_KEYS})
+            part = SimpleNamespace(**{name: getattr(columns, name)[rows] for name in _PARAM_KEYS})
             for out, value in zip(coefficients, formulas(part)):
                 out[rows] = value
     return coefficients
@@ -383,14 +412,11 @@ def run_monitor(trace: Trace) -> Verdict:
             first = Violation(idx, "P1", f"{failed_conjunct(trace._rows(idx, idx + 1))} violated")
         elif not omega > 0.0:
             first = Violation(idx, "P2", "0 < omega violated")
+        elif _MODEL_OF[_combination([int(getattr(trace, key)[idx]) for key in _ENUMS])] < 0:
+            first = Violation(idx, "P2", _NO_MODEL)
         else:
-            try:  # P1 holds, so the event is valid; its combination may have no model
-                _raw_error_model(trace[idx].spec)
-            except UnsupportedControllerError as exc:
-                first = Violation(idx, "P2", str(exc))
-            else:
-                first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating "
-                                             "band (Q(omega^2) <= 0)")
+            first = Violation(idx, "P2", f"omega = {omega!r} lies in a non-attenuating "
+                                         "band (Q(omega^2) <= 0)")
     return Verdict(
         first_violation=first,
         events=size,
@@ -398,6 +424,18 @@ def run_monitor(trace: Trace) -> Verdict:
         p2_failures=p2_failures,
         seconds=time.perf_counter() - start,
     )
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index``: an int or a numpy
+    integer.  A bool, a float or anything else raises ValueError naming
+    ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def generate_trace(seed: int, length: int, template: ControllerSpec, violations=()) -> Trace:
@@ -410,17 +448,19 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     (P1 by zeroing one positivity conjunct or dropping n to 1, P2 by a
     frequency inside the non-attenuating band, or a non-positive one when
     the model attenuates everywhere).  Identical arguments produce an
-    identical trace; ``seed`` must be a non-negative int.  Raises
+    identical trace; ``seed`` must be a non-negative int, and ``length``
+    and each violation index an int or a numpy integer.  Raises
     ValueError, naming the first such event, where a drawn or injected
     frequency is not a finite double: the template's band, ``w^2``, leaves
     the float range.
     """
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    length = _integer(length, "length")
     if length < 0:
         raise ValueError("length must be >= 0")
     error_model(template)  # reject invalid or unsupported templates up front
-    plan = [(int(i), str(kind)) for i, kind in violations]
+    plan = [(_integer(i, "violation index"), str(kind)) for i, kind in violations]
     for i, kind in plan:
         if not 0 <= i < length:
             raise ValueError(f"violation index {i} outside trace of length {length}")
@@ -444,31 +484,29 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
         for col, factor, name in zip(cols, factors.T, _PARAM_KEYS):
             np.multiply(factor, getattr(p, name), out=col[a:a + _DRAW_BLOCK])
     codes = (np.full(length, code, dtype=np.int8) for code in _codes(template))
-    trace = Trace(f"seed:{seed}", *codes, rng.integers(max(2, p.n - 2), p.n + 3, size=length),
-                  *cols, np.empty(length))
     # Stable draw: above the largest root of Q when one exists, otherwise
     # any frequency near the natural one works.  The draws above the root
-    # come first, for every event, then those near the natural frequency.
-    for a in blocks:
-        trace.w[a:a + _DRAW_BLOCK] = rng.uniform(1.2, 4.0, size=min(_DRAW_BLOCK, length - a))
-    targets = np.array([i for i, kind in plan if kind == "P2"], dtype=np.int64)
-    bands = {}
+    # come first, for every event, as the w column, then those near the
+    # natural frequency.
+    trace = Trace(f"seed:{seed}", *codes, rng.integers(max(2, p.n - 2), p.n + 3, size=length),
+                  *cols, rng.uniform(1.2, 4.0, size=length))
     for a in blocks:
         block = trace._rows(a, a + _DRAW_BLOCK)
         model = ErrorModel(*_vector_coefficients(block))
-        lo, hi = _stable_band(model)
+        hi = _stable_band(model)[1]
         with np.errstate(over="ignore", invalid="ignore"):
             near = model.a0 * rng.uniform(0.25, 4.0, size=len(block))
             np.sqrt(np.where(hi > 0.0, hi * block.w, near), out=block.w)
-        # Bands of the P2 targets, from their parameters before any injection.
-        at = targets[(a <= targets) & (targets < a + _DRAW_BLOCK)] - a
-        bands.update(zip((a + at).tolist(), zip(lo[at], hi[at])))
+    # Bands of the P2 targets, from their parameters before any injection.
+    targets = [i for i, kind in plan if kind == "P2"]
+    rows = SimpleNamespace(**{key: getattr(trace, key)[targets] for key in (*_ENUMS, *_PARAM_KEYS)})
+    bands = zip(*_stable_band(ErrorModel(*_vector_coefficients(rows))))
     for i, kind in plan:
         if kind == "P1":
             name, bound = _CONJUNCTS[int(rng.integers(0, len(_CONJUNCTS)))]
             getattr(trace, name)[i] = bound
         else:
-            lo_i, hi_i = bands[i]
+            lo_i, hi_i = next(bands)
             if hi_i > 0.0:
                 u_lo = max(lo_i, 0.0)
                 trace.w[i] = math.sqrt(u_lo + (hi_i - u_lo) * rng.uniform(0.25, 0.75))

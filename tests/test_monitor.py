@@ -95,6 +95,11 @@ class TestPredicates:
         assert not check_p2(event(omega=3.0, m=0.0))   # division blows up
         assert not check_p2(event(spec=make_spec(AUT, BI, VTH), omega=3.0))
 
+    @pytest.mark.parametrize("omega,holds", [(3.0, True), (1.0, False)])
+    def test_p2_does_not_read_n(self, omega, holds):
+        # n enters no coefficient, so one beyond the int64 column changes nothing.
+        assert check_p2(event(omega=omega, n=2 ** 70)) is check_p2(event(omega=omega)) is holds
+
     def test_p2_evaluates_invalid_but_computable_platoons(self):
         # cd does not enter the coefficients, so P2 can still hold.
         assert check_p2(event(omega=3.0, cd=0.0))
@@ -227,6 +232,17 @@ class TestRunMonitor:
             error_model(no_model)
         assert verdict.first_violation == Violation(1, "P2", str(excinfo.value))
         assert (verdict.p1_failures, verdict.p2_failures) == (0, 3)
+
+    def test_a_combination_without_a_model_in_a_later_block_is_named_in_the_reason(self):
+        at = _BLOCK + 1
+        trace = generate_trace(4, _BLOCK + 3, make_spec())
+        for key, code in zip(("ct", "cf", "st"), monitor._codes(make_spec(AUT, BI, VTH))):
+            getattr(trace, key)[at] = code
+        with pytest.raises(UnsupportedControllerError) as excinfo:
+            error_model(make_spec(AUT, BI, VTH))
+        verdict = run_monitor(trace)
+        assert verdict.first_violation == Violation(at, "P2", str(excinfo.value))
+        assert (verdict.p1_failures, verdict.p2_failures) == (0, 1)
 
     def test_p1_reported_before_p2_on_the_same_event(self, const_spacing_spec):
         bad = Event(1, make_spec(m=0.0), -1.0)  # fails both predicates
@@ -365,6 +381,21 @@ class TestGenerator:
         with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
                                                        f"got {seed!r}")):
             generate_trace(seed, 3, const_spacing_spec)
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None],
+                             ids=["float", "integral-float", "bool", "str", "none"])
+    def test_refuses_a_length_or_violation_index_that_is_not_an_integer(self, const_spacing_spec,
+                                                                           value):
+        with pytest.raises(ValueError, match=re.escape(f"length must be an integer, got {value!r}")):
+            generate_trace(1, value, const_spacing_spec)
+        with pytest.raises(ValueError, match=re.escape(f"violation index must be an integer, "
+                                                       f"got {value!r}")):
+            generate_trace(1, 5, const_spacing_spec, [(value, "P2")])
+
+    def test_reads_numpy_integers_as_their_values(self, const_spacing_spec):
+        expected = written(generate_trace(1, 5, const_spacing_spec, [(3, "P2")]))
+        assert written(generate_trace(1, np.int64(5), const_spacing_spec,
+                                      [(np.int16(3), "P2")])) == expected
 
     def test_refuses_a_stable_band_beyond_the_float_range(self):
         # a0 = k/m = 1e310 overflows, so the first draw of w is inf.
@@ -514,6 +545,20 @@ class TestTraceIO:
     def test_from_events_requires_contiguous_indices(self, const_spacing_spec):
         with pytest.raises(ValueError, match="contiguous"):
             Trace.from_events([Event(1, const_spacing_spec, 3.0)])
+
+    @pytest.mark.parametrize("n", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
+    def test_from_events_names_an_n_beyond_the_int64_column(self, n):
+        events = [event(0), event(1, n=n)]
+        with pytest.raises(ValueError, match=re.escape(f"event 1: n = {n} does not fit an int64 column")):
+            Trace.from_events(events)
+
+    @pytest.mark.parametrize("n", [2 ** 63 - 1, -2 ** 63, -5])
+    def test_from_events_keeps_an_n_that_fits_the_column(self, n):
+        # A negative n is kept for P1 to report.
+        trace = Trace.from_events([event(0, n=n)])
+        assert trace.n.tolist() == [n]
+        expected = None if n > 1 else Violation(0, "P1", "1 < n violated")
+        assert run_monitor(trace).first_violation == expected
 
     def test_trace_indexing(self, const_spacing_spec):
         trace = generate_trace(8, 10, const_spacing_spec)
@@ -749,6 +794,20 @@ class TestTraceLayout:
         at = _COLUMNS.index(name)
         columns[at] = np.resize(columns[at], size)
         with pytest.raises(ValueError, match=f"column '{name}' has {size} events"):
+            Trace("memory", *columns)
+
+    @pytest.mark.parametrize("name", ["ct", "cf", "st"])
+    @pytest.mark.parametrize("past_the_last", [False, True], ids=["negative", "past-the-last"])
+    def test_enum_codes_outside_their_enum_are_refused(self, name, past_the_last):
+        # Such a code indexes no member, and picks another combination's
+        # model in the scan.
+        members = monitor._ENUMS[name]
+        code = len(members) if past_the_last else -1
+        trace = generate_trace(1, 5, make_spec())
+        columns = [getattr(trace, key).copy() for key in _COLUMNS]
+        columns[_COLUMNS.index(name)][[2, 4]] = code
+        with pytest.raises(ValueError, match=re.escape(
+                f"column '{name}' holds code {code} at event 2, not one of 0 to {len(members) - 1}")):
             Trace("memory", *columns)
 
     def test_empty_traces_have_the_column_dtypes(self):
