@@ -144,8 +144,6 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     model = error_model(spec)
-    if args.n <= 1:
-        raise ValueError("--n must be > 1")
     if not args.omega > 0.0:
         raise ValueError("--omega must be positive")
     if not math.isfinite(args.omega):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .model import ErrorModel, _allocating
+from .model import ErrorModel, _allocating, _check_value
 
 class SingularityError(ArithmeticError):
     """The transfer-function denominator vanishes at the requested point."""
@@ -100,8 +100,7 @@ def frequency_response(model: ErrorModel, omega: float) -> FrequencyResponse:
     that of :func:`sweep`, so a sweep row and this function agree bit for
     bit.
     """
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
+    omega = _check_value(float, omega, "omega ")
     value, magnitude = _response(model, np.float64(omega))
     return FrequencyResponse(omega=omega, value=complex(value), magnitude=float(magnitude))
 
@@ -128,7 +127,7 @@ def is_stable_at(model: ErrorModel, omega: float) -> bool:
 
     Only positive frequencies are meaningful; omega <= 0 raises ValueError.
     """
-    if not omega > 0.0:
+    if not _check_value(float, omega, "omega ") > 0.0:
         raise ValueError("omega must be positive")
     return frequency_response(model, omega).magnitude < 1.0
 
@@ -261,12 +260,14 @@ def sweep(
     """Sample ``H(i*omega)`` on a log- or linearly spaced grid.
 
     Grid points are independent of one another, so results do not depend
-    on evaluation order.
+    on evaluation order.  The range is read as finite floats and
+    ``points`` as an integer, through ``model._check_value``.
     """
+    omega_min = _check_value(float, omega_min, "omega_min ")
+    omega_max = _check_value(float, omega_max, "omega_max ")
+    points = _check_value(int, points, "points ")
     if not omega_min > 0.0:
         raise ValueError("omega range must start above 0")
-    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
-        raise ValueError("omega range must be finite")
     if not omega_max > omega_min:
         raise ValueError("omega range must be increasing")
     if points < 2:

@@ -17,9 +17,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ControllerType(enum.Enum):
@@ -43,7 +46,10 @@ class PlatoonParams:
     """The ten physical parameters of a platoon of identical vehicles.
 
     ``cd`` takes part in validity checking but appears in none of the
-    dynamic models; it is carried along for completeness.
+    dynamic models; it is carried along for completeness.  Each field is
+    read through :func:`_check_value`: ``n`` as any integer, so that a
+    trace's in-memory columns may hold a negative ``n`` for P1 to report,
+    and the nine floats as finite numbers.
     """
 
     n: int      # number of vehicles
@@ -58,11 +64,8 @@ class PlatoonParams:
     cd: float   # additional fluctuation w.r.t. "virtual" mass [N*s/m]
 
     def __post_init__(self):
-        # Any int n: a trace's in-memory columns may hold a negative n for P1 to report.
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError("n must be an integer")
-        for name in _FLOAT_FIELDS:
-            object.__setattr__(self, name, _check_value(float, getattr(self, name), f"{name} "))
+        for name, kind in _PARAM_KINDS.items():
+            object.__setattr__(self, name, _check_value(kind, getattr(self, name), f"{name} "))
 
 
 _FLOAT_FIELDS = ("m", "k", "c", "h", "ch", "vd", "h0", "ca", "cd")
@@ -77,34 +80,44 @@ _PARAM_KINDS = {"n": int, **dict.fromkeys(_FLOAT_FIELDS, float)}
 _INT64_MAX = 2**63 - 1
 
 
-def _check_value(kind, value, prefix: str):
-    """A decoded JSON value as a field of ``kind``, the one rule for spec
-    files, :class:`PlatoonParams` and trace lines: an enum (the member with
-    that value), ``int`` (an integer in [0, 2^63-1]) or ``float`` (a finite
-    number; an integer literal beyond the float range is not finite).
-    Raises ValueError with the reason after the caller's ``prefix``."""
+def _check_value(kind, value, prefix: str, schema: bool = False):
+    """``value`` as a field of ``kind``, the one rule for spec files,
+    :class:`PlatoonParams`, trace lines and the numbers that public calls
+    take: an enum (the member with that value), ``int`` (an int or a numpy
+    integer, read through ``operator.index``) or ``float`` (a Python or
+    numpy real number, read through ``float``, which must be finite; an
+    integer beyond the float range is not), never a bool.  ``schema`` marks
+    a field of a spec file or a trace line: an int must lie in
+    [0, 2^63-1], and a refusal does not repeat the value, which a call
+    argument's does (``got 2.5``).  Other ranges are the caller's to test.
+    Raises ValueError with the reason after the caller's ``prefix``, which
+    names the field or argument."""
     if isinstance(kind, enum.EnumMeta):
         try:
             return kind(value)
         except ValueError:
             raise ValueError(f"{prefix}must be one of {'|'.join(e.value for e in kind)}") from None
-    if kind is int:
-        if type(value) is not int:
-            raise ValueError(f"{prefix}must be an integer")
-        if value < 0:
-            raise ValueError(f"{prefix}must be >= 0")
-        if value > _INT64_MAX:
-            raise ValueError(f"{prefix}must be <= {_INT64_MAX}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{prefix}must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{prefix}must be finite")
-    return value
+    if not isinstance(value, bool):
+        if kind is int:
+            try:
+                value = operator.index(value)
+            except TypeError:
+                pass
+            else:
+                if schema and not 0 <= value <= _INT64_MAX:
+                    bound = ">= 0" if value < 0 else f"<= {_INT64_MAX}"
+                    raise ValueError(f"{prefix}must be {bound}")
+                return value
+        elif isinstance(value, (int, float, np.integer, np.floating)):
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{prefix}must be finite")
+            return value
+    got = "" if schema else f", got {value!r}"
+    raise ValueError(f"{prefix}must be {'an integer' if kind is int else 'a number'}{got}")
 
 
 def _decode(text: str):
@@ -313,5 +326,6 @@ def controller_spec_from_dict(obj) -> ControllerSpec:
     enums = [_check_value(kind, obj[key], f"{key}: ") for key, kind in _SPEC_ENUMS.items()]
     raw = obj["params"]
     _check_object(raw, _PARAM_KINDS, "params", "params: ")
-    params = [_check_value(kind, raw[key], f"params.{key}: ") for key, kind in _PARAM_KINDS.items()]
+    params = [_check_value(kind, raw[key], f"params.{key}: ", schema=True)
+              for key, kind in _PARAM_KINDS.items()]
     return ControllerSpec(*enums, PlatoonParams(*params))

@@ -217,8 +217,11 @@ class Trace:
 
     Indexing and iteration yield :class:`Event` objects; the bulk arrays
     stay private to this module.  Event indices are the positions
-    0..len-1.  Every column holds one value per event: columns of unequal
-    length raise ValueError naming the odd one out.  An enum column holds
+    0..len-1.  The constructor checks each column's type: a 1-D array of
+    its schema dtype (``_DTYPES``: int8 enum codes, int64 ``n``, float64
+    parameters and ``w``), else ValueError naming the column.  Every column
+    holds one value per event: columns of unequal length raise ValueError
+    naming the odd one out.  An enum column holds
     positions in its enum: any other code raises ValueError naming the
     column, the code and the first event that holds it.  A row whose
     parameter is nan or infinite, which :func:`run_monitor` reports as a P1
@@ -231,6 +234,11 @@ class Trace:
     def __init__(self, source, *columns):
         if len(columns) != len(_COLUMNS):
             raise TypeError(f"Trace takes a source and {len(_COLUMNS)} columns, got {len(columns)}")
+        for key, column, dtype in zip(_COLUMNS, columns, _DTYPES):
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == dtype):
+                got = (f"{column.ndim}-D {column.dtype} array" if isinstance(column, np.ndarray)
+                       else type(column).__name__)
+                raise ValueError(f"column {key!r} must be a 1-D {np.dtype(dtype)} array, got {got}")
         lengths = list(map(len, columns))
         if lengths.count(lengths[0]) != len(lengths):
             size = max(lengths, key=lengths.count)
@@ -426,18 +434,6 @@ def run_monitor(trace: Trace) -> Verdict:
     )
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, through ``operator.index``: an int or a numpy
-    integer.  A bool, a float or anything else raises ValueError naming
-    ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def generate_trace(seed: int, length: int, template: ControllerSpec, violations=()) -> Trace:
     """Deterministic pseudo-random execution around a template controller.
 
@@ -448,19 +444,20 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     (P1 by zeroing one positivity conjunct or dropping n to 1, P2 by a
     frequency inside the non-attenuating band, or a non-positive one when
     the model attenuates everywhere).  Identical arguments produce an
-    identical trace; ``seed`` must be a non-negative int, and ``length``
-    and each violation index an int or a numpy integer.  Raises
+    identical trace.  ``seed``, ``length`` and each violation index are
+    integers, as :func:`model._check_value` reads them.  Raises
     ValueError, naming the first such event, where a drawn or injected
     frequency is not a finite double: the template's band, ``w^2``, leaves
     the float range.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    seed = _check_value(int, seed, "seed ")
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    length = _integer(length, "length")
+    length = _check_value(int, length, "length ")
     if length < 0:
         raise ValueError("length must be >= 0")
     error_model(template)  # reject invalid or unsupported templates up front
-    plan = [(_integer(i, "violation index"), str(kind)) for i, kind in violations]
+    plan = [(_check_value(int, i, "violation index "), str(kind)) for i, kind in violations]
     for i, kind in plan:
         if not 0 <= i < length:
             raise ValueError(f"violation index {i} outside trace of length {length}")
@@ -804,7 +801,7 @@ def _check_line(line, count):
         raise ValueError("'i' must be an integer")
     if idx != count:
         raise ValueError(f"event index {idx} does not match position {count}")
-    values = [_check_value(_SCHEMA[key], obj[key], f"'{key}' ") for key in _COLUMNS]
+    values = [_check_value(_SCHEMA[key], obj[key], f"'{key}' ", schema=True) for key in _COLUMNS]
     return [_CODES[key][v.value] if key in _CODES else v for key, v in zip(_COLUMNS, values)]
 
 

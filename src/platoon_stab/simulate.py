@@ -57,7 +57,8 @@ from typing import Callable
 import numpy as np
 
 from . import _text
-from .model import _CLASSIC, _MODELS, ErrorModel, PlatoonParams, _allocating, validate_platoon
+from .model import (_CLASSIC, _MODELS, ErrorModel, PlatoonParams, _allocating, _check_value,
+                    validate_platoon)
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
 _AMPLITUDE_FLOOR = 1e-12
@@ -111,7 +112,8 @@ class SimConfig:
     steady-state measurements; the default keeps the final 30%.  The
     input is not part of the config: :func:`simulate_chain` takes it as a
     function, and an input value that is not finite is a ValueError
-    naming its time (see :func:`_integrate_linear`).
+    naming its time (see :func:`_integrate_linear`).  Each field is read
+    as a finite float through ``model._check_value``.
     """
 
     dt: float               # step size [s]
@@ -119,12 +121,10 @@ class SimConfig:
     discard: float = field(default=0.7, kw_only=True)  # transient fraction dropped
 
     def __post_init__(self):
-        if not math.isfinite(self.dt):
-            raise ValueError("dt must be finite")
+        for name in ("dt", "duration", "discard"):
+            object.__setattr__(self, name, _check_value(float, getattr(self, name), f"{name} "))
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not math.isfinite(self.duration):
-            raise ValueError("duration must be finite")
         if not self.duration >= 100.0 * self.dt:
             raise ValueError("duration must be at least 100*dt")
         if not math.isfinite(self.duration / self.dt):
@@ -424,14 +424,16 @@ def simulate_chain(
     """Integrate ``z_i'' = -a1*z_i' - a0*z_i + b1*z_{i-1}' + b0*z_{i-1}``
     for i = 2..n with z_1 as the input channel.
 
-    All integrated channels start from rest (zero initial conditions).
+    ``n`` is an integer > 1, an int or a numpy integer.  All integrated
+    channels start from rest (zero initial conditions).
     ``input_fn`` maps a 1-D array of times in [0, duration] to the arrays
     ``(z_1, z_1')`` at those times, as :func:`sine_input` and
     :func:`tabulated_input` build it; without one the input is zero.
     An input value that is not finite raises ValueError naming its time;
     :class:`DivergenceError` is kept for a state that overflows on its own.
     """
-    if not isinstance(n, int) or n <= 1:
+    n = _check_value(int, n, "n ")
+    if n <= 1:
         raise ValueError("n must be an integer > 1")
     if input_fn is None:
         input_fn = sine_input(0.0, 0.0)

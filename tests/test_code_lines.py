@@ -44,3 +44,11 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["8", str(tmp_path / "a.py"),
                                                "1", str(tmp_path / "b.py"), "9", "total"]
+
+
+def test_counts_a_file_that_two_paths_reach_once(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path), str(tmp_path / "a.py"), str(tmp_path / "b.py")]) == 0
+    assert capsys.readouterr().out.split() == ["8", str(tmp_path / "a.py"),
+                                               "1", str(tmp_path / "b.py"), "9", "total"]

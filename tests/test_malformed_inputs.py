@@ -1,4 +1,5 @@
-"""Every malformed input exits 2 and names its line.
+"""Every malformed input exits 2 and names its line, and every number a
+public call takes follows the rule of spec files and trace lines.
 
 One property over bytes derived from a valid trace file and a valid spec
 file, in two tests, one for each input.  The mutations follow the catalogue of N. Seriot, "Parsing JSON is a
@@ -8,21 +9,41 @@ huge exponents, the ``NaN`` and ``Infinity`` tokens, and truncation.  Each
 mutation is written here by hand and says whether it makes its line
 malformed, so the expected outcome does not come from the reader under
 test.  ``cli.main`` runs in this process.
+
+A third property calls the library: each numeric argument of a public call,
+given as a numpy integer or float equal to a valid Python value, gives the
+result of that value bit for bit, and a bool, a string, None, or a nan or
+an infinity for a float argument, is a ValueError that names the argument.
 """
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from platoon_stab import controller_spec_to_dict, generate_trace, monitor, write_trace
+import numpy as np
+
+from platoon_stab import (
+    ErrorModel,
+    SimConfig,
+    controller_spec_to_dict,
+    frequency_response,
+    generate_trace,
+    is_stable_at,
+    monitor,
+    simulate_chain,
+    sine_input,
+    sweep,
+    write_trace,
+)
 from platoon_stab.cli import main
 from platoon_stab.model import _PARAM_KINDS, _SPEC_ENUMS
 from platoon_stab.monitor import _CHUNK, _SCHEMA
-from conftest import NON, UNI, CS, make_spec
+from conftest import NON, UNI, CS, make_params, make_spec
 
 # Two chunks, so that a split parse reads them in two ranges.
 LINES = _CHUNK + 40
@@ -186,3 +207,99 @@ def test_every_command_on_a_mutated_spec_exits_2_with_one_error_line(files, name
         assert (code, stdout) == (2, ""), (command, err)
         assert re.fullmatch(r"error: [^\n]+\n", err), err
         assert not out.exists()
+
+
+MODEL = ErrorModel(a0=2.0, a1=0.4, b0=2.0, b1=0.4)
+CFG = SimConfig(dt=1 / 16, duration=8.0)
+
+
+def _written(trace):
+    text = io.StringIO()
+    write_trace(trace, text)
+    return text.getvalue()
+
+
+def _series(series):
+    return series.t.tobytes(), series.z.tobytes(), series.zdot.tobytes()
+
+
+def _sweep(result):
+    return tuple(getattr(result, key).tobytes()
+                 for key in ("omega", "value", "magnitude", "stable"))
+
+
+# Multiples of 1/8, which every numpy float type holds exactly.
+EIGHTHS = st.integers(1, 64).map(lambda k: k / 8)
+
+# Each numeric argument of a public call, as "call.argument" -> (the call
+# with that argument and valid others, as a comparable result; its kind;
+# valid Python values).
+ARGUMENTS = {
+    **{f"PlatoonParams.{name}": (lambda v, name=name: make_params(**{name: v}), float, EIGHTHS)
+       for name, kind in _PARAM_KINDS.items() if kind is float},
+    "PlatoonParams.n": (lambda v: make_params(n=v), int, st.integers(-100, 300)),
+    "SimConfig.dt": (lambda v: SimConfig(dt=v, duration=8.0), float,
+                     st.integers(4, 8).map(lambda k: 2.0 ** -k)),
+    "SimConfig.duration": (lambda v: SimConfig(dt=1 / 16, duration=v), float,
+                           st.integers(13, 40).map(lambda k: k / 2)),
+    "SimConfig.discard": (lambda v: SimConfig(dt=1 / 16, duration=8.0, discard=v), float,
+                          st.integers(0, 7).map(lambda k: k / 8)),
+    "simulate_chain.n": (lambda v: _series(simulate_chain(MODEL, v, CFG, sine_input(1.0, 3.0))),
+                         int, st.integers(2, 5)),
+    "sweep.omega_min": (lambda v: _sweep(sweep(MODEL, v, 9.0, 7)), float, EIGHTHS),
+    "sweep.omega_max": (lambda v: _sweep(sweep(MODEL, 0.5, v, 7)), float,
+                        EIGHTHS.map(lambda w: 1.0 + w)),
+    "sweep.points": (lambda v: _sweep(sweep(MODEL, 0.5, 9.0, v, "linear")), int,
+                     st.integers(2, 200)),
+    "frequency_response.omega": (lambda v: frequency_response(MODEL, v), float, EIGHTHS),
+    "is_stable_at.omega": (lambda v: is_stable_at(MODEL, v), float, EIGHTHS),
+    "generate_trace.seed": (lambda v: _written(generate_trace(v, 5, make_spec())), int,
+                            st.integers(0, 300)),
+    "generate_trace.length": (lambda v: _written(generate_trace(1, v, make_spec())), int,
+                              st.integers(0, 40)),
+    "generate_trace.violation index": (
+        lambda v: _written(generate_trace(1, 5, make_spec(), [(v, "P2")])), int,
+        st.integers(0, 4)),
+}
+NUMPY_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+               np.float16, np.float32, np.float64, np.longdouble]
+
+
+def _holds(kind, number_type, value):
+    """Whether ``number_type`` holds ``value`` exactly, as an integer where
+    ``kind`` is int."""
+    if kind is int and not issubclass(number_type, np.integer):
+        return False
+    try:
+        return number_type(value) == value
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(ARGUMENTS)), data=st.data())
+def test_a_numpy_number_gives_the_result_of_its_value(name, data):
+    call, kind, values = ARGUMENTS[name]
+    value = data.draw(values, label="value")
+    types = [t for t in NUMPY_TYPES if _holds(kind, t, value)]
+    number = data.draw(st.sampled_from(types), label="type")(value)
+    assert call(number) == call(value)
+
+
+NOT_NUMBERS = [True, False, np.True_, np.False_, "1", None]
+NOT_FINITE = [math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("-inf")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(ARGUMENTS)), data=st.data())
+def test_a_bool_a_string_none_or_a_non_finite_float_is_refused_by_name(name, data):
+    call, kind, _ = ARGUMENTS[name]
+    at = data.draw(st.integers(0, len(NOT_NUMBERS) + len(NOT_FINITE) * (kind is float) - 1),
+                   label="at")
+    value = (NOT_NUMBERS + NOT_FINITE)[at]
+    argument = name.partition(".")[2]
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    what = "an integer" if kind is int else "a number"
+    expected = f"must be {what}, got {value!r}" if at < len(NOT_NUMBERS) else "must be finite"
+    assert str(excinfo.value) == f"{argument} {expected}"

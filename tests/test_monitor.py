@@ -375,11 +375,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_trace(1, -5, const_spacing_spec)
 
-    @pytest.mark.parametrize("seed", [-1, None, 1.0, True, "1", np.int64(1)],
-                             ids=["negative", "none", "float", "bool", "str", "numpy-int"])
-    def test_refuses_a_seed_that_is_not_a_non_negative_int(self, const_spacing_spec, seed):
-        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
-                                                       f"got {seed!r}")):
+    # The type is model._check_value's to refuse, the sign generate_trace's.
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be a non-negative integer, got -1"),
+        (None, "seed must be an integer, got None"),
+        (1.0, "seed must be an integer, got 1.0"),
+        (True, "seed must be an integer, got True"),
+        ("1", "seed must be an integer, got '1'"),
+    ], ids=["negative", "none", "float", "bool", "str"])
+    def test_refuses_a_seed_that_is_not_a_non_negative_int(self, const_spacing_spec, seed,
+                                                           message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_trace(seed, 3, const_spacing_spec)
 
     @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None],
@@ -393,9 +399,11 @@ class TestGenerator:
             generate_trace(1, 5, const_spacing_spec, [(value, "P2")])
 
     def test_reads_numpy_integers_as_their_values(self, const_spacing_spec):
-        expected = written(generate_trace(1, 5, const_spacing_spec, [(3, "P2")]))
-        assert written(generate_trace(1, np.int64(5), const_spacing_spec,
-                                      [(np.int16(3), "P2")])) == expected
+        # default_rng(np.int64(7)) draws what default_rng(7) draws.
+        expected = written(generate_trace(7, 5, const_spacing_spec, [(3, "P2")]))
+        trace = generate_trace(np.int64(7), np.int64(5), const_spacing_spec, [(np.int16(3), "P2")])
+        assert written(trace) == expected
+        assert trace.source == "seed:7"
 
     def test_refuses_a_stable_band_beyond_the_float_range(self):
         # a0 = k/m = 1e310 overflows, so the first draw of w is inf.
@@ -808,6 +816,24 @@ class TestTraceLayout:
         columns[_COLUMNS.index(name)][[2, 4]] = code
         with pytest.raises(ValueError, match=re.escape(
                 f"column '{name}' holds code {code} at event 2, not one of 0 to {len(members) - 1}")):
+            Trace("memory", *columns)
+
+    # A column of another dtype is read through casts: a float enum column
+    # of 0.5 passed the scan as code 0 and could not be indexed.
+    @pytest.mark.parametrize("name,column,got", [
+        ("cf", np.full(5, 0.5), "1-D float64 array"),
+        ("n", np.full(5, 10, dtype=np.int32), "1-D int32 array"),
+        ("m", np.full(5, 1000), "1-D int64 array"),
+        ("w", np.full((5, 1), 3.0), "2-D float64 array"),
+        ("ct", [0] * 5, "list"),
+    ], ids=["float-enum", "int32-n", "int-float", "2-D", "list"])
+    def test_columns_not_1d_of_their_dtype_are_refused(self, name, column, got):
+        trace = generate_trace(1, 5, make_spec())
+        columns = [getattr(trace, key) for key in _COLUMNS]
+        columns[_COLUMNS.index(name)] = column
+        dtype = np.dtype(monitor._DTYPES[_COLUMNS.index(name)])
+        message = f"column {name!r} must be a 1-D {dtype} array, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Trace("memory", *columns)
 
     def test_empty_traces_have_the_column_dtypes(self):

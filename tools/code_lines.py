@@ -8,7 +8,8 @@ docstring.  Usage::
 
     python3 tools/code_lines.py src/platoon_stab [more files or directories]
 
-prints each file's count, then the total.
+prints each file's count, then the total.  A file that several of the
+given paths reach is counted once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     paths = [Path(arg) for arg in argv] or [Path("src")]
-    files = sorted(f for p in paths for f in (p.rglob("*.py") if p.is_dir() else [p]))
+    found = {f.resolve(): f for p in paths for f in (p.rglob("*.py") if p.is_dir() else [p])}
+    files = sorted(found.values())
     total = 0
     for f in files:
         count = code_lines(f.read_text(encoding="utf-8"))
