@@ -382,7 +382,8 @@ class TestGenerator:
         (1.0, "seed must be an integer, got 1.0"),
         (True, "seed must be an integer, got True"),
         ("1", "seed must be an integer, got '1'"),
-    ], ids=["negative", "none", "float", "bool", "str"])
+        (np.int64(-1), "seed must be a non-negative integer, got -1"),
+    ], ids=["negative", "none", "float", "bool", "str", "numpy-int"])
     def test_refuses_a_seed_that_is_not_a_non_negative_int(self, const_spacing_spec, seed,
                                                            message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
