@@ -146,8 +146,6 @@ def cmd_simulate(args) -> int:
     model = error_model(spec)
     if not args.omega > 0.0:
         raise ValueError("--omega must be positive")
-    if not math.isfinite(args.omega):
-        raise ValueError("--omega must be finite")
     if args.dt == "auto":
         dt = default_dt(args.omega, model.a0, model.a1)
     else:

@@ -134,8 +134,8 @@ def is_stable_at(model: ErrorModel, omega: float) -> bool:
 
 def stability_constraint(model: ErrorModel) -> StabilityConstraint:
     """Quartic-form stability condition equivalent to ``|H(i*omega)| < 1``
-    (elementwise for array coefficients)."""
-    alpha = model.a1 * model.a1 - model.b1 * model.b1 - 2.0 * model.a0
+    (elementwise for array coefficients, and exact on ``Fraction`` ones)."""
+    alpha = model.a1 * model.a1 - model.b1 * model.b1 - 2 * model.a0
     beta = model.a0 * model.a0 - model.b0 * model.b0
     return StabilityConstraint(alpha=alpha, beta=beta)
 

@@ -194,12 +194,17 @@ class AttenuationReport:
 def sine_input(amplitude: float, omega: float) -> Callable:
     """Input channel ``A*sin(w*t)`` with its derivative; zero when A == 0.
 
-    The returned function takes a float or an array of times.
+    The returned function takes a float or an array of times.  Both numbers
+    are read as finite floats through ``model._check_value``, so a bool or a
+    nan amplitude is a ValueError naming it here; the run checks what it
+    computes from them, a phase ``w*t`` or a rate ``A*w`` that overflows
+    (see :func:`_integrate_linear`).
     """
+    amplitude = _check_value(float, amplitude, "amplitude ")
+    omega = _check_value(float, omega, "omega ")
     if amplitude == 0.0:
         return lambda t: (0.0 * t, 0.0 * t)
-    aw = amplitude * omega
-    return lambda t: (amplitude * np.sin(omega * t), aw * np.cos(omega * t))
+    return lambda t: (amplitude * np.sin(omega * t), amplitude * omega * np.cos(omega * t))
 
 
 def tabulated_input(t, z, zdot) -> Callable:
@@ -209,14 +214,18 @@ def tabulated_input(t, z, zdot) -> Callable:
     interpolation error is fourth order in the sample spacing (the same
     order as the integrator).  Queries outside the sampled range clamp to
     the end intervals.  The returned function takes a float or an array
-    of times.  Raises ValueError unless ``t``, ``z`` and ``zdot`` are 1-D
-    of one length, at least two, and the times are finite and strictly
-    increasing.  A sample that is not finite is refused by the run that
-    reads it, at the first time the interpolant is not finite.
+    of times.  Raises ValueError, naming the argument, unless ``t``, ``z``
+    and ``zdot`` are arrays of integers or floats (not bools, text or
+    objects), 1-D of one length, at least two, and the times are finite
+    and strictly increasing.  A ``z`` or ``zdot`` sample that is not finite
+    reaches the run only through the interpolant, a value the run
+    computes, so the run refuses it at the first time the interpolant is
+    not finite.
     """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
+    for name, values in (("t", t), ("z", z), ("zdot", zdot)):
+        if (dtype := np.asarray(values).dtype).kind not in "iuf":
+            raise ValueError(f"tabulated input {name} must hold integers or floats, got {dtype}")
+    t, z, zdot = (np.asarray(values, dtype=float) for values in (t, z, zdot))
     if not t.ndim == z.ndim == zdot.ndim == 1:
         raise ValueError("tabulated input samples must be 1-D")
     if len(t) < 2:
@@ -259,7 +268,15 @@ def default_dt(omega: float, a0: float, a1: float = 0.0) -> float:
     chain, whose state matrix is block triangular with these 2x2 blocks.
     The step is the reciprocal of the fastest of these rates, inf where
     they are all 0 (as where ``a0 = k/m`` underflows), and is then capped
-    by the input period."""
+    by the input period.  The three numbers are read as finite floats
+    through ``model._check_value``.  A rate outside the domain of the
+    square roots, a negative ``a0`` or an ``a1`` below ``-2*sqrt(a0)``
+    (positive real roots), is a ValueError naming it."""
+    omega, a0, a1 = (_check_value(float, value, f"{name} ")
+                     for name, value in (("omega", omega), ("a0", a0), ("a1", a1)))
+    if a0 < 0.0 or 0.5 * a1 < -math.sqrt(a0):
+        raise ValueError(f"a0 must be non-negative, got {a0!r}" if a0 < 0.0 else
+                         f"a1 must be at least -2*sqrt(a0), got {a1!r}")
     root, half = math.sqrt(a0), 0.5 * a1
     # The largest |lambda|: half + sqrt(half^2 - a0) when the roots are real,
     # factored so that half^2 cannot overflow, else sqrt(a0), which
@@ -339,22 +356,33 @@ def _recur(x, M, powers=None):
         row += prev @ M
 
 
-def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
+def _input_rows(input_fn, t):
+    """The input rows at the times ``t``: the columns that ``input_fn``
+    returns, each broadcast to ``t``'s length, so a column may be one
+    number."""
+    return np.stack(np.broadcast_arrays(t, *input_fn(t))[1:], axis=1)
+
+
+def _integrate_linear(A, B, cfg: SimConfig, input_fn, input_cols=None):
     """Integrate ``x' = A x + B u`` from rest on the grid of ``cfg``: the
     times ``t``, ``k * dt`` for k = 0 to ``cfg.steps``, and a C-contiguous
     array whose row k is the state at ``t[k]``.
 
-    ``inputs`` maps a 1-D array of times to the input rows, shape
-    ``(len(t), p)``; it sees every time of the half-step grid exactly once,
-    a block at a time.  Columns ``input_cols`` of the state are not
-    integrated: they record the input itself at each grid time, and A and
-    B must neither read nor drive them.
+    ``input_fn`` maps a 1-D array of times to the ``p`` input columns at
+    those times, which :func:`_input_rows` stacks into the input rows; it
+    sees every time of the half-step grid exactly once, a block at a time.
+    Columns ``input_cols`` of the state are not integrated: they record the
+    input itself at each grid time, and A and B must neither read nor drive
+    them.
 
     At the first grid time whose row is not finite, raises ValueError
     naming the time of the first input row up to it that is not finite,
     else :class:`DivergenceError`.  Every input row reaches the state
-    (0 * nan is nan), so this is the one check on the inputs.  A grid too
-    large for its output buffer raises MemoryError naming its step count.
+    (0 * nan is nan), so this is the one check on the values that the run
+    computes: whatever ``input_fn`` returns, an overflowing sine phase or
+    an interpolated sample.  The numbers a call takes are checked at the
+    call.  A grid too large for its output buffer raises MemoryError
+    naming its step count.
     """
     h, steps = cfg.dt, cfg.steps
     size, p = B.shape
@@ -371,7 +399,7 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
         # A block that the scan leaves non-finite is stepped again row by
         # row, so the time reported is the one-step recurrence's.
         attempts = (None,) if powers is None else (powers, None)
-        u = inputs(np.zeros(1))
+        u = _input_rows(input_fn, np.zeros(1))
         if input_cols:
             out[0, input_cols] = u[0]
         for k0 in range(0, steps, _BLOCK):
@@ -379,7 +407,7 @@ def _integrate_linear(A, B, cfg: SimConfig, inputs, input_cols=None):
             t = np.empty(2 * (k1 - k0) + 1)
             t[0::2] = np.arange(k0, k1 + 1) * h
             t[1::2] = t[:-1:2] + 0.5 * h
-            u = np.concatenate((u[-1:], inputs(t[1:])))
+            u = np.concatenate((u[-1:], _input_rows(input_fn, t[1:])))
             x = out[k0:k1 + 1]
             for attempt in attempts:
                 np.matmul(u[:-1:2], N0, out=x[1:])
@@ -428,28 +456,22 @@ def simulate_chain(
     channels start from rest (zero initial conditions).
     ``input_fn`` maps a 1-D array of times in [0, duration] to the arrays
     ``(z_1, z_1')`` at those times, as :func:`sine_input` and
-    :func:`tabulated_input` build it; without one the input is zero.
-    An input value that is not finite raises ValueError naming its time;
-    :class:`DivergenceError` is kept for a state that overflows on its own.
+    :func:`tabulated_input` build it; without one the input is zero.  The
+    integrator calls it as it is given.  The numbers that build it are
+    checked where it is built; a value it returns that is not finite
+    raises ValueError naming its time, and :class:`DivergenceError` is
+    kept for a state that overflows on its own.
     """
     n = _check_value(int, n, "n ")
     if n <= 1:
         raise ValueError("n must be an integer > 1")
-    if input_fn is None:
-        input_fn = sine_input(0.0, 0.0)
     # z_1 and z_1' are the input, so the columns of A that read them move
     # into B.
     A = _cascade(model, n)
     slots = [0, n]
     B = A[:, slots]
     A[:, slots] = 0.0
-
-    def inputs(t):
-        u = np.empty((len(t), 2))
-        u[:, 0], u[:, 1] = input_fn(t)
-        return u
-
-    t, buf = _integrate_linear(A, B, cfg, inputs, input_cols=slots)
+    t, buf = _integrate_linear(A, B, cfg, input_fn or sine_input(0.0, 0.0), input_cols=slots)
     return ChainSeries(t=t, z=buf[:, :n], zdot=buf[:, n:])
 
 
@@ -482,11 +504,8 @@ def simulate_state_space(
     A[0, n] = 1.0
     B = np.zeros((2 * n, 1))
     B[n, 0] = 1.0 / params.m
-
-    def inputs(t):
-        return np.fromiter(map(leader_force, t.tolist()), float, len(t)).reshape(-1, 1)
-
-    t, buf = _integrate_linear(A, B, cfg, inputs)
+    t, buf = _integrate_linear(
+        A, B, cfg, lambda t: (np.fromiter(map(leader_force, t.tolist()), float, len(t)),))
     return StateSeries(t=t, x=buf[:, :n], v=buf[:, n:])
 
 

@@ -316,20 +316,49 @@ class TestSimulate:
             "", "error: a chain of 1e+09 channels is too large to allocate\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("amp", ["nan", "inf", "1e308"])  # 1e308: the rate amp * omega is inf
-    def test_an_input_that_is_not_finite_is_named(self, spec_file, tmp_path, capsys, amp):
+    # nan and inf: sine_input refuses the amplitude it takes.  1e308: the
+    # rate amp * omega that the run computes is inf, so the run refuses it.
+    @pytest.mark.parametrize("amp,message", [("nan", "amplitude must be finite"),
+                                             ("inf", "amplitude must be finite"),
+                                             ("1e308", "input at t = 0 s is not finite")],
+                             ids=["nan", "inf", "1e308"])
+    def test_an_input_that_is_not_finite_is_named(self, spec_file, tmp_path, capsys, amp,
+                                                  message):
         out = tmp_path / "t.csv"
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "3",
                      "--amp", amp, "--duration", "150", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: input at t = 0 s is not finite\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("omega,duration,message", [("inf", "150", "--omega must be finite"),
-                                                        ("3", "inf", "duration must be finite")])
+    # An infinite --omega is refused by the library call that takes it; the
+    # ids keep the names the flag's own check gave them.
+    @pytest.mark.parametrize("omega,duration,message", [("inf", "150", "omega must be finite"),
+                                                        ("3", "inf", "duration must be finite")],
+                             ids=["inf-150---omega must be finite",
+                                  "3-inf-duration must be finite"])
     def test_an_infinite_flag_is_named(self, spec_file, tmp_path, capsys, omega, duration, message):
         assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", omega,
                      "--duration", duration, "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # With a step given, the infinite omega reaches sine_input, which
+    # refuses it the same way.
+    def test_an_infinite_omega_with_a_given_step_is_named(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "inf",
+                     "--duration", "150", "--dt", "0.01", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: omega must be finite\n")
+        assert not out.exists()
+
+    # a0 = k/m overflows to inf: the auto step names the rate it cannot
+    # read, not a --dt the user never gave.
+    def test_an_auto_step_on_an_overflowing_rate_names_it(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec(m=1e-300, k=1e10)), "--n", "3",
+                     "--omega", "3", "--duration", "150", "--dt", "auto",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: a0 must be finite\n")
+        assert not out.exists()
 
     # a0 = k/m and a1 = c/m underflow to 0: the auto step is the input
     # period's, and channel 2 is then never driven.  A raised error would

@@ -2,6 +2,8 @@ import io
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from platoon_stab import (
 )
 from platoon_stab import _text
 from platoon_stab.frequency import _q_roots, _stable_band
-from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, make_spec, random_params
+from platoon_stab.model import _CLASSIC, _FLOAT_FIELDS, _MODELS, _model_key
+from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, VS, make_spec, random_params
 
 # Sweep rows per write: five tokens a row.
 _CSV_CHUNK = _text.VALUES_PER_WRITE // 5
@@ -194,6 +197,43 @@ class TestStabilityDecision:
                 if any(abs(omega - c) <= 1e-9 for c in crits):
                     continue
                 assert is_stable_at(model, omega) == (con.q(omega * omega) > 0.0)
+
+
+# Positive rationals, from 1e-6 to 1e6, as exact parameters.
+_RATIONALS = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+# Five points fix a polynomial of degree 4 in w.
+_W_POINTS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7))
+
+
+def exact_models(params):
+    """Each model's ErrorModel of Fractions: the coefficient map applied to
+    the exact parameters, keyed by combination."""
+    return {combo: ErrorModel(*_MODELS[_model_key(*combo)](params)) for combo in SUPPORTED_COMBOS}
+
+
+class TestTheoremReplay:
+    """The paper's stability theorems, replayed exactly on the coefficient
+    map: ``|H(iw)| < 1`` iff ``Q(w^2) > 0`` because ``|den(iw)|^2 -
+    |num(iw)|^2`` is ``Q(w^2)`` as a polynomial, and each strategy's
+    constraint is the sign of its ``alpha``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries({name: _RATIONALS for name in _FLOAT_FIELDS}))
+    def test_the_quartic_is_the_squared_modulus_difference(self, values):
+        p = SimpleNamespace(**values)
+        models = exact_models(p)
+        for combo, model in models.items():
+            constraint = stability_constraint(model)
+            assert type(constraint.alpha) is Fraction and type(constraint.beta) is Fraction
+            for w in _W_POINTS:
+                den = (model.a0 - w * w) ** 2 + (model.a1 * w) ** 2
+                num = model.b0 ** 2 + (model.b1 * w) ** 2
+                assert den - num == constraint.q(w * w), combo
+        classic = stability_constraint(models[_CLASSIC])
+        assert (classic.alpha, classic.beta) == (-2 * p.k / p.m, 0)
+        alpha = stability_constraint(models[(AUT, UNI, VS)]).alpha
+        margin = 2 * p.c * p.h + p.k * p.h * p.h - 2 * p.m
+        assert (alpha > 0, alpha < 0) == (margin > 0, margin < 0)
 
 
 class TestCriticalFrequencies:

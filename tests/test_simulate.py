@@ -54,8 +54,9 @@ class TestSimConfig:
             SimConfig(dt=0.01, duration=10.0, discard=1.0)
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, duration=10.0, discard=-0.1)
-        # The run, not the config, refuses an input that is not finite.
-        with pytest.raises(ValueError, match=r"^input at t = 0 s is not finite$"):
+        # Not the config but sine_input, which takes the number, refuses a
+        # nan amplitude.
+        with pytest.raises(ValueError, match=r"^amplitude must be finite$"):
             simulate_chain(_README_MODEL, 2, SimConfig(dt=0.01, duration=10.0),
                            sine_input(math.nan, 0.0))
 
@@ -421,6 +422,74 @@ _README_MODEL = ErrorModel(a0=2.0, a1=0.4, b0=2.0, b1=0.4)
 _WHEN = {"start": 0.0, "grid-time": 1500 * _DT, "half-step": 1500.5 * _DT}
 
 
+class TestInputArguments:
+    """The numbers that build a run's input pass ``model._check_value`` at
+    the call that takes them, each refusal a ValueError naming its argument;
+    what the run computes from them is checked by the run."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: sine_input(True, 3.0), "amplitude must be a number, got True"),
+        (lambda: sine_input(1.0, np.bool_(True)), "omega must be a number, got np.True_"),
+        (lambda: sine_input(1.0, "3"), "omega must be a number, got '3'"),
+        (lambda: sine_input(1.0, math.inf), "omega must be finite"),
+        (lambda: default_dt(True, 2.0), "omega must be a number, got True"),
+        (lambda: default_dt(math.nan, 2.0), "omega must be finite"),
+        (lambda: default_dt(1.0, math.inf), "a0 must be finite"),
+        (lambda: default_dt(1.0, 2.0, None), "a1 must be a number, got None"),
+        (lambda: default_dt(1.0, -1.0), "a0 must be non-negative, got -1.0"),
+        (lambda: default_dt(1.0, 1.0, -3.0), "a1 must be at least -2*sqrt(a0), got -3.0"),
+        (lambda: tabulated_input([False, True], [0.0, 1.0], [0.0, 0.0]),
+         "tabulated input t must hold integers or floats, got bool"),
+        (lambda: tabulated_input([0.0, 1.0], ["0", "1"], [0.0, 0.0]),
+         "tabulated input z must hold integers or floats, got <U1"),
+        (lambda: tabulated_input([0.0, 1.0], [0.0, 1.0], np.array([0.0, 0.0], dtype=object)),
+         "tabulated input zdot must hold integers or floats, got object"),
+    ], ids=["sine-amplitude-bool", "sine-omega-numpy-bool", "sine-omega-text", "sine-omega-inf",
+            "dt-omega-bool", "dt-omega-nan", "dt-a0-inf", "dt-a1-none", "dt-a0-negative",
+            "dt-a1-below-its-root-bound", "tabulated-t-bool", "tabulated-z-text",
+            "tabulated-zdot-object"])
+    def test_a_bad_number_is_refused_by_name(self, call, message):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+    def test_numpy_numbers_build_the_input_of_their_values(self):
+        t = np.linspace(0.0, 50.0, 501)
+        expected = sine_input(1.5, 3.0)(t)
+        for got in (sine_input(np.float32(1.5), np.int64(3))(t), sine_input(3 / 2, 3)(t)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert default_dt(np.int8(3), np.float16(2.0), np.int64(0)) == default_dt(3.0, 2.0)
+        samples = np.array([0.0, 1.0, 2.0]), np.array([1.0, -2.0, 0.0]), np.array([0.0, 3.0, 1.0])
+        ints = tabulated_input(*(a.astype(np.int32) for a in samples))(t)
+        assert all(np.array_equal(a, b) for a, b in zip(ints, tabulated_input(*samples)(t)))
+
+    # The refusals cover only where math.sqrt failed: any other negative
+    # rate gives the step it gave, here a1 = -2*sqrt(a0) exactly.
+    def test_a_negative_rate_inside_the_square_roots_domain_keeps_its_step(self):
+        assert default_dt(0.0, 4.0, -4.0) == 1.0 / 40.0
+        assert default_dt(0.0, 4.0, -1.0) == default_dt(0.0, 4.0)
+
+    def test_the_integrator_calls_the_input_function_it_is_given(self):
+        calls = []
+
+        def input_fn(t):
+            calls.append(t.copy())
+            return np.sin(t), np.cos(t)
+
+        series = simulate_chain(_README_MODEL, 3, _INPUT_CFG, input_fn)
+        assert [len(t) for t in calls] == [1, 2 * simulate._BLOCK, 2 * (2000 - simulate._BLOCK)]
+        times = np.concatenate(calls)
+        assert np.array_equal(times, np.arange(4001) * (_DT / 2))
+        assert np.array_equal(series.z[:, 0], np.sin(series.t))
+        assert np.array_equal(series.zdot[:, 0], np.cos(series.t))
+
+    def test_an_input_column_given_as_one_number_is_broadcast(self):
+        series = simulate_chain(_README_MODEL, 3, _INPUT_CFG, lambda t: (np.sin(t), 0.5))
+        full = simulate_chain(_README_MODEL, 3, _INPUT_CFG,
+                              lambda t: (np.sin(t), np.full(len(t), 0.5)))
+        assert np.array_equal(series.z, full.z) and np.array_equal(series.zdot, full.zdot)
+
+
 def _run_with_bad_input(source, value, when):
     """Run with an input that is finite before ``when`` and ``value`` at it."""
     if source == "input_fn":
@@ -456,10 +525,12 @@ class TestNonFiniteInputs:
     def test_a_bad_value_is_named_at_its_time(self, source, value, when):
         _refused_at(lambda: _run_with_bad_input(source, value, _WHEN[when]), _WHEN[when])
 
+    # An amplitude is a number the call takes, so sine_input refuses it
+    # before any run starts.
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
     def test_a_bad_sinusoid_amplitude_is_named_at_the_start(self, amplitude):
-        _refused_at(lambda: simulate_chain(_README_MODEL, 3, _INPUT_CFG,
-                                           sine_input(amplitude, 3.0)), 0.0)
+        with pytest.raises(ValueError, match=r"^amplitude must be finite$"):
+            simulate_chain(_README_MODEL, 3, _INPUT_CFG, sine_input(amplitude, 3.0))
 
     # A sinusoid of finite amplitude and frequency is not finite after t = 0
     # only where its phase leaves the float range: there sin and cos are nan.
