@@ -124,8 +124,11 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
     model = error_model(spec)
-    result = sweep(model, args.omega_min, args.omega_max, args.points, args.spacing)
+    # The constraint first, so that one that overflows is refused before a
+    # point is computed.
     constraint = stability_constraint(model)
+    intervals = stable_intervals(constraint)
+    result = sweep(model, args.omega_min, args.omega_max, args.points, args.spacing)
     summary = {
         "points": args.points,
         "omega_min": args.omega_min,
@@ -133,7 +136,7 @@ def cmd_sweep(args) -> int:
         "spacing": args.spacing,
         "stable_fraction": result.stable_fraction,
         "critical_frequencies": critical_frequencies(constraint),
-        "stable_intervals": _interval_json(stable_intervals(constraint)),
+        "stable_intervals": _interval_json(intervals),
     }
     with _open_out(args.out, sys.stdout) as fh:
         write_sweep_csv(result, fh)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .model import ErrorModel, _allocating, _check_value
+from .model import ErrorModel, _allocating, _check_model, _check_value
 
 class SingularityError(ArithmeticError):
     """The transfer-function denominator vanishes at the requested point."""
@@ -98,10 +98,12 @@ def frequency_response(model: ErrorModel, omega: float) -> FrequencyResponse:
     the model's largest rate is near 1, ``a1*w`` underflows where
     ``a0 = w^2`` only when a1 lies far below that rate.  The arithmetic is
     that of :func:`sweep`, so a sweep row and this function agree bit for
-    bit.
+    bit.  The model's four coefficients are read through
+    ``model._check_model``: one that is not a finite number is a ValueError
+    naming it.
     """
     omega = _check_value(float, omega, "omega ")
-    value, magnitude = _response(model, np.float64(omega))
+    value, magnitude = _response(_check_model(model), np.float64(omega))
     return FrequencyResponse(omega=omega, value=complex(value), magnitude=float(magnitude))
 
 
@@ -125,7 +127,9 @@ def _response(model, w):
 def is_stable_at(model: ErrorModel, omega: float) -> bool:
     """Strict attenuation test ``|H(i*omega)| < 1`` at a single frequency.
 
-    Only positive frequencies are meaningful; omega <= 0 raises ValueError.
+    Only positive frequencies are meaningful; omega <= 0 raises ValueError,
+    and so does a model coefficient that is not a finite number (see
+    :func:`frequency_response`).
     """
     if not _check_value(float, omega, "omega ") > 0.0:
         raise ValueError("omega must be positive")
@@ -261,8 +265,11 @@ def sweep(
 
     Grid points are independent of one another, so results do not depend
     on evaluation order.  The range is read as finite floats and
-    ``points`` as an integer, through ``model._check_value``.
+    ``points`` as an integer, through ``model._check_value``, and the
+    model's coefficients as in :func:`frequency_response`, before any
+    point is computed.
     """
+    model = _check_model(model)
     omega_min = _check_value(float, omega_min, "omega_min ")
     omega_max = _check_value(float, omega_max, "omega_max ")
     points = _check_value(int, points, "points ")

@@ -246,6 +246,15 @@ class ErrorModel:
         return f"H(s) = ({self.b1:g}*s + {self.b0:g}) / (s^2 + {self.a1:g}*s + {self.a0:g})"
 
 
+def _check_model(model: ErrorModel) -> ErrorModel:
+    """``model`` with its four coefficients read as finite floats through
+    :func:`_check_value`, the rule of every call that computes on one
+    model: a run and a frequency response.  A coefficient that is not a
+    finite number, such as an ``a0 = k/m`` that overflowed, is a ValueError
+    naming it (``a0 must be finite``)."""
+    return ErrorModel(*(_check_value(float, value, f"{name} ") for name, value in vars(model).items()))
+
+
 _AUT, _NON = ControllerType.AUTONOMOUS, ControllerType.NON_AUTONOMOUS
 _UNI, _BI = Configuration.UNIDIRECTIONAL, Configuration.BIDIRECTIONAL
 _CS, _VS, _VTH = Strategy.CONSTANT_SPACING, Strategy.VARIABLE_SPACING, Strategy.VAR_TIME_HEADWAY

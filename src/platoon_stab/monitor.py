@@ -703,9 +703,16 @@ def _fork_range(path, identity, columns, a, b, size):
 
 
 def parse_trace_lines(lines, source: str = "<stream>") -> Trace:
-    """Parse trace lines; any malformed line raises :class:`TraceParseError`."""
-    chunks = [_typed([]), *(chunk for _, chunk in _chunks(lines))]
-    return Trace(source, *map(np.concatenate, zip(*chunks)))
+    """Parse trace lines; any malformed line raises :class:`TraceParseError`.
+
+    Each column's parts are kept in a list of their own and joined one
+    column at a time, that column's parts dropped once it is joined, so the
+    join holds the columns and one more column at most."""
+    parts = [[column] for column in _typed([])]
+    for _, chunk in _chunks(lines):
+        for column_parts, part in zip(parts, chunk):
+            column_parts.append(part)
+    return Trace(source, *[np.concatenate(parts.pop(0)) for _ in range(len(parts))])
 
 
 def _chunks(lines, offset=0):

@@ -57,8 +57,8 @@ from typing import Callable
 import numpy as np
 
 from . import _text
-from .model import (_CLASSIC, _MODELS, ErrorModel, PlatoonParams, _allocating, _check_value,
-                    validate_platoon)
+from .model import (_CLASSIC, ControllerSpec, ErrorModel, PlatoonParams, _allocating,
+                    _check_model, _check_value, error_model)
 
 # Reference amplitudes below this make an attenuation ratio meaningless.
 _AMPLITUDE_FLOOR = 1e-12
@@ -215,15 +215,21 @@ def tabulated_input(t, z, zdot) -> Callable:
     order as the integrator).  Queries outside the sampled range clamp to
     the end intervals.  The returned function takes a float or an array
     of times.  Raises ValueError, naming the argument, unless ``t``, ``z``
-    and ``zdot`` are arrays of integers or floats (not bools, text or
-    objects), 1-D of one length, at least two, and the times are finite
-    and strictly increasing.  A ``z`` or ``zdot`` sample that is not finite
-    reaches the run only through the interpolant, a value the run
-    computes, so the run refuses it at the first time the interpolant is
-    not finite.
+    and ``zdot`` are arrays or sequences of integers or floats (not bools,
+    text or objects, and a sequence holds no bool), 1-D of one length, at
+    least two, and the times are finite and strictly increasing.  A ``z``
+    or ``zdot`` sample that is not finite reaches the run only through the
+    interpolant, a value the run computes, so the run refuses it at the
+    first time the interpolant is not finite.
     """
     for name, values in (("t", t), ("z", z), ("zdot", zdot)):
-        if (dtype := np.asarray(values).dtype).kind not in "iuf":
+        dtype = np.asarray(values).dtype
+        # np.asarray reads a bool among numbers as a number, so the elements
+        # of what is not already an array are looked at one by one.
+        if not isinstance(values, np.ndarray) and any(
+                isinstance(value, (bool, np.bool_)) for value in np.asarray(values, object).flat):
+            dtype = np.dtype(bool)
+        if dtype.kind not in "iuf":
             raise ValueError(f"tabulated input {name} must hold integers or floats, got {dtype}")
     t, z, zdot = (np.asarray(values, dtype=float) for values in (t, z, zdot))
     if not t.ndim == z.ndim == zdot.ndim == 1:
@@ -268,10 +274,10 @@ def default_dt(omega: float, a0: float, a1: float = 0.0) -> float:
     chain, whose state matrix is block triangular with these 2x2 blocks.
     The step is the reciprocal of the fastest of these rates, inf where
     they are all 0 (as where ``a0 = k/m`` underflows), and is then capped
-    by the input period.  The three numbers are read as finite floats
-    through ``model._check_value``.  A rate outside the domain of the
-    square roots, a negative ``a0`` or an ``a1`` below ``-2*sqrt(a0)``
-    (positive real roots), is a ValueError naming it."""
+    by the input period, ``2*pi/|omega|``.  The three numbers are read as
+    finite floats through ``model._check_value``.  A rate outside the
+    domain of the square roots, a negative ``a0`` or an ``a1`` below
+    ``-2*sqrt(a0)`` (positive real roots), is a ValueError naming it."""
     omega, a0, a1 = (_check_value(float, value, f"{name} ")
                      for name, value in (("omega", omega), ("a0", a0), ("a1", a1)))
     if a0 < 0.0 or 0.5 * a1 < -math.sqrt(a0):
@@ -283,10 +289,10 @@ def default_dt(omega: float, a0: float, a1: float = 0.0) -> float:
     # 20 * sqrt(a0) covers.
     fastest = max(20.0 * root, half + math.sqrt(max(half - root, 0.0)) * math.sqrt(half + root))
     dt = 1.0 / fastest if fastest > 0.0 else math.inf
-    if omega > 0.0:
-        # 2 pi / (200 omega), both terms divided by 256 (the same bits),
-        # so that no finite omega overflows 200 omega into a zero step.
-        return min(math.pi / 128.0 / (0.78125 * omega), dt)
+    if omega != 0.0:
+        # 2 pi / (200 |omega|), both terms divided by 256 (the same bits),
+        # so that no finite omega overflows 200 |omega| into a zero step.
+        return min(math.pi / 128.0 / (0.78125 * abs(omega)), dt)
     return dt
 
 
@@ -431,7 +437,10 @@ def _integrate_linear(A, B, cfg: SimConfig, input_fn, input_cols=None):
 def _cascade(model: ErrorModel, n: int) -> np.ndarray:
     """State matrix of ``z_i'' + a1*z_i' + a0*z_i = b1*z_{i-1}' + b0*z_{i-1}``
     for i = 2..n on the state ``[z_1..z_n, z_1'..z_n']``; the rows of z_1
-    and z_1' are zero."""
+    and z_1' are zero.  The four coefficients are read through
+    ``model._check_model``, so one that is not a finite number is a
+    ValueError naming it, whatever the step, and never a divergence."""
+    model = _check_model(model)
     with _allocating("a chain", n, "channels"):
         A = np.zeros((2 * n, 2 * n))
     i = np.arange(1, n)
@@ -452,8 +461,9 @@ def simulate_chain(
     """Integrate ``z_i'' = -a1*z_i' - a0*z_i + b1*z_{i-1}' + b0*z_{i-1}``
     for i = 2..n with z_1 as the input channel.
 
-    ``n`` is an integer > 1, an int or a numpy integer.  All integrated
-    channels start from rest (zero initial conditions).
+    ``n`` is an integer > 1, an int or a numpy integer, and the model's
+    four coefficients are finite numbers (see :func:`_cascade`).  All
+    integrated channels start from rest (zero initial conditions).
     ``input_fn`` maps a 1-D array of times in [0, duration] to the arrays
     ``(z_1, z_1')`` at those times, as :func:`sine_input` and
     :func:`tabulated_input` build it; without one the input is zero.  The
@@ -487,7 +497,10 @@ def simulate_state_space(
         x_i' = v_i,  v_i' = (k/m)(x_{i-1} - x_i) + (c/m)(v_{i-1} - v_i)
 
     For i = 2..n this is the classic model's error cascade (a0 = b0 = k/m,
-    a1 = b1 = c/m) on positions, with the leader integrated as well.
+    a1 = b1 = c/m) on positions, with the leader integrated as well.  The
+    model is ``model.error_model``'s for the classic controller, which
+    validates the platoon, and its coefficients are read as in
+    :func:`simulate_chain`.
 
     ``leader_force`` is u(t) in newtons, called with one float at a time,
     once per half-step time; a force that is not finite raises ValueError
@@ -496,11 +509,10 @@ def simulate_state_space(
     only for this controller; the other models are simulated through
     :func:`simulate_chain`.
     """
-    validate_platoon(params)
     n = params.n
     # State [x_1..x_n, v_1..v_n]; x_1' = v_1 is the one entry outside the
     # cascade.
-    A = _cascade(ErrorModel(*_MODELS[_CLASSIC](params)), n)
+    A = _cascade(error_model(ControllerSpec(*_CLASSIC, params)), n)
     A[0, n] = 1.0
     B = np.zeros((2 * n, 1))
     B[n, 0] = 1.0 / params.m

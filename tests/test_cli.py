@@ -188,6 +188,16 @@ class TestSweep:
                      "--omega-min", "1", "--omega-max", "inf", "--points", "10"]) == 2
         assert capsys.readouterr().out == ""
 
+    # The constraint is taken before the sweep, so its overflow is the
+    # reason given, even for a sweep too large to allocate.
+    @pytest.mark.parametrize("spec", OVERFLOWING_SPECS, ids=["nan", "inf"])
+    def test_an_overflowed_constraint_is_refused_before_the_sweep(self, spec_file, capsys, spec):
+        assert main(["sweep", "--spec", spec_file(spec), "--omega-min", "1", "--omega-max", "2",
+                     "--points", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stability constraint overflows: alpha = ")
+
     def test_tiny_frequencies_of_a_valid_platoon_are_not_singular(self, spec_file, capsys):
         # a1 = 1e-150 > 0 keeps the denominator off zero, although its
         # modulus at the lowest frequencies is about 1e-305.
@@ -356,6 +366,16 @@ class TestSimulate:
         out = tmp_path / "t.csv"
         assert main(["simulate", "--spec", spec_file(make_spec(m=1e-300, k=1e10)), "--n", "3",
                      "--omega", "3", "--duration", "150", "--dt", "auto",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: a0 must be finite\n")
+        assert not out.exists()
+
+    # With a step given, the run reads the model's coefficients by the same
+    # rule and names the one that overflowed, not a divergence (exit 3).
+    def test_a_given_step_on_an_overflowing_rate_names_it(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec(m=1e-300, k=1e10)), "--n", "3",
+                     "--omega", "3", "--duration", "150", "--dt", "0.01",
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: a0 must be finite\n")
         assert not out.exists()

@@ -97,6 +97,24 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             frequency_response(tf, math.nan)
 
+    # Each call reads the four coefficients through model._check_model
+    # before it computes: computed on, an inf a1 gives the value nan+nanj of
+    # magnitude 0.0, which is_stable_at would call stable, and a sweep nan
+    # rows.  A sweep too large to allocate names the coefficient too.
+    @pytest.mark.parametrize("call", [
+        lambda model: frequency_response(model, 1.0),
+        lambda model: is_stable_at(model, 1.0),
+        lambda model: sweep(model, 0.1, 10.0, 50),
+        lambda model: sweep(model, 0.1, 10.0, 10 ** 12),
+    ], ids=["frequency_response", "is_stable_at", "sweep", "sweep-too-large"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["a0", "a1", "b0", "b1"])
+    def test_a_coefficient_that_is_not_finite_is_refused_by_name(self, call, bad, name):
+        model = ErrorModel(**{**dict(a0=1.0, a1=1.0, b0=1.0, b1=1.0), name: bad})
+        with pytest.raises(ValueError) as excinfo:
+            call(model)
+        assert str(excinfo.value) == f"{name} must be finite"
+
     def test_magnitude_is_continuous_and_matches_analytic_slope(self, const_spacing_model):
         # d|H|^2/domega = 2*omega*(N'D - ND')/D^2 with N, D quadratics in
         # u = omega^2; compared against a central difference at 1e-8.

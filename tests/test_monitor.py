@@ -975,6 +975,26 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_columns(tmp_path):
     assert peak < 4 * column_bytes, (peak, column_bytes)
 
 
+def test_a_piped_trace_is_joined_one_column_at_a_time():
+    # A stream is read once, its parts kept per column and each column
+    # joined in turn: the join holds the columns and one more column at
+    # most, 1.18 times the columns here.  A join of every column at once
+    # holds twice the columns.
+    text = io.StringIO()
+    write_trace(generate_trace(3, 50_000, make_spec()), text)
+    stream = io.StringIO(text.getvalue())
+    del text
+    tracemalloc.start()
+    try:
+        trace = parse_trace_lines(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
+    assert len(trace) == 50_000
+    assert peak < 1.3 * column_bytes, (peak, column_bytes)
+
+
 def parse_overhead(path):
     """parse_trace's tracemalloc peak beyond the bytes of the columns it returns."""
     tracemalloc.start()

@@ -444,10 +444,16 @@ class TestInputArguments:
          "tabulated input z must hold integers or floats, got <U1"),
         (lambda: tabulated_input([0.0, 1.0], [0.0, 1.0], np.array([0.0, 0.0], dtype=object)),
          "tabulated input zdot must hold integers or floats, got object"),
+        # np.asarray reads these lists as float64.
+        (lambda: tabulated_input([0.0, True, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+         "tabulated input t must hold integers or floats, got bool"),
+        (lambda: tabulated_input([0.0, 1.0], (0.0, np.True_), [0.0, 0.0]),
+         "tabulated input z must hold integers or floats, got bool"),
     ], ids=["sine-amplitude-bool", "sine-omega-numpy-bool", "sine-omega-text", "sine-omega-inf",
             "dt-omega-bool", "dt-omega-nan", "dt-a0-inf", "dt-a1-none", "dt-a0-negative",
             "dt-a1-below-its-root-bound", "tabulated-t-bool", "tabulated-z-text",
-            "tabulated-zdot-object"])
+            "tabulated-zdot-object", "tabulated-t-bool-in-a-list",
+            "tabulated-z-numpy-bool-in-a-tuple"])
     def test_a_bad_number_is_refused_by_name(self, call, message):
         with pytest.raises(ValueError) as excinfo:
             call()
@@ -469,6 +475,15 @@ class TestInputArguments:
         assert default_dt(0.0, 4.0, -4.0) == 1.0 / 40.0
         assert default_dt(0.0, 4.0, -1.0) == default_dt(0.0, 4.0)
 
+    # The step is capped by the period of |omega|, as sine_input runs at
+    # either sign; a positive omega keeps the bits of 2 pi / (200 omega).
+    @pytest.mark.parametrize("omega", [3.0, 0.01, 1e-300, 1e306, sys.float_info.max])
+    def test_the_step_is_capped_by_the_period_of_abs_omega(self, omega):
+        assert default_dt(-omega, 2.0, 0.4) == default_dt(omega, 2.0, 0.4)
+        assert default_dt(omega, 2.0, 0.4) == min(math.pi / 128.0 / (0.78125 * omega),
+                                                  default_dt(0.0, 2.0, 0.4))
+        assert default_dt(-3.0, 2.0) < default_dt(0.0, 2.0)
+
     def test_the_integrator_calls_the_input_function_it_is_given(self):
         calls = []
 
@@ -488,6 +503,33 @@ class TestInputArguments:
         full = simulate_chain(_README_MODEL, 3, _INPUT_CFG,
                               lambda t: (np.sin(t), np.full(len(t), 0.5)))
         assert np.array_equal(series.z, full.z) and np.array_equal(series.zdot, full.zdot)
+
+
+class TestModelCoefficients:
+    """Both runs read the model's four coefficients through
+    ``model._check_model``: one that is not a finite number is a ValueError
+    naming it at the call, whatever the step, and never a
+    DivergenceError."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a0", "a1", "b0", "b1"])
+    def test_a_chain_refuses_a_coefficient_that_is_not_finite(self, name, bad):
+        model = dataclasses.replace(_README_MODEL, **{name: bad})
+        with pytest.raises(ValueError) as excinfo:
+            simulate_chain(model, 3, _INPUT_CFG, sine_input(1.0, 3.0))
+        assert str(excinfo.value) == f"{name} must be finite"
+
+    # The state-space run builds the classic model with error_model, which
+    # validates the platoon: k/m overflows to a0 = b0 = inf, and c/m to
+    # a1 = b1 = inf.
+    @pytest.mark.parametrize("overrides,name", [({"m": 1e-300, "k": 1e10}, "a0"),
+                                                ({"m": 1e-300, "c": 1e10}, "a1")],
+                             ids=["k-over-m", "c-over-m"])
+    def test_a_state_space_run_refuses_an_overflowing_coefficient(self, overrides, name):
+        with pytest.raises(ValueError) as excinfo:
+            simulate_state_space(make_params(**overrides), _INPUT_CFG, lambda t: 0.0)
+        assert str(excinfo.value) == f"{name} must be finite"
+        assert "_MODELS" not in vars(simulate)
 
 
 def _run_with_bad_input(source, value, when):
