@@ -19,9 +19,7 @@ from .model import (
     controller_spec_to_dict,
     error_model,
     failed_conjunct,
-    is_valid_platoon,
     model_label,
-    validate_platoon,
 )
 from .frequency import (
     FrequencyResponse,

@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     model = error_model(spec)
-    if not args.omega > 0.0:
+    if args.omega <= 0.0:
         raise ValueError("--omega must be positive")
     if args.dt == "auto":
         dt = default_dt(args.omega, model.a0, model.a1)

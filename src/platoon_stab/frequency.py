@@ -31,10 +31,12 @@ frequency unit of :func:`_w_scaled`, for ``|H|`` and P2; the rate unit of
 (:func:`_stable_band`); and the unit of alpha and beta inside the root
 finder, :func:`_q_roots`.  Each is exact while the scaled numbers stay
 normal.  P2, the monitor's ``w > 0 and Q(w^2) > 0`` (:func:`_attenuates`),
-is overflow-safe: where ``Q(w^2)`` evaluated as written is nan (``w^4`` or
-a coefficient square overflowed to inf - inf), it is evaluated again with
-time rescaled by the power of two ``2**e`` that brings w into [0.5, 1).
-That scaling is exact and leaves H, hence the sign of Q, unchanged.
+holds over the float range: where ``Q(w^2)`` evaluated as written is not a
+normal number (nan where ``w^4`` or a coefficient square overflowed to
+inf - inf, 0 or subnormal where they underflowed), it is evaluated again
+on the frequency unit of :func:`_w_scaled`.  That scaling is exact and
+leaves H, hence the sign of Q, unchanged.  It falls short where w lies far
+below a rate of 1 or more, which that unit does not scale.
 
 The decision procedures below use raw strict comparisons (no epsilon), so
 verdicts are reproducible bit for bit; tests compare against tolerances
@@ -170,19 +172,23 @@ def _w_scaled(model: ErrorModel, w):
     return _time_scaled(model, e), np.ldexp(w, -e)
 
 
+# The smallest normal float64: a Q of less magnitude, or nan, is evaluated again.
+_TINY = np.finfo(np.float64).tiny
+
+
 def _attenuates(model: ErrorModel, w):
     """P2, ``w > 0 and Q(w^2) > 0``, of a model of coefficient arrays and
     an array of frequencies, one row per event: the monitor's scan, and
     its ``check_p2`` on one-element arrays.  Q is evaluated again on the
-    frequency unit of :func:`_w_scaled` where it is nan.  With finite
-    coefficients such a row has a w or a rate of 1 or more, which that unit
-    never scales up.  The rows are searched only when the sum of Q is nan:
-    one nan row makes it nan, and a sum that overflows to inf - inf costs a
-    search that finds nothing."""
+    frequency unit of :func:`_w_scaled` wherever it is not a normal number:
+    nan where ``w^4`` or a coefficient square overflowed to inf - inf, and
+    0 or subnormal where they underflowed.  One test, ``|Q|`` not at least
+    the smallest normal (true for nan), picks both the blocks that need
+    the second pass, by the least ``|Q|`` of the block, and their rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = stability_constraint(model).q(w * w)
-        if np.isnan(q.sum()):
-            redo = np.flatnonzero(np.isnan(q) & (w > 0.0))
+        if not np.abs(q).min(initial=_TINY) >= _TINY:
+            redo = np.flatnonzero(~(np.abs(q) >= _TINY) & (w > 0.0))
             part = ErrorModel(*(c[redo] for c in vars(model).values()))
             part, w_redo = _w_scaled(part, w[redo])
             q[redo] = stability_constraint(part).q(w_redo * w_redo)

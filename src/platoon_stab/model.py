@@ -191,7 +191,10 @@ class UnsupportedControllerError(ValueError):
 
 
 def failed_conjunct(p: PlatoonParams) -> str | None:
-    """First violated validity conjunct (``"0 < m"`` style), or None.
+    """First violated validity conjunct (``"0 < m"`` style), or None: the
+    one test of a valid platoon, the monitor's P1, with every float
+    parameter positive and finite and n > 1.  A boundary value such as
+    ``m == 0`` is simply invalid.
 
     ``p`` is anything with the parameter attributes: a PlatoonParams, or a
     one-event monitor Trace, whose columns carry the same names."""
@@ -199,21 +202,6 @@ def failed_conjunct(p: PlatoonParams) -> str | None:
         if not bound < getattr(p, name) < math.inf:
             return f"{bound:g} < {name}"
     return None
-
-
-def is_valid_platoon(p: PlatoonParams) -> bool:
-    """True iff all parameters are strictly positive and n > 1.
-
-    Total function: boundary values (e.g. ``m == 0``) are simply invalid.
-    """
-    return failed_conjunct(p) is None
-
-
-def validate_platoon(p: PlatoonParams) -> None:
-    """Raise :class:`InvalidPlatoonError` naming the first failed conjunct."""
-    conjunct = failed_conjunct(p)
-    if conjunct is not None:
-        raise InvalidPlatoonError(conjunct)
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,9 @@ def error_model(spec: ControllerSpec) -> ErrorModel:
     same map, without the validity check, through its own model table
     (``monitor._MODEL_OF``).
     """
-    validate_platoon(spec.params)
+    conjunct = failed_conjunct(spec.params)
+    if conjunct is not None:
+        raise InvalidPlatoonError(conjunct)
     coefficients = _MODELS.get(_model_key(spec.controller_type, spec.configuration, spec.strategy))
     if coefficients is None:
         raise UnsupportedControllerError(_NO_MODEL)

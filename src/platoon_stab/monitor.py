@@ -22,9 +22,10 @@ only on demand.  A block is cleared with whole-column reductions where
 they decide: P1 holds throughout when each conjunct's column has its
 minimum above the bound and its maximum below inf, a block of one
 controller combination runs its model's formulas once on the columns,
-and Q is searched for nan rows only when its sum is nan.  Per-event P1
-masks, and coefficients grouped by model, are built only for the blocks
-that these tests cannot clear.  The per-event predicate :func:`check_p1`
+and Q is searched for rows that are not normal numbers only when its
+least magnitude is not one.  Per-event P1 masks, and coefficients
+grouped by model, are built only for the blocks that these tests cannot
+clear.  The per-event predicate :func:`check_p1`
 agrees with the vectorised scan by construction: the conjuncts are
 written once, as arithmetic that runs on floats and arrays alike.
 :func:`check_p2` is the scan's P2 on one event, its columns one element
@@ -131,7 +132,6 @@ from .model import (
     _model_key,
     error_model,
     failed_conjunct,
-    is_valid_platoon,
 )
 from .frequency import _attenuates, _stable_band
 
@@ -304,7 +304,7 @@ class Trace:
 
 def check_p1(event: Event) -> bool:
     """Predicate P1: the event's parameters form a valid platoon."""
-    return is_valid_platoon(event.spec.params)
+    return failed_conjunct(event.spec.params) is None
 
 
 def check_p2(event: Event) -> bool:

@@ -351,6 +351,16 @@ class TestSimulate:
                      "--duration", duration, "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # A nan --omega is not refused as not positive: like inf, it reaches the
+    # library, whose number rule names it, whichever step is asked for.
+    @pytest.mark.parametrize("dt", ["auto", "0.01"])
+    def test_a_nan_omega_is_named_as_not_finite(self, spec_file, tmp_path, capsys, dt):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--spec", spec_file(make_spec()), "--n", "3", "--omega", "nan",
+                     "--duration", "150", "--dt", dt, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: omega must be finite\n")
+        assert not out.exists()
+
     # With a step given, the infinite omega reaches sine_input, which
     # refuses it the same way.
     def test_an_infinite_omega_with_a_given_step_is_named(self, spec_file, tmp_path, capsys):

@@ -15,7 +15,6 @@ from platoon_stab import (
     controller_spec_to_dict,
     error_model,
     failed_conjunct,
-    is_valid_platoon,
 )
 from platoon_stab.model import _MODELS
 from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_params, make_spec, random_params
@@ -23,16 +22,16 @@ from conftest import AUT, BI, CS, NON, SUPPORTED_COMBOS, UNI, VS, VTH, make_para
 
 class TestValidity:
     def test_all_positive_params_valid(self, base_params):
-        assert is_valid_platoon(base_params)
+        assert failed_conjunct(base_params) is None
 
     def test_zero_mass_invalid(self):
-        assert not is_valid_platoon(make_params(m=0.0))
+        assert failed_conjunct(make_params(m=0.0)) is not None
 
     def test_single_vehicle_invalid(self):
-        assert not is_valid_platoon(make_params(n=1))
+        assert failed_conjunct(make_params(n=1)) is not None
 
     def test_minimum_platoon_of_two_valid(self):
-        assert is_valid_platoon(make_params(n=2))
+        assert failed_conjunct(make_params(n=2)) is None
 
     @pytest.mark.parametrize("field,conjunct", [
         ("m", "0 < m"), ("k", "0 < k"), ("c", "0 < c"), ("h", "0 < h"),
@@ -216,4 +215,4 @@ class TestSpecJson:
         obj = controller_spec_to_dict(const_spacing_spec)
         obj["params"]["n"] = 0
         spec = controller_spec_from_dict(obj)
-        assert not is_valid_platoon(spec.params)
+        assert failed_conjunct(spec.params) is not None

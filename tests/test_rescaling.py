@@ -20,10 +20,20 @@ scaled:
 
 On the README parameters of all six models the property was measured to
 hold for every ``e`` from ``E_MIN`` to ``E_MAX`` in steps of 8; the tests
-check a grid of that range with both ends.  Beyond it the commands break
-today: at ``e = 256`` ``analyze`` and ``sweep`` refuse the spec, and at
-``e = -272`` ``monitor`` fails a trace that ``gen-trace`` generated.  A
-change that widens what the commands handle widens this range.
+check a grid of that range with both ends.  Beyond it ``analyze`` breaks:
+at ``e = 256`` it and ``sweep`` refuse the spec, and at ``e = -272`` a
+bidirectional model's ``beta`` underflows and ``analyze`` loses its low
+stable band.  A change that widens what the commands handle widens this
+range.
+
+The ``gen-trace`` then ``monitor`` pair holds its verdict over the wider
+range ``PAIR_E_MIN`` to ``PAIR_E_MAX``: the monitor evaluates ``Q(w^2)``
+again on a scaled frequency unit wherever it is not a normal number, and
+so reads neither an overflowed nor an underflowed ``Q``.  The range ends at
+``e = 504``, the last step of 8 at which every scaled README parameter and
+coefficient is still finite: at ``-512`` the mass, and at ``512`` the
+bidirectional ``a0 = 2*k/m``, leaves the float range.  The pair is checked
+on the README models and as a property of drawn specs.
 
 A second family changes no unit of time: ``m``, ``k``, ``c``, ``ca`` and
 ``cd`` multiplied by ``2**j`` leave every coefficient the same double, so
@@ -35,24 +45,30 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from platoon_stab import controller_spec_to_dict
 from platoon_stab.cli import main
 from conftest import AUT, BI, CS, SUPPORTED_COMBOS, UNI, VS, make_spec
 
 E_MIN, E_MAX = -264, 248
+PAIR_E_MIN, PAIR_E_MAX = -504, 504
 # Every 16th exponent of the range, ends included, for the frequency-domain
 # commands; every 24th and both ends for simulate, whose runs take longer.
 _GRID = range(E_MIN, E_MAX + 1, 16)
 _SIMULATE_GRID = sorted({*range(E_MIN, E_MAX + 1, 24), E_MAX})
+# Every 32nd exponent of the pair's range, ends included.
+_PAIR_GRID = sorted({*range(PAIR_E_MIN, PAIR_E_MAX + 1, 32), PAIR_E_MAX})
 _TIME_FIELDS = ("c", "h", "h0", "ch", "ca", "cd")
 
 
-def _scaled_spec(combo, e):
-    """The README spec of ``combo`` with time in units of ``2**-e``."""
-    spec = controller_spec_to_dict(make_spec(*combo))
+def _scaled_spec(combo, e, **params):
+    """The README spec of ``combo``, or of it with ``params`` in place of
+    its parameters, with time in units of ``2**-e``."""
+    spec = controller_spec_to_dict(make_spec(*combo, **params))
     params = spec["params"]
     params["m"] = math.ldexp(params["m"], -2 * e)
     for name in _TIME_FIELDS:
@@ -142,6 +158,63 @@ def test_simulate_is_equivariant_under_rescaling(tmp_path, combo):
     expected = ratios(0)
     for e in _SIMULATE_GRID:
         assert ratios(e) == expected, e
+
+
+def _monitored(spec, tmp_path, seed):
+    """gen-trace's exit code and standard error on 24 events of ``spec``
+    with a P2 violation at index 7, and the monitor's verdict on them
+    without its timing (None where gen-trace refuses the spec)."""
+    spec_path, trace_path = tmp_path / "spec.json", tmp_path / "trace.jsonl"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = _run(["gen-trace", "--seed", str(seed), "--len", "24", "--spec", str(spec_path),
+                         "--violate", "7:P2", "--out", str(trace_path)])
+    if code:
+        return code, err, None
+    with open(trace_path, encoding="utf-8") as fh:
+        omega = [json.loads(line)["w"] for line in fh][7]
+    code, out, err = _run(["monitor", "--trace", str(trace_path)])
+    assert (code, err) == (4, ""), err
+    verdict = json.loads(out)
+    del verdict["seconds"]
+    first = verdict["first_violation"]
+    assert first["index"] == 7
+    first["reason"] = first["reason"].replace(repr(omega), "<omega>")
+    return 0, "", verdict
+
+
+@pytest.mark.parametrize("combo", SUPPORTED_COMBOS,
+                         ids=["-".join(member.value for member in combo)
+                              for combo in SUPPORTED_COMBOS])
+def test_monitor_verdict_on_a_generated_trace_holds_over_the_pair_range(tmp_path, combo):
+    expected = _monitored(_scaled_spec(combo, 0), tmp_path, 7)
+    assert expected[0] == 0
+    for e in _PAIR_GRID:
+        assert _monitored(_scaled_spec(combo, e), tmp_path, 7) == expected, e
+
+
+_LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUPPORTED_COMBOS),
+       st.fixed_dictionaries({name: _LOG_UNIFORM for name in ("m", "k", *_TIME_FIELDS, "vd")}),
+       st.integers(0, 2 ** 32 - 1), st.integers(PAIR_E_MIN, PAIR_E_MAX))
+@example((AUT, UNI, CS), {**dict.fromkeys((*_TIME_FIELDS, "vd"), 1.0), "m": 0.01, "k": 100.0},
+         7, PAIR_E_MAX)  # refused: k/m = 1e4 times 4**504 is 2.7e307
+def test_monitor_verdict_on_a_generated_trace_holds_for_drawn_specs(tmp_path_factory, combo,
+                                                                    params, seed, e):
+    tmp_path = tmp_path_factory.mktemp("pair")
+    expected = _monitored(_scaled_spec(combo, 0, **params), tmp_path, seed)
+    assert expected[0] == 0
+    got = _monitored(_scaled_spec(combo, e, **params), tmp_path, seed)
+    if got[0]:
+        # The generator draws w^2 up to about ten times the scaled k/m; where
+        # that lies within a factor of 20 of the largest float, the draw can
+        # leave the float range, which gen-trace refuses by name.
+        assert got[1].endswith("the template's stable band leaves the float range\n"), got
+        assert math.ldexp(params["k"] / params["m"], 2 * e) > sys.float_info.max / 20
+    else:
+        assert got == expected, e
 
 
 # The second family: m, k, c, ca and cd multiplied by 2**j divide out of
