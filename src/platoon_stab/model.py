@@ -197,7 +197,8 @@ def failed_conjunct(p: PlatoonParams) -> str | None:
     ``m == 0`` is simply invalid.
 
     ``p`` is anything with the parameter attributes: a PlatoonParams, or a
-    one-event monitor Trace, whose columns carry the same names."""
+    monitor Trace or a row selection of one, of one event, whose columns
+    carry the same names."""
     for name, bound in _CONJUNCTS:
         if not bound < getattr(p, name) < math.inf:
             return f"{bound:g} < {name}"
@@ -253,8 +254,8 @@ _CLASSIC = (_AUT, _UNI, _CS)
 
 # The coefficient map: ``(a0, a1, b0, b1)`` of each model as a function of
 # an object with the parameter attributes: a PlatoonParams for error_model,
-# or the monitor's columns of the same names for its P2 (a trace's, or one
-# event's as one-element columns).  Keys as in :func:`_model_key`.
+# or, for the monitor's P2, a Trace or a row selection of one, whose columns
+# carry the same names.  Keys as in :func:`_model_key`.
 # A quotient used twice, ``k/m`` or ``c/m``, is divided once and both
 # coefficients are that one value: on a trace, one array, so no caller may
 # write a coefficient array in place.
@@ -292,7 +293,8 @@ def error_model(spec: ControllerSpec) -> ErrorModel:
     :class:`UnsupportedControllerError` (:data:`_NO_MODEL`) for the one
     combination with no model (autonomous, bidirectional,
     var_time_headway).  The monitor's P2 takes its coefficients from the
-    same map, without the validity check, through its own model table
+    same map, without the validity check, through its vector twin
+    ``monitor._vector_model`` and its own model table
     (``monitor._MODEL_OF``).
     """
     conjunct = failed_conjunct(spec.params)

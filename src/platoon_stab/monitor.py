@@ -28,11 +28,13 @@ grouped by model, are built only for the blocks that these tests cannot
 clear.  The per-event predicate :func:`check_p1`
 agrees with the vectorised scan by construction: the conjuncts are
 written once, as arithmetic that runs on floats and arrays alike.
-:func:`check_p2` is the scan's P2 on one event, its columns one element
-long, so P2 picks its model one way, through the scan's table
-``_MODEL_OF``; so does the reason :func:`run_monitor` gives for an event
-whose combination has no model.  P2's arithmetic, and the generator's
-stable band, are ``frequency``'s (:func:`_attenuates`,
+The scan, the generator and :func:`check_p2`, the scan's P2 on a
+one-event trace, take their coefficients from one function,
+:func:`_vector_model`, on a ``Trace`` or a row selection of one
+(``Trace._rows``), so P2 picks its model one way, through the scan's
+table ``_MODEL_OF``; so does the reason :func:`run_monitor` gives for an
+event whose combination has no model.  P2's arithmetic, and the
+generator's stable band, are ``frequency``'s (:func:`_attenuates`,
 :func:`_stable_band`), which alone picks the time units that keep them in
 range.
 
@@ -109,7 +111,6 @@ from dataclasses import asdict, dataclass
 from enum import EnumMeta
 from itertools import chain, islice, product
 from operator import itemgetter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -276,14 +277,16 @@ class Trace:
         for i in range(len(self)):
             yield self[i]
 
-    def _rows(self, a: int, b: int) -> "Trace":
-        """Events ``a`` to ``b - 1`` as a trace of column views, no copies;
-        event ``a`` is at position 0 of the view.  Views of checked columns
-        are not checked again."""
+    def _rows(self, rows) -> "Trace":
+        """A row selection: the events that ``rows`` picks, as a trace whose
+        position 0 is the first event picked.  A slice gives views of the
+        columns, no copies; an array of positions, in any order and with
+        repeats, gives copies.  Rows of checked columns are not checked
+        again."""
         view = object.__new__(Trace)
         view.source = self.source
         for key in _COLUMNS:
-            setattr(view, key, getattr(self, key)[a:b])
+            setattr(view, key, getattr(self, key)[rows])
         return view
 
     @classmethod
@@ -310,17 +313,17 @@ def check_p1(event: Event) -> bool:
 def check_p2(event: Event) -> bool:
     """Predicate P2: ``w > 0`` and ``Q(w^2) > 0`` for the event's model.
 
-    The scan's own P2 on one event: :func:`_vector_coefficients` and
-    ``_attenuates`` on its enum codes, float parameters and frequency as
-    one-element columns.  ``n`` enters no coefficient, so it is not read.
+    The scan's own P2: :func:`_vector_model`, which takes a ``Trace`` or a
+    row selection of one, and ``_attenuates``, here on a one-event trace of
+    the event's enum codes, float parameters and frequency.  ``n`` enters
+    no coefficient, so the trace holds 0 there.
     Coefficients are evaluated without a validity gate (an invalid platoon
     already fails P1); when they are undefined (zero mass, or a controller
     combination with no model) P2 is false.
     """
-    codes = {key: np.array([code], np.int8) for key, code in zip(_ENUMS, _codes(event.spec))}
-    params = {name: np.array([getattr(event.spec.params, name)]) for name in _PARAM_KEYS}
-    model = ErrorModel(*_vector_coefficients(SimpleNamespace(**codes, **params)))
-    return bool(_attenuates(model, np.array([event.omega], np.float64))[0])
+    params = [getattr(event.spec.params, name) for name in _PARAM_KEYS]
+    trace = Trace("event", *_typed([(*_codes(event.spec), 0, *params, event.omega)]))
+    return bool(_attenuates(_vector_model(trace), trace.w)[0])
 
 
 def _combination(codes):
@@ -333,22 +336,22 @@ def _combination(codes):
     return combination
 
 
-def _vector_coefficients(columns):
-    """Rows ``a0, a1, b0, b1`` per event of a trace, or of any object with
-    its enum and float parameter columns, from the model table: nan where
-    the combination has no model, inf or nan where a formula is undefined.
+def _vector_model(trace: Trace) -> ErrorModel:
+    """The vector twin of :func:`model.error_model`: the model of each
+    event of a trace, or of a row selection of one, as an ErrorModel of
+    coefficient columns from the model table, nan where the combination
+    has no model, inf or nan where a formula is undefined.
 
-    Columns whose enum codes are each constant hold one combination: its
-    model's formulas run once, on the whole columns.  Otherwise the events
-    are grouped by model."""
-    codes = [getattr(columns, key) for key in _ENUMS]
-    size = len(codes[0])
-    one = size > 0 and all(column.min() == column.max() for column in codes)
+    A trace whose enum columns are each constant holds one combination:
+    its model's formulas run once, on the whole columns.  Otherwise the
+    events are grouped by model, each group a row selection."""
+    codes = [getattr(trace, key) for key in _ENUMS]
+    one = len(trace) > 0 and all(column.min() == column.max() for column in codes)
     which = _MODEL_OF[_combination([int(column[0]) for column in codes] if one else codes)]
     if one and which >= 0:
         with np.errstate(all="ignore"):
-            return _FORMULAS[which](columns)
-    coefficients = np.full((4, size), np.nan)
+            return ErrorModel(*_FORMULAS[which](trace))
+    coefficients = np.full((4, len(trace)), np.nan)
     with np.errstate(all="ignore"):
         for index, formulas in enumerate(_FORMULAS):
             rows = np.flatnonzero(which == index)
@@ -356,10 +359,9 @@ def _vector_coefficients(columns):
                 continue
             if rows[-1] - rows[0] + 1 == rows.size:  # one run of events: views, no copies
                 rows = slice(rows[0], rows[-1] + 1)
-            part = SimpleNamespace(**{name: getattr(columns, name)[rows] for name in _PARAM_KEYS})
-            for out, value in zip(coefficients, formulas(part)):
+            for out, value in zip(coefficients, formulas(trace._rows(rows))):
                 out[rows] = value
-    return coefficients
+    return ErrorModel(*coefficients)
 
 
 def _vector_masks(trace: Trace):
@@ -368,16 +370,16 @@ def _vector_masks(trace: Trace):
     P1 holds for the whole trace when each conjunct's column has its
     ``min()`` above the bound and its ``max()`` below inf; both propagate
     nan, so a nan fails this test.  Only a trace that fails it is checked
-    event by event.  P2 takes the coefficients of
-    :func:`_vector_coefficients`, one model's formulas on whole columns
-    where the trace holds one controller combination."""
+    event by event.  P2 takes the model of :func:`_vector_model`, one
+    model's formulas on whole columns where the trace holds one controller
+    combination."""
     p1 = np.ones(len(trace), dtype=bool)
     conjuncts = [(getattr(trace, name), bound) for name, bound in _CONJUNCTS]
     if len(trace) and not all(bound < column.min() and column.max() < np.inf
                               for column, bound in conjuncts):
         for column, bound in conjuncts:
             p1 &= (column > bound) & (column < np.inf)
-    return p1, _attenuates(ErrorModel(*_vector_coefficients(trace)), trace.w)
+    return p1, _attenuates(_vector_model(trace), trace.w)
 
 
 # The scan and the generator work on this many events at a time, so their
@@ -407,7 +409,7 @@ def run_monitor(trace: Trace) -> Verdict:
     p1_failures = p2_failures = 0
     earliest = first = None
     for a in range(0, size, _BLOCK):
-        p1, p2 = _vector_masks(trace._rows(a, a + _BLOCK))
+        p1, p2 = _vector_masks(trace._rows(slice(a, a + _BLOCK)))
         p1_failures += p1.size - int(np.count_nonzero(p1))
         p2_failures += p2.size - int(np.count_nonzero(p2))
         if earliest is None and p1_failures + p2_failures:
@@ -417,7 +419,8 @@ def run_monitor(trace: Trace) -> Verdict:
         idx, p1_holds = earliest
         omega = float(trace.w[idx])
         if not p1_holds:
-            first = Violation(idx, "P1", f"{failed_conjunct(trace._rows(idx, idx + 1))} violated")
+            conjunct = failed_conjunct(trace._rows(slice(idx, idx + 1)))
+            first = Violation(idx, "P1", f"{conjunct} violated")
         elif not omega > 0.0:
             first = Violation(idx, "P2", "0 < omega violated")
         elif _MODEL_OF[_combination([int(getattr(trace, key)[idx]) for key in _ENUMS])] < 0:
@@ -445,10 +448,12 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     frequency inside the non-attenuating band, or a non-positive one when
     the model attenuates everywhere).  Identical arguments produce an
     identical trace.  ``seed``, ``length`` and each violation index are
-    integers, as :func:`model._check_value` reads them.  Raises
-    ValueError, naming the first such event, where a drawn or injected
-    frequency is not a finite double: the template's band, ``w^2``, leaves
-    the float range.
+    integers, as :func:`model._check_value` reads them.  A draw of ``w``
+    whose ``w^2`` passes the largest float but whose ``w`` fits is made
+    (its root taken on a quarter of the product).  Raises ValueError,
+    naming the first such event, where a drawn or injected frequency is
+    not a finite double: the root of the template's band itself lies
+    beyond the float range.
     """
     seed = _check_value(int, seed, "seed ")
     if seed < 0:
@@ -487,17 +492,21 @@ def generate_trace(seed: int, length: int, template: ControllerSpec, violations=
     # natural frequency.
     trace = Trace(f"seed:{seed}", *codes, rng.integers(max(2, p.n - 2), p.n + 3, size=length),
                   *cols, rng.uniform(1.2, 4.0, size=length))
+    # A draw is sqrt(x * u): x the band's upper root hi where it is positive,
+    # else a0, and u the event's factor.  Where x is finite but x * u
+    # overflows it is 2 * sqrt((x / 4) * u), so every w that fits is drawn.
     for a in blocks:
-        block = trace._rows(a, a + _DRAW_BLOCK)
-        model = ErrorModel(*_vector_coefficients(block))
+        block = trace._rows(slice(a, a + _DRAW_BLOCK))
+        model = _vector_model(block)
         hi = _stable_band(model)[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            near = model.a0 * rng.uniform(0.25, 4.0, size=len(block))
-            np.sqrt(np.where(hi > 0.0, hi * block.w, near), out=block.w)
+            x = np.where(hi > 0.0, hi, model.a0)
+            u = np.where(hi > 0.0, block.w, rng.uniform(0.25, 4.0, size=len(block)))
+            np.sqrt(x * u, out=block.w)
+            over = np.isinf(block.w) & np.isfinite(x)
+            block.w[over] = 2.0 * np.sqrt(x[over] / 4.0 * u[over])
     # Bands of the P2 targets, from their parameters before any injection.
-    targets = [i for i, kind in plan if kind == "P2"]
-    rows = SimpleNamespace(**{key: getattr(trace, key)[targets] for key in (*_ENUMS, *_PARAM_KEYS)})
-    bands = zip(*_stable_band(ErrorModel(*_vector_coefficients(rows))))
+    bands = zip(*_stable_band(_vector_model(trace._rows([i for i, kind in plan if kind == "P2"]))))
     for i, kind in plan:
         if kind == "P1":
             name, bound = _CONJUNCTS[int(rng.integers(0, len(_CONJUNCTS)))]
@@ -846,7 +855,7 @@ def write_trace(trace: Trace, fh) -> None:
 
 def _chunk_text(trace, start) -> str:
     """The lines of the ``_WRITE_CHUNK`` events of the trace from ``start``."""
-    part = trace._rows(start, start + _WRITE_CHUNK)
+    part = trace._rows(slice(start, start + _WRITE_CHUNK))
     index = np.arange(start, start + len(part))
     ints = _text.ints(np.stack([index, *(getattr(part, key) for key in _INTS)]))
     texts = dict(zip(["i", *_INTS], zip(*ints)))

@@ -412,6 +412,26 @@ class TestGenerator:
                 "event 0 draws w = inf: the template's stable band leaves the float range")):
             generate_trace(1, 5, make_spec(m=1e-300, k=1e10))
 
+    def test_draws_a_band_whose_square_overflows_but_whose_root_fits(self):
+        # Time in units of 2**-504: a0 = k/m = 1e4 * 4**504 = 2.7e307, so the
+        # clean draw hi * U(1.2, 4) of w^2 can pass the largest float while
+        # w itself fits.  Every w scales by exactly 2**504 and the verdict,
+        # apart from the omega its reason prints, is the unscaled one.
+        def spec(e):
+            times = {name: math.ldexp(1.0, -e) for name in ("c", "h", "ch", "h0", "ca", "cd")}
+            return make_spec(m=math.ldexp(0.01, -2 * e), k=100.0, vd=1.0, **times)
+
+        def verdict(trace):
+            found = run_monitor(trace)
+            first = found.first_violation
+            return (first.index, first.predicate), found.p1_failures, found.p2_failures
+
+        plan = [(7, "P2"), (30, "P1")]
+        unscaled = generate_trace(7, 2000, spec(0), plan)
+        trace = generate_trace(7, 2000, spec(504), plan)
+        assert (trace.w == np.ldexp(unscaled.w, 504)).all()
+        assert verdict(trace) == verdict(unscaled) == ((7, "P2"), 1, 1)
+
     def test_rejects_invalid_or_unsupported_template(self):
         with pytest.raises(ValueError):
             generate_trace(1, 10, make_spec(m=0.0))
@@ -837,10 +857,24 @@ class TestTraceLayout:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Trace("memory", *columns)
 
+    def test_a_slice_of_rows_is_views_and_positions_are_copies(self):
+        trace = generate_trace(1, 10, make_spec(), [(3, "P1"), (5, "P2")])
+        view = trace._rows(slice(2, 8))
+        for key in _COLUMNS:
+            assert np.shares_memory(getattr(view, key), getattr(trace, key)), key
+            assert np.array_equal(getattr(view, key), getattr(trace, key)[2:8]), key
+        positions = np.array([7, 2, 7, 0, 9, 2])
+        picked = trace._rows(positions)
+        for key in _COLUMNS:
+            column = getattr(trace, key)
+            assert not np.shares_memory(getattr(picked, key), column), key
+            assert getattr(picked, key).tolist() == [column[i] for i in positions], key
+        assert [e.spec for e in picked] == [trace[i].spec for i in positions]
+
     def test_empty_traces_have_the_column_dtypes(self):
         dtypes = [np.dtype(np.int8)] * 3 + [np.dtype(np.int64)] + [np.dtype(np.float64)] * 10
         trace = generate_trace(1, 3, make_spec())
-        for empty in (Trace.from_events([]), parse_trace_lines([]), trace._rows(0, 0)):
+        for empty in (Trace.from_events([]), parse_trace_lines([]), trace._rows(slice(0, 0))):
             assert [getattr(empty, name).dtype for name in _COLUMNS] == dtypes
 
 
@@ -1011,7 +1045,7 @@ def test_parse_memory_beyond_the_columns_is_small_and_flat(tmp_path):
     overheads = []
     for size in (50_000, 200_000):
         path = tmp_path / f"{size}.jsonl"
-        write_trace_file(trace._rows(0, size), path)
+        write_trace_file(trace._rows(slice(0, size)), path)
         overheads.append(parse_overhead(path))
     assert overheads[0] <= 2 ** 20, overheads
     assert overheads[1] <= overheads[0] + 2 ** 20, overheads
@@ -1065,7 +1099,7 @@ def test_writer_peak_memory_is_flat_in_the_rows():
         sweep_result = SweepResult(omega=values[rows, 0], value=value[rows],
                                    magnitude=values[rows, 3], stable=values[rows, 3] < 1.0)
         chain = ChainSeries(t=values[rows, 0], z=values[rows, 1:17], zdot=values[rows, 17:])
-        peaks.append([writer_peak(write_trace, trace._rows(0, size)),
+        peaks.append([writer_peak(write_trace, trace._rows(slice(0, size))),
                       writer_peak(write_sweep_csv, sweep_result),
                       writer_peak(write_chain_csv, chain)])
     for small, large in zip(*peaks):
@@ -1168,7 +1202,7 @@ class TestSplitParse:
             chunk_calls, forks = counting(patch, "_chunks"), counting(patch, "_fork_range")
             parsed = parse_trace(path)
             bounds = monitor._ranges(length)
-        assert columns(parsed) == columns(trace._rows(0, length))
+        assert columns(parsed) == columns(trace._rows(slice(0, length)))
         assert len(bounds) - 1 == max(1, min(cpus, length // split, monitor._RANGES))
         assert all(a % _CHUNK == 0 for a in bounds[:-1])
         assert [fork[3:5] for fork in forks] == list(zip(bounds[1:-1], bounds[2:]))
@@ -1332,7 +1366,7 @@ class TestSplitParse:
             if case == "second-thread":
                 thread.join(timeout=10)
         assert not thread.is_alive()
-        assert columns(parsed) == columns(trace._rows(0, 40))
+        assert columns(parsed) == columns(trace._rows(slice(0, 40)))
 
 
 @pytest.fixture(scope="module")
@@ -1366,7 +1400,7 @@ class TestSplitWrite:
     @example(length=3, cpus=4, split=1)  # children with no chunk
     def test_bytes_equal_the_one_process_writer(self, write_sample, tmp_path_factory, length,
                                                 cpus, split):
-        trace = write_sample._rows(0, length)
+        trace = write_sample._rows(slice(0, length))
         expected = serial_written(trace)
         path = tmp_path_factory.mktemp("write") / "trace.jsonl"
         with pytest.MonkeyPatch.context() as patch:
@@ -1606,7 +1640,7 @@ class TestBlocks:
         for size in (100_000, 1_000_000):
             tracemalloc.start()
             try:
-                run_monitor(trace._rows(0, size))
+                run_monitor(trace._rows(slice(0, size)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
